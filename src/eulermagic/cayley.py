@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .matrices import (
     Matrix,
+    SingularMatrixError,
     determinant,
     identity,
     mat_add,
@@ -92,7 +93,7 @@ def inverse_cayley(m: Matrix) -> Matrix:
         raise ValueError("input is not orthogonal")
     try:
         inv = mat_inverse(mat_add(identity(n), m))
-    except Exception:
+    except SingularMatrixError:
         raise ValueError("minus-one eigenvalue: I + M is singular") from None
     s = mat_mul(mat_sub(identity(n), m), inv)
     return s

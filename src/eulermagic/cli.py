@@ -47,6 +47,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # lets negative rationals like -14/15 pass as argument values, not options
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
@@ -87,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_s5.add_argument("--numerator-bound", type=int, default=120)
     p_s5.add_argument("--denominator-bound", type=int, default=8)
     p_s5.add_argument("--score-threshold", type=int, default=1)
-    p_s5.add_argument("--workers", type=int, default=1)
+    p_s5.add_argument("--workers", type=_worker_count, default=1)
 
     p_s8 = sub.add_parser(
         "search8", help="8x8 pipeline: fixed left tuple and (p..t), solve for (u,v,w) (JSON lines)")
@@ -99,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="bounded-height (u, v) grid radius; 0 disables")
     p_s8.add_argument("--center", type=_fraction, nargs=2, metavar="C",
                       help="grid center (default 0 0)")
-    p_s8.add_argument("--workers", type=int, default=1)
+    p_s8.add_argument("--workers", type=_worker_count, default=1)
 
     p_forms = sub.add_parser(
         "forms", help="print the diagonal quadratic forms A and B for a left tuple")

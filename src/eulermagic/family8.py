@@ -20,11 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, isqrt, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .matrices import Matrix, mat_mul, rescale_primitive
 from .octonion import (
+    LEFT_SIGN_TABLE,
     LEFT_VARS,
+    RIGHT_SIGN_TABLE,
     RIGHT_VARS,
     left_matrix,
     right_matrix,
@@ -38,6 +42,8 @@ from .verify import VerifyReport, report_to_json_dict, verify
 __all__ = [
     "BOTH_VARS",
     "DiagForms",
+    "IntegerForms",
+    "integer_forms",
     "Witness",
     "WitnessReport",
     "diag_forms",
@@ -162,6 +168,54 @@ def symbolic_diag_forms() -> DiagForms:
 
 
 # ----------------------------------------------------------------------
+# integer linear forms
+# ----------------------------------------------------------------------
+
+Vector = Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class IntegerForms:
+    """M = L(left) * R(p..w) for a numeric left tuple, over the integers.
+
+    scale is the least common denominator of the left tuple.  entries[8*i + j]
+    holds the 8 integer coefficients over (p..w) of scale * m(i+1, j+1), and
+    scale^2 * A = x^T gram_a x, scale^2 * B = x^T gram_b x for x = (p..w).
+    """
+
+    scale: int
+    entries: Tuple[Vector, ...]
+    gram_a: Tuple[Vector, ...]
+    gram_b: Tuple[Vector, ...]
+
+
+def integer_forms(left: Sequence[object]) -> IntegerForms:
+    """The entries of M as integer vectors and A, B as integer Gram matrices,
+    built straight from the two sign tables."""
+    left = _require_numeric_left(left)
+    scale = lcm(*(x.denominator for x in left))
+    ileft = [int(x * scale) for x in left]
+    entries = []
+    for lrow in LEFT_SIGN_TABLE:
+        for j in range(8):
+            vec = [0] * 8
+            for (kl, sl), rrow in zip(lrow, RIGHT_SIGN_TABLE):
+                kr, sr = rrow[j]
+                vec[kr] += sl * sr * ileft[kl]
+            entries.append(tuple(vec))
+
+    def squares(vectors):  # Gram matrix of the sum of (v.x)^2
+        return [[sum(v[k] * v[l] for v in vectors) for l in range(8)] for k in range(8)]
+
+    diag, anti = squares(entries[::9]), squares(entries[7:57:7])
+    gamma = sum(x * x for x in ileft)
+    gram_a = tuple(tuple(d - a for d, a in zip(*rows)) for rows in zip(diag, anti))
+    gram_b = tuple(tuple(d + a - 2 * gamma * (k == l) for l, (d, a) in enumerate(zip(*rows)))
+                   for k, rows in enumerate(zip(diag, anti)))
+    return IntegerForms(scale, tuple(entries), gram_a, gram_b)
+
+
+# ----------------------------------------------------------------------
 # properness witnesses
 # ----------------------------------------------------------------------
 
@@ -185,35 +239,56 @@ class WitnessReport:
     properness_obstructed: bool
 
 
-def _entry_pair_forms(m: Matrix):
-    flat = [((i + 1, j + 1), m.entry(i, j)) for i in range(8) for j in range(8)]
-    for relation in ("difference", "sum"):
-        for x in range(len(flat)):
-            for y in range(x + 1, len(flat)):
-                (pos1, f), (pos2, g) = flat[x], flat[y]
-                yield pos1, pos2, relation, (f - g if relation == "difference" else f + g)
+def _linear_poly(vec: Vector, scale: int) -> MultiPoly:
+    """The linear form vec / scale over (p..w)."""
+    return MultiPoly(RIGHT_VARS, {tuple(int(k == i) for k in range(8)): Fraction(c, scale)
+                                  for i, c in enumerate(vec) if c})
 
 
-def _leading_coeff(p: MultiPoly):
-    exps = min(p.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
-    return p.terms[exps]
+def _line_key(vec: Sequence[int]) -> Vector:
+    """A nonzero integer vector up to a rational scalar: divided by the gcd of
+    its entries, signed so that the first nonzero entry is positive."""
+    g = gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
 
 
-def _linear_divides(quadratic: MultiPoly, linear: MultiPoly) -> bool:
-    """Whether the linear form divides the quadratic (exact substitution test)."""
-    pivot = None
-    for exps, c in linear.terms.items():
-        if sum(exps) == 1:
-            pivot = (exps.index(1), c)
-            break
-    if pivot is None:
-        return False
-    i, c = pivot
-    name = linear.variables[i]
-    # the zero set of the linear form is {var = rest}; divisibility of the
-    # quadratic is exactly vanishing under that substitution
-    rest = (MultiPoly.variable(linear.variables, name) * c - linear) * Fraction(1, c)
-    return quadratic.substitute(name, rest).is_zero()
+def _linear_factors(gram: Sequence[Vector]) -> Optional[Tuple[Vector, Vector]]:
+    """The line keys of l1, l2 when x^T G x = c * l1(x) * l2(x) over Q, else None.
+
+    Such a G has rank <= 2: it is proportional to l1 l2^T + l2 l1^T.  At rank
+    2 some principal 2x2 minor det P on rows i, j is nonzero, and then
+    det P * x^T G x = a*y1^2 + 2b*y1*y2 + c*y2^2 with y1 = G_i.x, y2 = G_j.x,
+    (a, b, c) = (G_jj, -G_ij, G_ii); that binary form splits over Q exactly
+    when -det P is a square s^2.  With every such minor zero, a nonzero G can
+    only be a square c * l^2, with l along any nonzero row.  Either way the
+    candidate lines are kept only if G is proportional to their product.
+    """
+    minors = [(i, j) for i in range(8) for j in range(i + 1, 8)
+              if gram[i][i] * gram[j][j] != gram[i][j] ** 2]
+    if minors:
+        i, j = minors[0]
+        a, b, c = gram[j][j], -gram[i][j], gram[i][i]
+        s = isqrt(max(b * b - a * c, 0))
+        if s * s != b * b - a * c:
+            return None
+        ri, rj = gram[i], gram[j]
+        if a:
+            l1 = [a * x + (b - s) * y for x, y in zip(ri, rj)]
+            l2 = [a * x + (b + s) * y for x, y in zip(ri, rj)]
+        else:
+            l1, l2 = rj, [2 * b * x + c * y for x, y in zip(ri, rj)]
+    else:
+        l1 = l2 = next((r for r in gram if any(r)), None)
+        if l1 is None:
+            return None
+    product = [[x1 * y2 + x2 * y1 for y1, y2 in zip(l1, l2)] for x1, x2 in zip(l1, l2)]
+    k, m = next((k, m) for k in range(8) for m in range(8) if product[k][m])
+    if any(g * product[k][m] != p * gram[k][m]
+           for g_row, p_row in zip(gram, product) for g, p in zip(g_row, p_row)):
+        return None
+    return _line_key(l1), _line_key(l2)
 
 
 def improper_witnesses(left: Optional[Sequence[object]]) -> WitnessReport:
@@ -227,6 +302,11 @@ def improper_witnesses(left: Optional[Sequence[object]]) -> WitnessReport:
         entry-pair forms, any Euler magic specialization kills one factor and
         hence collides two entry squares (the all +-1 left tuples).
 
+    The scan works on the integer linear forms of integer_forms: the 4,032
+    pair sums and differences are keyed up to a scalar, and A is factored
+    once from its Gram matrix; its two lines are then looked up among the
+    pair forms.  A square c * l^2 reports the same pair twice.
+
     With left=None the report carries the single generic witness
     m(1,8) - m(8,1) = -2(a*w + h*p) over the full symbolic context: whenever
     a = h = 0 those two entries coincide identically.
@@ -238,43 +318,34 @@ def improper_witnesses(left: Optional[Sequence[object]]) -> WitnessReport:
         return WitnessReport(None, (generic,), True, False)
 
     left = _require_numeric_left(left)
-    m = product_matrix(left)
+    forms = integer_forms(left)
+    positions = [(x // 8 + 1, x % 8 + 1) for x in range(64)]
     collisions: List[Witness] = []
-    nonzero_forms: Dict[tuple, Tuple[Position, Position, str, MultiPoly]] = {}
-    for pos1, pos2, relation, form in _entry_pair_forms(m):
-        if form.is_zero():
-            collisions.append(Witness("identical-squares", pos1, pos2, relation, form))
-        else:
-            lead = _leading_coeff(form)
-            key = tuple(sorted((e, Fraction(c, lead)) for e, c in form.terms.items()))
-            nonzero_forms.setdefault(key, (pos1, pos2, relation, form))
+    # line key -> its first pair in scan order: (order, pos1, pos2, relation, vector)
+    pair_lines: Dict[Vector, Tuple[int, Position, Position, str, Vector]] = {}
+    for relation, sign in (("difference", -1), ("sum", 1)):
+        for x, y in combinations(range(64), 2):
+            vec = tuple([a + sign * b for a, b in zip(forms.entries[x], forms.entries[y])])
+            if not any(vec):
+                collisions.append(Witness("identical-squares", positions[x], positions[y],
+                                          relation, MultiPoly.zero(RIGHT_VARS)))
+                continue
+            key = _line_key(vec)
+            if key not in pair_lines:
+                pair_lines[key] = (len(pair_lines), positions[x], positions[y], relation, vec)
     if collisions:
         return WitnessReport(left, tuple(collisions), False, True)
 
-    a_form = diag_forms(left).A
-    factor_witnesses: List[Witness] = []
-    if not a_form.is_zero():
-        divisors = [
-            rec for rec in nonzero_forms.values() if _linear_divides(a_form, rec[3])
-        ]
-        for i in range(len(divisors)):
-            for j in range(len(divisors)):
-                f1, f2 = divisors[i][3], divisors[j][3]
-                lead = Fraction(_leading_coeff(a_form),
-                                _leading_coeff(f1) * _leading_coeff(f2))
-                if f1 * f2 * lead == a_form:
-                    factor_witnesses = [
-                        Witness("factor-of-A", divisors[i][0], divisors[i][1],
-                                divisors[i][2], f1),
-                        Witness("factor-of-A", divisors[j][0], divisors[j][1],
-                                divisors[j][2], f2),
-                    ]
-                    break
-            if factor_witnesses:
-                break
+    factor_witnesses: Tuple[Witness, ...] = ()
+    lines = _linear_factors(forms.gram_a)
+    if lines is not None and all(key in pair_lines for key in lines):
+        factor_witnesses = tuple(
+            Witness("factor-of-A", pos1, pos2, relation, _linear_poly(vec, forms.scale))
+            for _, pos1, pos2, relation, vec in sorted(pair_lines[key] for key in lines)
+        )
     return WitnessReport(
         left=left,
-        witnesses=tuple(factor_witnesses),
+        witnesses=factor_witnesses,
         polynomial_matrix_proper=True,
         properness_obstructed=bool(factor_witnesses),
     )
@@ -300,8 +371,6 @@ def enumerate_w1(a_max: int) -> List[Tuple[int, ...]]:
     Canonical form: a > 0 and gcd of all eight entries equal to 1; both signs
     of h and all sign/position variants of b..g appear as separate tuples.
     """
-    from math import gcd, isqrt
-
     if a_max < 1:
         raise ValueError("a_max must be at least 1")
     out: List[Tuple[int, ...]] = []

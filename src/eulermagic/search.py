@@ -24,16 +24,17 @@ byte-identical for equal seeds regardless of worker count.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import product
+from math import isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cayley import cayley, skew_from_upper
-from .family8 import diag_forms, improper_witnesses
+from .family8 import IntegerForms, improper_witnesses, integer_forms
 from .matrices import Matrix, SingularMatrixError, mat_mul, rescale_primitive
-from .octonion import RIGHT_VARS, left_matrix, right_matrix
-from .poly import MultiPoly
+from .octonion import left_matrix, right_matrix
 from .verify import VerifyReport, verify
 
 __all__ = [
@@ -158,6 +159,31 @@ def _rank(candidates: Iterable[Candidate]) -> Tuple[Candidate, ...]:
     return tuple(out)
 
 
+def _merge_parts(parts, iterations: int) -> SearchResult:
+    """One result from per-chunk (candidates, hits, near misses) triples."""
+    ranked = _rank(c for candidates, _, _ in parts for c in candidates)
+    best = ranked[0].score if ranked else 0
+    return SearchResult(ranked, iterations, sum(p[1] for p in parts),
+                        sum(p[2] for p in parts), best)
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
+def _map_chunks(func, args: tuple, items: list, workers: int) -> list:
+    """[func(*args, chunk)] over strided chunks of items, one per process of a
+    pool of min(workers, CPU count, len(items)); no pool for a single chunk."""
+    size = min(workers, os.cpu_count() or 1, len(items))
+    if size <= 1:
+        return [func(*args, items)]
+    from multiprocessing import Pool
+
+    with Pool(size) as pool:
+        return pool.starmap(func, [args + (items[k::size],) for k in range(size)])
+
+
 # ----------------------------------------------------------------------
 # 5x5 random Cayley search
 # ----------------------------------------------------------------------
@@ -202,24 +228,10 @@ def search5_cayley(config: SearchConfig, workers: int = 1) -> SearchResult:
     Fully reproducible from the seed: identical configurations give identical
     results for any worker count.
     """
+    _check_workers(workers)
     indices = list(range(config.max_iterations))
-    if workers <= 1 or len(indices) < 2:
-        parts = [_search5_run_indices(config, indices)]
-    else:
-        from multiprocessing import Pool
-
-        chunks = [indices[k::workers] for k in range(workers)]
-        with Pool(workers) as pool:
-            parts = pool.starmap(_search5_run_indices, [(config, c) for c in chunks])
-    candidates: List[Candidate] = []
-    hits = near = 0
-    for part_candidates, part_hits, part_near in parts:
-        candidates.extend(part_candidates)
-        hits += part_hits
-        near += part_near
-    ranked = _rank(candidates)
-    best = ranked[0].score if ranked else 0
-    return SearchResult(ranked, len(indices), hits, near, best)
+    parts = _map_chunks(_search5_run_indices, (config,), indices, workers)
+    return _merge_parts(parts, len(indices))
 
 
 # ----------------------------------------------------------------------
@@ -237,66 +249,68 @@ def _bounded_height_offsets(height: int) -> List[Fraction]:
     return sorted(values, key=lambda x: (abs(x), x))
 
 
-def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+def _uvw_tables(forms: IntegerForms, partial: Sequence[Fraction]):
+    """A and B with (p..t) fixed, times a positive constant, as integer terms
+    (i, j, k, c) meaning c * u^i * v^j * w^k (at most 10 terms each)."""
+    den = lcm(*(x.denominator for x in partial))
+    # den * (p..w) with p..t fixed: (integer coefficient, exponents of u, v, w)
+    coords = [(int(x * den), (0, 0, 0)) for x in partial] + [
+        (den, (1, 0, 0)), (den, (0, 1, 0)), (den, (0, 0, 1))]
+    tables = []
+    for gram in (forms.gram_a, forms.gram_b):
+        terms: Dict[Tuple[int, int, int], int] = {}
+        for row, (ck, ek) in zip(gram, coords):
+            for g, (cm, em) in zip(row, coords):
+                exps = (ek[0] + em[0], ek[1] + em[1], ek[2] + em[2])
+                terms[exps] = terms.get(exps, 0) + g * ck * cm
+        tables.append(tuple((*exps, c) for exps, c in terms.items() if c))
+    return tuple(tables)
 
 
-def _w_roots(poly: MultiPoly) -> Optional[List[Fraction]]:
-    """Rational roots of a polynomial in w alone (degree <= 2); None means
-    the zero polynomial (every w is a root)."""
-    if poly.is_zero():
-        return None
-    c2 = poly.coefficient_of("w", 2).constant_value()
-    c1 = poly.coefficient_of("w", 1).constant_value()
-    c0 = poly.coefficient_of("w", 0).constant_value()
-    if poly.degree_in("w") > 2:
-        raise ValueError("internal error: w-degree above 2")
+def _w_roots(table, us, vs) -> Optional[List[Fraction]]:
+    """Rational roots in w of a (u, v, w) table at u = nu/du, v = nv/dv, given
+    us = (du^2, nu*du, nu^2) and likewise vs; None means every w is a root."""
+    c = [0, 0, 0]
+    for i, j, k, coeff in table:
+        c[k] += coeff * us[i] * vs[j]  # times du^2 * dv^2
+    c0, c1, c2 = c
     if c2 == 0:
         if c1 == 0:
-            return []  # nonzero constant: no roots
+            return None if c0 == 0 else []
         return [Fraction(-c0, c1)]
-    disc = Fraction(c1) ** 2 - 4 * Fraction(c2) * Fraction(c0)
-    root = _rational_sqrt(disc)
-    if root is None:
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    root = isqrt(disc)
+    if root * root != disc:
         return []
     if root == 0:
         return [Fraction(-c1, 2 * c2)]
     return sorted([Fraction(-c1 + root, 2 * c2), Fraction(-c1 - root, 2 * c2)])
 
 
-def _specialized_entries_proper(left: Sequence[Fraction],
-                                partial: Sequence[Fraction]) -> bool:
+def _specialized_entries_proper(forms: IntegerForms, partial: Sequence[Fraction]) -> bool:
     """Whether M with p..t fixed has pairwise-distinct entry squares as
-    polynomials in (u, v, w)."""
-    m = mat_mul(left_matrix(list(left)), right_matrix(
-        list(MultiPoly.variables_of(RIGHT_VARS))))
+    polynomials in (u, v, w), i.e. no two entries agree up to sign."""
+    den = lcm(*(x.denominator for x in partial))
+    fixed = [int(x * den) for x in partial]
     seen = set()
-    for i in range(8):
-        for j in range(8):
-            f = m.entry(i, j)
-            for name, value in zip(("p", "q", "r", "s", "t"), partial):
-                f = f.substitute(name, value)
-            key_pos = tuple(sorted(f.terms.items()))
-            key_neg = tuple(sorted((-f).terms.items()))
-            key = min(key_pos, key_neg)
-            if key in seen:
-                return False
-            seen.add(key)
+    for vec in forms.entries:
+        # den * scale * entry as (constant, u, v, w) coefficients
+        entry = (sum(c * x for c, x in zip(vec, fixed)), den * vec[5], den * vec[6], den * vec[7])
+        if next((x for x in entry if x), 0) < 0:
+            entry = tuple(-x for x in entry)
+        if entry in seen:
+            return False
+        seen.add(entry)
     return True
 
 
-def _search8_check_point(a_uv: MultiPoly, b_uv: MultiPoly, u: Fraction, v: Fraction):
-    """Solve for w at one (u, v) point: (list of w hits, near_miss flag)."""
-    a_w = a_uv.substitute("u", u).substitute("v", v)
-    b_w = b_uv.substitute("u", u).substitute("v", v)
-    roots_a = _w_roots(a_w)
-    roots_b = _w_roots(b_w)
+def _search8_check_point(tables, nu: int, du: int, nv: int, dv: int):
+    """Solve for w at u = nu/du, v = nv/dv: (list of w hits, near_miss flag)."""
+    us = (du * du, nu * du, nu * nu)
+    vs = (dv * dv, nv * dv, nv * nv)
+    roots_a, roots_b = (_w_roots(table, us, vs) for table in tables)
     if roots_a is None and roots_b is None:
         return [], False  # a full line of solutions; outside this harness
     if roots_a is None:
@@ -304,25 +318,21 @@ def _search8_check_point(a_uv: MultiPoly, b_uv: MultiPoly, u: Fraction, v: Fract
     if roots_b is None:
         return roots_a, False
     common = sorted(set(roots_a) & set(roots_b))
-    near = bool((set(roots_a) | set(roots_b)) and not common)
+    near = bool((roots_a or roots_b) and not common)
     return common, near
 
 
-def _search8_grid_chunk(left, partial, points):
-    """points: list of (sample_index, u, v). Returns (candidates, hits, near)."""
-    forms = diag_forms(left)
-    a_uv, b_uv = forms.A, forms.B
-    for name, value in zip(("p", "q", "r", "s", "t"), partial):
-        a_uv = a_uv.substitute(name, value)
-        b_uv = b_uv.substitute(name, value)
+def _search8_grid_chunk(left, partial, tables, points):
+    """points: list of (sample_index, nu, du, nv, dv) with u = nu/du and
+    v = nv/dv.  Returns (candidates, hits, near)."""
     candidates: List[Candidate] = []
     hits = near_misses = 0
     lmat = left_matrix(list(left))
-    for index, u, v in points:
-        ws, near = _search8_check_point(a_uv, b_uv, u, v)
+    for index, nu, du, nv, dv in points:
+        ws, near = _search8_check_point(tables, nu, du, nv, dv)
         near_misses += near
         for w in ws:
-            right = tuple(partial) + (u, v, w)
+            right = tuple(partial) + (Fraction(nu, du), Fraction(nv, dv), w)
             matrix = mat_mul(lmat, right_matrix(list(right)))
             try:
                 primitive = rescale_primitive(matrix)
@@ -351,8 +361,10 @@ def search8_seeded(
     A supplied (u,v,w) is verified exactly as sample 0.  With height >= 1 the
     (u,v) plane is scanned over bounded-height offsets around center
     (default (0,0)); at each point the two conditions become polynomials of
-    degree <= 2 in w, solved exactly over the rationals.
+    degree <= 2 in w with integer coefficients, solved exactly over the
+    rationals.
     """
+    _check_workers(workers)
     left = tuple(Fraction(x) for x in left)
     partial = tuple(Fraction(x) for x in partial)
     if len(partial) != 5:
@@ -360,59 +372,31 @@ def search8_seeded(
     scan = improper_witnesses(left)
     if not scan.polynomial_matrix_proper or scan.properness_obstructed:
         raise ValueError("polynomial matrix improper")
-    if not _specialized_entries_proper(left, partial):
+    forms = integer_forms(left)
+    if not _specialized_entries_proper(forms, partial):
         raise ValueError("polynomial matrix improper after fixing (p, q, r, s, t)")
+    tables = _uvw_tables(forms, partial)
 
-    points: List[Tuple[int, Fraction, Fraction]] = []
-    next_index = 0
-    supplied_point: Optional[Tuple[int, Fraction, Fraction]] = None
-    supplied_w: Optional[Fraction] = None
+    parts = []
     if supplied is not None:
         u, v, w = (Fraction(x) for x in supplied)
-        supplied_point = (next_index, u, v)
-        supplied_w = w
-        next_index += 1
+        point = (0, u.numerator, u.denominator, v.numerator, v.denominator)
+        got, _, near = _search8_grid_chunk(left, partial, tables, [point])
+        kept = [c for c in got if c.source_params[7] == w]
+        if not kept:
+            raise ValueError("supplied solution does not satisfy the diagonal conditions")
+        parts.append((kept, len(kept), near))
+    first = len(parts)  # the grid's first sample index
+    points = []
     if height > 0:
         cu, cv = (Fraction(0), Fraction(0)) if center is None else (
             Fraction(center[0]), Fraction(center[1]))
         offsets = _bounded_height_offsets(height)
-        for du in offsets:
-            for dv in offsets:
-                points.append((next_index, cu + du, cv + dv))
-                next_index += 1
-
-    candidates: List[Candidate] = []
-    hits = near_misses = 0
-
-    if supplied_point is not None:
-        got, _, extra_near = _search8_grid_chunk(left, partial, [supplied_point])
-        kept = [c for c in got if c.source_params[7] == supplied_w]
-        if not kept:
-            raise ValueError("supplied solution does not satisfy the diagonal conditions")
-        candidates.extend(kept)
-        hits += len(kept)
-        near_misses += extra_near
-
-    if points:
-        if workers <= 1 or len(points) < 2:
-            parts = [_search8_grid_chunk(left, partial, points)]
-        else:
-            from multiprocessing import Pool
-
-            chunks = [points[k::workers] for k in range(workers)]
-            with Pool(workers) as pool:
-                parts = pool.starmap(
-                    _search8_grid_chunk,
-                    [(left, partial, chunk) for chunk in chunks],
-                )
-        for part_candidates, part_hits, part_near in parts:
-            candidates.extend(part_candidates)
-            hits += part_hits
-            near_misses += part_near
-
-    ranked = _rank(candidates)
-    best = ranked[0].score if ranked else 0
-    return SearchResult(ranked, next_index, hits, near_misses, best)
+        grid = product([cu + x for x in offsets], [cv + x for x in offsets])
+        points = [(first + n, u.numerator, u.denominator, v.numerator, v.denominator)
+                  for n, (u, v) in enumerate(grid)]
+        parts += _map_chunks(_search8_grid_chunk, (left, partial, tables), points, workers)
+    return _merge_parts(parts, first + len(points))
 
 
 # ----------------------------------------------------------------------

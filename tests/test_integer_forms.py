@@ -1,0 +1,398 @@
+"""The integer linear-form core of the 8x8 search against MultiPoly oracles.
+
+The witness scan and the per-point w-solve run on integer vectors and Gram
+matrices.  The references below redo both the slow way, through MultiPoly
+products, substitutions and zero tests, sharing no code with the core.
+"""
+
+from fractions import Fraction
+from math import isqrt
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from eulermagic import cli
+from eulermagic.family8 import (
+    FAMILY_LEFT,
+    _linear_factors,
+    diag_forms,
+    improper_witnesses,
+    integer_forms,
+    product_matrix,
+)
+from eulermagic.poly import MultiPoly
+from eulermagic.search import (
+    SearchConfig,
+    _search8_check_point,
+    _specialized_entries_proper,
+    _uvw_tables,
+    _w_roots,
+    search5_cayley,
+    search8_seeded,
+)
+
+RIGHT_VARS = ("p", "q", "r", "s", "t", "u", "v", "w")
+WORKED_LEFT = (0, 1, 1, 1, 1, 1, -1, 5)
+WORKED_PARTIAL = (3, -2, -4, 5, 6)
+
+
+# ----------------------------------------------------------------------
+# pinned witness reports
+# ----------------------------------------------------------------------
+
+_PINNED = {
+    (1,) * 8: (
+        [
+            ("factor-of-A", (2, 2), (2, 7), "difference", "2*r + 2*s + 2*v + 2*w"),
+            ("factor-of-A", (3, 3), (3, 6), "difference", "2*p + 2*q + 2*t + 2*u"),
+        ],
+        True,
+        True,
+    ),
+    (1, 0, 0, 1, 1, 1, 1, 1): (
+        [
+            ("identical-squares", (1, 2), (4, 3), "difference", "0"),
+            ("identical-squares", (2, 2), (3, 3), "difference", "0"),
+            ("identical-squares", (5, 3), (8, 2), "difference", "0"),
+            ("identical-squares", (6, 2), (7, 3), "difference", "0"),
+            ("identical-squares", (1, 3), (4, 2), "sum", "0"),
+            ("identical-squares", (2, 3), (3, 2), "sum", "0"),
+            ("identical-squares", (5, 2), (8, 3), "sum", "0"),
+            ("identical-squares", (6, 3), (7, 2), "sum", "0"),
+        ],
+        False,
+        True,
+    ),
+    FAMILY_LEFT: ([], True, False),
+    WORKED_LEFT: ([], True, False),
+}
+
+
+def _summary(report):
+    witnesses = [(w.kind, w.first, w.second, w.relation, str(w.form))
+                 for w in report.witnesses]
+    return witnesses, report.polynomial_matrix_proper, report.properness_obstructed
+
+
+@pytest.mark.parametrize("left", list(_PINNED))
+def test_witness_scan_pinned(left):
+    assert _summary(improper_witnesses(left)) == _PINNED[left]
+
+
+# ----------------------------------------------------------------------
+# the witness scan against a MultiPoly reference
+# ----------------------------------------------------------------------
+
+def _leading(poly: MultiPoly):
+    """Coefficient of the first variable (in p..w order) of a linear form."""
+    return poly.terms[max(poly.terms)]
+
+
+def _divides(quadratic: MultiPoly, linear: MultiPoly) -> bool:
+    """Whether the linear form divides the quadratic: it vanishes on the
+    hyperplane.  One point of the hyperplane rejects most forms cheaply; the
+    decision is the exact substitution."""
+    exps, c = max(linear.terms.items())
+    name = RIGHT_VARS[exps.index(1)]
+    # c * z, with the pivot coordinate moved onto the hyperplane
+    z = {v: k * k + 3 * k + 1 for k, v in enumerate(RIGHT_VARS)}
+    z[name] = 0
+    probe = {v: c * x for v, x in z.items()}
+    probe[name] = -linear.eval(z)
+    if quadratic.eval(probe) != 0:
+        return False
+    rest = (MultiPoly.variable(RIGHT_VARS, name) * c - linear) * Fraction(1, c)
+    return quadratic.substitute(name, rest).is_zero()
+
+
+def _reference_scan(left):
+    m = product_matrix(left)
+    flat = [((i + 1, j + 1), m.entry(i, j)) for i in range(8) for j in range(8)]
+    collisions, table = [], {}
+    for relation in ("difference", "sum"):
+        for x in range(64):
+            for y in range(x + 1, 64):
+                (pos1, f), (pos2, g) = flat[x], flat[y]
+                form = f - g if relation == "difference" else f + g
+                if form.is_zero():
+                    collisions.append(("identical-squares", pos1, pos2, relation, str(form)))
+                    continue
+                lead = _leading(form)
+                key = tuple(sorted((e, Fraction(c, lead)) for e, c in form.terms.items()))
+                table.setdefault(key, (pos1, pos2, relation, form))
+    if collisions:
+        return collisions, False, True
+    a_form = diag_forms(left).A
+    divisors = [rec for rec in table.values()
+                if not a_form.is_zero() and _divides(a_form, rec[3])]
+    for first in divisors:
+        for second in divisors:
+            product = first[3] * second[3]
+            exps = next(iter(product.terms))
+            ratio = Fraction(a_form.terms.get(exps, 0), product.terms[exps])
+            if ratio and product * ratio == a_form:
+                witnesses = [("factor-of-A", *rec[:3], str(rec[3])) for rec in (first, second)]
+                return witnesses, True, True
+    return [], True, False
+
+
+_small_left = st.tuples(*[st.integers(-2, 2)] * 8)
+_unit_left = st.tuples(*[st.sampled_from((-1, 1))] * 8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(_small_left, _unit_left))
+@example((1, 1, 1, 1, 1, 1, 1, -1))
+@example((Fraction(1, 2),) * 8)
+@example((Fraction(1, 3), 1, 0, 0, 1, 1, 1, Fraction(-2, 5)))
+@example((0,) * 8)
+def test_witness_scan_matches_multipoly_reference(left):
+    assert _summary(improper_witnesses(left)) == _reference_scan(left)
+
+
+def _pad(*xs):
+    return tuple(xs) + (0,) * (8 - len(xs))
+
+
+def _product_gram(l1, l2):
+    """G with x^T G x = 2 * l1(x) * l2(x)."""
+    return tuple(tuple(l1[k] * l2[m] + l2[k] * l1[m] for m in range(8)) for k in range(8))
+
+
+@pytest.mark.parametrize("l1, l2, keys", [
+    (_pad(1, 2), _pad(1, 2), {_pad(1, 2)}),  # a square: rank 1
+    (_pad(-2, -4), _pad(3, 6), {_pad(1, 2)}),
+    (_pad(0, 1), _pad(1), {_pad(0, 1), _pad(1)}),  # zero 2x2 diagonal
+    (_pad(1, 1), _pad(1, -1), {_pad(1, 1), _pad(1, -1)}),
+    (_pad(-2, 3, 1), _pad(0, 0, 5, -1), {_pad(2, -3, -1), _pad(0, 0, 5, -1)}),
+    (_pad(0, 0, 0, 0, 0, 3, 0, 6), _pad(4, 0, 0, 0, 0, 0, 0, -2),
+     {_pad(0, 0, 0, 0, 0, 1, 0, 2), _pad(2, 0, 0, 0, 0, 0, 0, -1)}),
+])
+def test_linear_factors_of_products(l1, l2, keys):
+    assert set(_linear_factors(_product_gram(l1, l2))) == keys
+
+
+def _gram(*rows):
+    return tuple(_pad(*row) for row in rows) + (_pad(),) * (8 - len(rows))
+
+
+@pytest.mark.parametrize("gram", [
+    _gram(),
+    _gram((1,), (0, 1)),  # p^2 + q^2
+    _gram((1,), (0, -2)),  # p^2 - 2q^2
+    _gram((1,), (0, 1), (0, 0, -1)),  # rank 3
+    _gram((1, 1, 1), (1, 1, -1), (1, -1, 1)),  # rank 3, every principal 2x2 minor zero
+])
+def test_linear_factors_absent(gram):
+    assert _linear_factors(gram) is None
+
+
+def test_witness_scan_reports_factor_witnesses_on_unit_tuples():
+    # every all +-1 tuple sampled here is obstructed by a factor of A
+    for left in ((1,) * 8, (1, 1, 1, 1, 1, 1, 1, -1), (1, -1, 1, -1, 1, -1, 1, -1)):
+        witnesses, proper, obstructed = _summary(improper_witnesses(left))
+        assert proper and obstructed
+        assert [w[0] for w in witnesses] == ["factor-of-A", "factor-of-A"]
+
+
+# ----------------------------------------------------------------------
+# the per-point w-solve against MultiPoly substitution
+# ----------------------------------------------------------------------
+
+def _reference_w_roots(poly: MultiPoly):
+    if poly.is_zero():
+        return None
+    c2, c1, c0 = (Fraction(poly.coefficient_of("w", k).constant_value()) for k in (2, 1, 0))
+    if c2 == 0:
+        return [] if c1 == 0 else [-c0 / c1]
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    rn, rd = isqrt(disc.numerator), isqrt(disc.denominator)
+    if rn * rn != disc.numerator or rd * rd != disc.denominator:
+        return []
+    root = Fraction(rn, rd)
+    return sorted({(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)})
+
+
+def _reference_point(left, partial, u, v):
+    forms = diag_forms(left)
+    values = dict(zip(RIGHT_VARS, tuple(partial) + (u, v)))
+    roots = []
+    for poly in (forms.A, forms.B):
+        for name, value in values.items():
+            poly = poly.substitute(name, value)
+        roots.append(_reference_w_roots(poly))
+    roots_a, roots_b = roots
+    if roots_a is None and roots_b is None:
+        return [], False
+    if roots_a is None or roots_b is None:
+        return (roots_b if roots_a is None else roots_a), False
+    common = sorted(set(roots_a) & set(roots_b))
+    return common, bool(set(roots_a) | set(roots_b)) and not common
+
+
+def _integer_point(left, partial, u, v):
+    tables = _uvw_tables(integer_forms(left), [Fraction(x) for x in partial])
+    u, v = Fraction(u), Fraction(v)
+    return _search8_check_point(tables, u.numerator, u.denominator, v.numerator, v.denominator)
+
+
+_rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _lefts(draw):
+    left = list(draw(_small_left))
+    if draw(st.booleans()):  # h = +-a: the w^2 coefficient of A vanishes
+        left[7] = draw(st.sampled_from((1, -1))) * left[0]
+    return tuple(left)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lefts(), st.tuples(*[_rational] * 5), _rational, _rational)
+@example(WORKED_LEFT, WORKED_PARTIAL, Fraction(13, 15), Fraction(-14, 15))
+@example((1, 0, 0, 0, 0, 0, 0, 1), (0,) * 5, 0, 0)  # A vanishes in w
+@example((0,) * 8, (1, 2, 3, 4, 5), 1, 1)  # A and B vanish in w
+def test_w_solve_matches_multipoly_substitution(left, partial, u, v):
+    assert _integer_point(left, partial, u, v) == _reference_point(left, partial, u, v)
+
+
+def test_w_solve_full_line_branches():
+    # A = 8(h^2 - a^2) w^2 at p..v = 0, so h = a leaves only B's roots
+    tables = _uvw_tables(integer_forms((1, 0, 0, 0, 0, 0, 0, 1)), [Fraction(0)] * 5)
+    assert _search8_check_point(tables, 0, 1, 0, 1) == ([Fraction(0)], False)
+    tables = _uvw_tables(integer_forms((0,) * 8), [Fraction(1)] * 5)
+    assert tables == ((), ())
+    assert _search8_check_point(tables, 1, 2, 3, 4) == ([], False)
+
+
+def _roots(c2, c1, c0):
+    """_w_roots of c2*w^2 + c1*w + c0 (at u = v = 0)."""
+    return _w_roots(((0, 0, 2, c2), (0, 0, 1, c1), (0, 0, 0, c0)), (1, 0, 0), (1, 0, 0))
+
+
+def test_w_roots_cases():
+    assert _roots(0, 0, 0) is None
+    assert _roots(0, 0, 5) == []
+    assert _roots(0, 3, 2) == [Fraction(-2, 3)]
+    assert _roots(1, 0, 1) == []
+    assert _roots(1, 0, -2) == []
+    assert _roots(1, -2, 1) == [Fraction(1)]
+    assert _roots(4, 0, -1) == [Fraction(-1, 2), Fraction(1, 2)]
+
+
+def test_worked_solution_is_a_root_of_both_forms():
+    ws, near = _integer_point(WORKED_LEFT, WORKED_PARTIAL, Fraction(13, 15), Fraction(-14, 15))
+    assert Fraction(-23, 5) in ws and not near
+
+
+def _reference_entries_proper(left, partial):
+    m = product_matrix(left)
+    seen = set()
+    for i in range(8):
+        for j in range(8):
+            f = m.entry(i, j)
+            for name, value in zip(RIGHT_VARS, partial):
+                f = f.substitute(name, value)
+            key = min(tuple(sorted(f.terms.items())), tuple(sorted((-f).terms.items())))
+            if key in seen:
+                return False
+            seen.add(key)
+    return True
+
+
+# distinct values: about half of these specializations stay proper
+_distinct_left = st.lists(st.integers(-9, 9), min_size=8, max_size=8, unique=True)
+_distinct_partial = st.lists(st.integers(-9, 9), min_size=5, max_size=5, unique=True).flatmap(
+    lambda nums: st.tuples(*[st.builds(Fraction, st.just(n), st.integers(1, 3)) for n in nums]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_distinct_left, _distinct_partial)
+@example(WORKED_LEFT, WORKED_PARTIAL)
+@example(WORKED_LEFT, (0, 0, 0, 0, 0))
+@example((Fraction(1, 2), 1, 1, 1, 1, 1, -1, 5), (Fraction(1, 2), 0, 0, 1, 0))
+def test_specialized_entries_match_multipoly_reference(left, partial):
+    partial = tuple(Fraction(x) for x in partial)
+    got = _specialized_entries_proper(integer_forms(left), partial)
+    assert got == _reference_entries_proper(left, partial)
+
+
+def test_search8_rejects_improper_specialization():
+    with pytest.raises(ValueError, match="after fixing"):
+        search8_seeded(WORKED_LEFT, (0, 0, 0, 0, 0))
+
+
+# ----------------------------------------------------------------------
+# worker counts
+# ----------------------------------------------------------------------
+
+class _RecordingPool:
+    sizes = []
+
+    def __init__(self, size):
+        _RecordingPool.sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, func, arg_lists):
+        return [func(*args) for args in arg_lists]
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    import multiprocessing
+
+    _RecordingPool.sizes = []
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    return _RecordingPool.sizes
+
+
+def test_search5_pool_clamped_to_cpus_and_items(recording_pool, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    config = SearchConfig(seed=3, numerator_bound=9, denominator_bound=4, max_iterations=5)
+    serial = search5_cayley(config)
+    assert search5_cayley(config, workers=10**6) == serial
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    assert search5_cayley(config, workers=10**6) == serial
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert search5_cayley(config, workers=10**6) == serial
+    assert recording_pool == [5, 3]
+
+
+def test_search8_pool_clamped_to_cpus_and_items(recording_pool, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    center = (Fraction(13, 15), Fraction(-14, 15))
+    serial = search8_seeded(WORKED_LEFT, WORKED_PARTIAL, height=1, center=center)
+    parallel = search8_seeded(WORKED_LEFT, WORKED_PARTIAL, height=1, center=center,
+                              workers=10**6)
+    assert parallel == serial
+    assert recording_pool == [4]
+
+
+def test_workers_below_one_rejected():
+    config = SearchConfig(seed=3, max_iterations=5)
+    with pytest.raises(ValueError, match="at least 1"):
+        search5_cayley(config, workers=0)
+    with pytest.raises(ValueError, match="at least 1"):
+        search8_seeded(WORKED_LEFT, WORKED_PARTIAL, workers=-2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["search5", "--seed", "1", "--iterations", "5", "--workers", "0"],
+    ["search8", "--left", *map(str, WORKED_LEFT), "--partial", *map(str, WORKED_PARTIAL),
+     "--workers", "-3"],
+])
+def test_cli_workers_below_one_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--workers" in err and "at least 1" in err
+    assert "Traceback" not in err
