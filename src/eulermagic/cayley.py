@@ -19,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .matrices import (
     Matrix,
     SingularMatrixError,
+    bareiss_adjugate,
     determinant,
     identity,
     mat_add,
@@ -40,6 +42,7 @@ __all__ = [
     "skew3",
     "is_skew",
     "cayley",
+    "cayley_scaled",
     "inverse_cayley",
     "sign_diagonal",
     "cayley3_forms",
@@ -73,15 +76,39 @@ def skew3(a, b, c) -> Matrix:
 
 
 def is_skew(m: Matrix) -> bool:
-    return m.is_square() and transpose(m) == mat_scale(-1, m)
+    e = m.entries
+    return m.is_square() and all(
+        e[i][j] == -e[j][i] for i in range(m.rows) for j in range(i, m.rows))
+
+
+def cayley_scaled(s: Matrix) -> Tuple[Matrix, int]:
+    """(P, det) with integer P = det * cayley(S) and det > 0, for rational skew S.
+
+    With d the lcm of the denominators of S and S_int = d * S, the product
+    P = (dI - S_int) * adj(dI + S_int) needs integer arithmetic only, and
+    det = det(dI + S_int) = d^n * det(I + S).  det(I + S) is positive for real
+    skew S: the eigenvalues of S are 0 and conjugate pairs +-ib, so it is a
+    product of factors 1 + b^2.
+    """
+    if not is_skew(s):
+        raise ValueError("input is not skew-symmetric")
+    n = s.rows
+    d = lcm(*(x.denominator for r in s.entries for x in r))
+    s_int = [[x.numerator * (d // x.denominator) for x in r] for r in s.entries]
+    adj, det = bareiss_adjugate(
+        [[d + x if i == j else x for j, x in enumerate(r)] for i, r in enumerate(s_int)])
+    assert det > 0, "det(I + S) <= 0 for a skew S"
+    minus = [[d - x if i == j else -x for j, x in enumerate(r)] for i, r in enumerate(s_int)]
+    cols = list(zip(*adj))
+    return Matrix(n, n, tuple(
+        tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in minus
+    )), det
 
 
 def cayley(s: Matrix) -> Matrix:
     """(I - S)(I + S)^(-1); exact, orthogonal for every rational skew S."""
-    if not is_skew(s):
-        raise ValueError("input is not skew-symmetric")
-    n = s.rows
-    return mat_mul(mat_sub(identity(n), s), mat_inverse(mat_add(identity(n), s)))
+    p, det = cayley_scaled(s)
+    return Matrix(p.rows, p.cols, tuple(tuple(Fraction(x, det) for x in r) for r in p.entries))
 
 
 def inverse_cayley(m: Matrix) -> Matrix:

@@ -27,6 +27,7 @@ __all__ = [
     "mat_scale",
     "transpose",
     "determinant",
+    "bareiss_adjugate",
     "mat_inverse",
     "rescale_primitive",
     "parse_matrix_text",
@@ -191,42 +192,51 @@ def determinant(a: Matrix):
     return int(value) if value.denominator == 1 else value
 
 
+def bareiss_adjugate(int_rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """(adj A, det A) of a square integer matrix, with A * adj A = det A * I.
+
+    Bareiss elimination turns [A | I] into [U | C] with U[n-1][n-1] = +-det A;
+    the back-substitution then solves U * adj A = det A * C.  Its divisions by
+    U[i][i] are exact because adj A is integral.
+    """
+    n = len(int_rows)
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(int_rows)]
+    rows, sign, singular = _bareiss_forward(aug, n)
+    if singular:
+        raise SingularMatrixError("matrix is singular")
+    det = sign * rows[n - 1][n - 1]
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        ri = rows[i]
+        for c in range(n):
+            acc = det * ri[n + c]
+            for j in range(i + 1, n):
+                acc -= ri[j] * adj[j][c]
+            adj[i][c] = acc // ri[i]
+    return adj, det
+
+
 def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse: fraction-free forward elimination, rational back-substitution."""
+    """Exact inverse adj(A) / det(A) by fraction-free elimination."""
     if not a.is_square():
         raise ValueError("inverse needs a square matrix")
     n = a.rows
     int_rows, multipliers = _clear_denominators(a)
-    aug = [int_rows[i] + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows, _, singular = _bareiss_forward(aug, n)
-    if singular:
-        raise SingularMatrixError("matrix is singular")
-    # back-substitute each augmented column
-    inv_cols: List[List[Fraction]] = []
-    for c in range(n):
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            acc = Fraction(rows[i][n + c])
-            for j in range(i + 1, n):
-                acc -= rows[i][j] * x[j]
-            x[i] = acc / rows[i][i]
-        inv_cols.append(x)
+    adj, det = bareiss_adjugate(int_rows)
     # undo the row scaling: A was diag(1/m_i) * A_int, so A^-1 = A_int^-1 * diag(m_i)
-    out = [[inv_cols[c][r] * multipliers[c] for c in range(n)] for r in range(n)]
-    return Matrix(n, n, tuple(tuple(r) for r in out))
+    return Matrix(n, n, tuple(
+        tuple(Fraction(adj[r][c] * multipliers[c], det) for c in range(n)) for r in range(n)
+    ))
 
 
 def rescale_primitive(a: Matrix) -> Matrix:
     """The positive rescaling of a rational matrix to integer entries with gcd 1."""
-    fr = [[Fraction(x) for x in r] for r in a.entries]
-    if all(x == 0 for r in fr for x in r):
+    if all(x == 0 for r in a.entries for x in r):
         raise ValueError("cannot rescale the zero matrix")
-    denom_lcm = lcm(*(x.denominator for r in fr for x in r))
-    ints = [[int(x * denom_lcm) for x in r] for r in fr]
-    g = 0
-    for r in ints:
-        for x in r:
-            g = gcd(g, abs(x))
+    # ints and Fractions both carry numerator and denominator
+    denom_lcm = lcm(*(x.denominator for r in a.entries for x in r))
+    ints = [[x.numerator * (denom_lcm // x.denominator) for x in r] for r in a.entries]
+    g = gcd(*(x for r in ints for x in r))
     return Matrix(a.rows, a.cols, tuple(tuple(x // g for x in r) for r in ints))
 
 

@@ -31,9 +31,9 @@ from itertools import product
 from math import isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cayley import cayley, skew_from_upper
+from .cayley import cayley_scaled, skew_from_upper
 from .family8 import IntegerForms, improper_witnesses, integer_forms
-from .matrices import Matrix, SingularMatrixError, mat_mul, rescale_primitive
+from .matrices import Matrix, mat_mul, rescale_primitive
 from .octonion import left_matrix, right_matrix
 from .verify import VerifyReport, verify
 
@@ -195,11 +195,9 @@ def _search5_sample(config: SearchConfig, index: int):
         rng.rational(config.numerator_bound, config.denominator_bound)
         for _ in range(10)
     )
-    try:
-        m = cayley(skew_from_upper(5, params))
-        primitive = rescale_primitive(m)
-    except (SingularMatrixError, ValueError):
-        return None, False, False
+    # P is a positive multiple of cayley(S), so it has the same primitive matrix
+    scaled, _ = cayley_scaled(skew_from_upper(5, params))
+    primitive = rescale_primitive(scaled)
     report = verify(primitive)
     if report.is_euler_magic:
         if report.distinct_square_count >= config.score_threshold:

@@ -6,9 +6,10 @@ gamma.  It is proper when all n^2 entry squares are pairwise distinct; the
 entrywise squares of a proper Euler magic matrix form a magic square of
 squares.
 
-gamma is never supplied by the caller: it is read off as the (1,1) entry of
-M * M^t, which removes a redundant input.  Reports list duplicate entry
-positions 1-based, with all colliding unordered pairs in row-major order.
+gamma is never supplied by the caller: it is read off as the squared norm of
+row 1, the (1,1) entry of M * M^t, which removes a redundant input.  Reports
+list duplicate entry positions 1-based, with all colliding unordered pairs in
+row-major order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .matrices import Matrix, identity, mat_mul, mat_scale, transpose
+from .matrices import Matrix
 
 __all__ = [
     "VerifyReport",
@@ -69,20 +70,26 @@ def verify(m: Matrix) -> VerifyReport:
     if not m.is_square():
         raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
     n = m.rows
-    product = mat_mul(m, transpose(m))
-    gamma = product.entry(0, 0)
-    cond_orthogonal = product == mat_scale(gamma, identity(n))
-    diag_sum = sum((m.entry(i, i) ** 2 for i in range(n)), Fraction(0))
-    anti_sum = sum((m.entry(i, n - 1 - i) ** 2 for i in range(n)), Fraction(0))
+    rows = m.entries
+    gamma = sum(x * x for x in rows[0])
+    # M * M^t = gamma * I, read off the upper triangle of row dot products
+    cond_orthogonal = all(
+        sum(x * y for x, y in zip(rows[i], rows[j])) == (gamma if i == j else 0)
+        for i in range(n)
+        for j in range(i, n)
+    )
+    diag_sum = sum(rows[i][i] ** 2 for i in range(n))
+    anti_sum = sum(rows[i][n - 1 - i] ** 2 for i in range(n))
     cond_diagonal = diag_sum == gamma
     cond_antidiagonal = anti_sum == gamma
     is_euler_magic = cond_orthogonal and cond_diagonal and cond_antidiagonal and gamma != 0
 
-    squares = Matrix(n, n, tuple(tuple(x * x for x in row) for row in m.entries))
+    squares = Matrix(n, n, tuple(tuple(x * x for x in row) for row in rows))
+    # Fraction(k) and k hash and compare equal, so int and Fraction squares share keys
     by_value: Dict[object, List[Position]] = {}
     for i in range(n):
         for j in range(n):
-            by_value.setdefault(Fraction(squares.entry(i, j)), []).append((i + 1, j + 1))
+            by_value.setdefault(squares.entry(i, j), []).append((i + 1, j + 1))
     pairs: List[Tuple[Position, Position]] = []
     for positions in by_value.values():
         if len(positions) > 1:

@@ -60,6 +60,11 @@ def test_cayley_orthogonal_and_roundtrip():
 def test_cayley_rejects_non_skew():
     with pytest.raises(ValueError):
         cayley(Matrix.from_rows([[0, 1], [1, 0]]))
+    nonzero_diagonal = Matrix.from_rows([[1, 1], [-1, 0]])
+    assert not is_skew(nonzero_diagonal)
+    with pytest.raises(ValueError):
+        cayley(nonzero_diagonal)
+    assert not is_skew(Matrix.from_rows([[0, 1, 2]]))
 
 
 def test_inverse_cayley_rejects_eigenvalue_minus_one():

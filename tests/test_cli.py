@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -151,6 +152,23 @@ def test_search5_stream_shape(capsys):
     for line in lines[:-1]:
         candidate = json.loads(line)
         assert "matrix" in candidate and "score" in candidate
+
+
+def test_search5_hit_path_is_pinned(capsys):
+    # at bounds 1/1 samples land on signed permutation matrices, so one is
+    # emitted: this pins candidate emission, ranking and the canonical sign
+    code, out, _ = run_cli(
+        capsys, "search5", "--seed", "0", "--numerator-bound", "1",
+        "--denominator-bound", "1", "--iterations", "500",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[0])["score"] == 2
+    assert lines[1] == (
+        '{"best_score":2,"hits":1,"iterations":500,"near_misses":24,"summary":true}')
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bfca2362a87ed73ad583dd71cd1cc1163bb9b8c33c9a6ffbfd464274adc76bec")
 
 
 def test_search5_requires_seed(capsys):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from eulermagic.matrices import mat_mul, rescale_primitive
+from eulermagic import search
+from eulermagic.cayley import cayley_scaled, skew_from_upper
+from eulermagic.matrices import Matrix, mat_mul, rescale_primitive
 from eulermagic.octonion import left_matrix, right_matrix
 from eulermagic.search import (
     SearchConfig,
@@ -122,6 +124,28 @@ def test_search5_known_near_miss():
     assert result.near_misses == 1
     assert result.candidates == ()
     assert result.best_score == 0
+
+
+def test_search5_verifies_every_sample_at_unit_bounds(monkeypatch):
+    # bounds 1/1 draw every skew entry from {-1, 0, 1}, the all-zero S among
+    # them; its Cayley transform is I, and no sample may be dropped
+    scaled, det = cayley_scaled(skew_from_upper(5, [0] * 10))
+    assert det == 1
+    assert rescale_primitive(scaled) == Matrix.from_rows(
+        [[int(i == j) for j in range(5)] for i in range(5)])
+    verified = []
+
+    def counting_verify(m):
+        verified.append(m)
+        return verify(m)
+
+    monkeypatch.setattr(search, "verify", counting_verify)
+    config = SearchConfig(seed=5, numerator_bound=1, denominator_bound=1,
+                          max_iterations=300)
+    result = search5_cayley(config)
+    assert result.iterations == len(verified) == 300
+    assert all(m.is_integer() and any(x != 0 for r in m.entries for x in r)
+               for m in verified)
 
 
 def test_search8_supplied_solution():

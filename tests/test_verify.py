@@ -3,10 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eulermagic.matrices import Matrix, identity, mat_scale
+from eulermagic.cayley import cayley, skew_from_upper
+from eulermagic.matrices import (
+    Matrix,
+    identity,
+    mat_mul,
+    mat_scale,
+    rescale_primitive,
+    transpose,
+)
 from eulermagic.permutations import improper_construction
 from eulermagic.verify import (
+    VerifyReport,
     magic_square_of_squares,
     report_to_json_dict,
     report_to_text,
@@ -114,3 +125,133 @@ def test_rational_entries_verify_exactly():
     rep = verify(half)
     assert rep.is_euler_magic
     assert rep.gamma == Fraction(1, 4)
+
+
+# ----------------------------------------------------------------------
+# verify against the M * M^t reference, and its symmetries
+# ----------------------------------------------------------------------
+
+FIXTURE_NAMES = ("euler4.txt", "family8.txt", "search8.txt") + tuple(
+    f"five5_{k}.txt" for k in range(1, 6))
+
+
+def _reference_verify(m):
+    """The report built the slow way: a full M * M^t compared with gamma * I."""
+    n = m.rows
+    product = mat_mul(m, transpose(m))
+    gamma = product.entry(0, 0)
+    cond_orthogonal = product == mat_scale(gamma, identity(n))
+    diag_sum = sum((m.entry(i, i) ** 2 for i in range(n)), Fraction(0))
+    anti_sum = sum((m.entry(i, n - 1 - i) ** 2 for i in range(n)), Fraction(0))
+    squares = Matrix(n, n, tuple(tuple(x * x for x in row) for row in m.entries))
+    by_value = {}
+    for i in range(n):
+        for j in range(n):
+            by_value.setdefault(Fraction(squares.entry(i, j)), []).append((i + 1, j + 1))
+    pairs = sorted(
+        (ps[x], ps[y]) for ps in by_value.values()
+        for x in range(len(ps)) for y in range(x + 1, len(ps)))
+    return VerifyReport(
+        n=n,
+        gamma=gamma,
+        cond_orthogonal=cond_orthogonal,
+        cond_diagonal=diag_sum == gamma,
+        cond_antidiagonal=anti_sum == gamma,
+        is_euler_magic=cond_orthogonal and diag_sum == gamma and anti_sum == gamma
+        and gamma != 0,
+        is_proper=len(by_value) == n * n,
+        distinct_square_count=len(by_value),
+        duplicate_pairs=tuple(pairs),
+        squares_matrix=squares,
+    )
+
+
+def _as_ints(m):
+    return Matrix(m.rows, m.cols, tuple(tuple(int(x) for x in r) for r in m.entries))
+
+
+def _as_fractions(m):
+    return Matrix(m.rows, m.cols, tuple(tuple(Fraction(x) for x in r) for r in m.entries))
+
+
+@pytest.mark.parametrize("m", [
+    Matrix.from_rows([[1, 2], [3, 4]]),  # not orthogonal
+    Matrix.from_rows([[1, 1, 0], [1, -1, 0], [0, 0, 1]]),  # orthogonal rows, unequal norms
+    Matrix.from_rows([[0, 0], [0, 0]]),  # gamma = 0
+    Matrix.from_rows([[0, 0], [1, 0]]),  # gamma = 0 but not orthogonal
+    Matrix.from_rows([[7]]),
+    Matrix.from_rows([[-3]]),
+] + [load_fixture(name) for name in FIXTURE_NAMES])
+def test_verify_matches_reference_on_ints_and_fractions(m):
+    expected = _reference_verify(_as_fractions(m))
+    for variant in (_as_ints(m), _as_fractions(m)):
+        report = verify(variant)
+        assert report == expected
+        assert type(report.gamma) is type(_reference_verify(variant).gamma)
+        assert report_to_json_dict(report) == report_to_json_dict(expected)
+
+
+def test_verify_matches_reference_on_rationals():
+    m = Matrix.from_rows([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(2, 3), Fraction(1, 2)]])
+    assert verify(m) == _reference_verify(m)
+    half = mat_scale(Fraction(1, 2), improper_construction(5))
+    assert verify(half) == _reference_verify(half)
+
+
+def _flags(report):
+    return (report.cond_orthogonal, report.cond_diagonal, report.cond_antidiagonal,
+            report.is_euler_magic, report.is_proper, report.distinct_square_count,
+            len(report.duplicate_pairs))
+
+
+def _rotate(m):
+    return Matrix(m.rows, m.cols, tuple(tuple(reversed(r)) for r in reversed(m.entries)))
+
+
+def _negate_row(m, k):
+    return Matrix(m.rows, m.cols, tuple(
+        tuple(-x for x in r) if i == k else r for i, r in enumerate(m.entries)))
+
+
+_orthogonal_inputs = st.one_of(
+    st.sampled_from(FIXTURE_NAMES).map(load_fixture),
+    st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
+        min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2,
+    ).map(lambda values: rescale_primitive(cayley(skew_from_upper(n, values))))),
+)
+_any_inputs = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n,
+).map(Matrix.from_rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_orthogonal_inputs, st.integers(-4, 4).filter(bool), st.data())
+def test_verify_symmetries_of_orthogonal_inputs(m, c, data):
+    # gamma is the common row norm, so it survives every symmetry below
+    report = verify(m)
+    assert report.cond_orthogonal
+    k = data.draw(st.integers(0, m.rows - 1))
+    for image in (transpose(m), _rotate(m), _negate_row(m, k)):
+        moved = verify(image)
+        assert moved.gamma == report.gamma
+        assert _flags(moved) == _flags(report)
+    scaled = verify(mat_scale(c, m))
+    assert scaled.gamma == c * c * report.gamma
+    assert _flags(scaled) == _flags(report)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_any_inputs, st.integers(-4, 4).filter(bool), st.data())
+def test_verify_row_negation_and_scaling_on_any_input(m, c, data):
+    report = verify(m)
+    assert report == _reference_verify(m)
+    k = data.draw(st.integers(0, m.rows - 1))
+    negated = verify(_negate_row(m, k))
+    assert negated.gamma == report.gamma
+    assert _flags(negated) == _flags(report)
+    assert negated.duplicate_pairs == report.duplicate_pairs
+    scaled = verify(mat_scale(c, m))
+    assert scaled.gamma == c * c * report.gamma
+    assert _flags(scaled) == _flags(report)
+    assert scaled.duplicate_pairs == report.duplicate_pairs
