@@ -44,6 +44,7 @@ __all__ = [
     "DiagForms",
     "IntegerForms",
     "integer_forms",
+    "entries_distinct",
     "Witness",
     "WitnessReport",
     "diag_forms",
@@ -112,28 +113,17 @@ class DiagForms:
     fixed_left: Optional[Tuple[Fraction, ...]]
 
 
-def _forms_from_matrix(m: Matrix, gamma: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
-    zero = MultiPoly.zero(gamma.variables)
-    diag = sum((m.entry(i, i) * m.entry(i, i) for i in range(8)), zero)
-    anti = sum((m.entry(i, 7 - i) * m.entry(i, 7 - i) for i in range(8)), zero)
-    return diag - anti, diag + anti - 2 * gamma
-
-
 def diag_forms(left: Sequence[object], cross_check: bool = False) -> DiagForms:
-    """The quadratic forms A and B in (p..w) for a fixed numeric left tuple.
+    """The quadratic forms A and B in (p..w) for a fixed numeric left tuple,
+    read off the Gram matrices of integer_forms.
 
     With cross_check=True the symbolic coefficients are validated against a
     blackbox recovery from purely numeric evaluations of the defining sums,
     an independent code path through the numeric matrix product.
     """
     left = _require_numeric_left(left)
-    m = product_matrix(left)
-    rvars = symbolic_right_params(RIGHT_VARS)
-    gamma = sum_of_squares(left) * sum((v * v for v in rvars), MultiPoly.zero(RIGHT_VARS))
-    a_form, b_form = _forms_from_matrix(m, gamma)
-    for f in (a_form, b_form):
-        if not f.is_homogeneous(2):
-            raise ValueError("internal error: diagonal form is not homogeneous quadratic")
+    forms = integer_forms(left)
+    a_form, b_form = (_quadratic_poly(g, forms.scale) for g in (forms.gram_a, forms.gram_b))
     if cross_check:
         _oracle_check(left, a_form, b_form)
     return DiagForms(A=a_form, B=b_form, fixed_left=left)
@@ -159,12 +149,13 @@ def _oracle_check(left: Tuple[Fraction, ...], a_form: MultiPoly, b_form: MultiPo
 def symbolic_diag_forms() -> DiagForms:
     """A and B over the full 16-variable context (a..h, p..w)."""
     m = product_matrix(None)
+    zero = MultiPoly.zero(BOTH_VARS)
     lparams = symbolic_left_params(BOTH_VARS)
     rparams = symbolic_right_params(BOTH_VARS)
-    zero = MultiPoly.zero(BOTH_VARS)
     gamma = sum((v * v for v in lparams), zero) * sum((v * v for v in rparams), zero)
-    a_form, b_form = _forms_from_matrix(m, gamma)
-    return DiagForms(A=a_form, B=b_form, fixed_left=None)
+    diag = sum((m.entry(i, i) * m.entry(i, i) for i in range(8)), zero)
+    anti = sum((m.entry(i, 7 - i) * m.entry(i, 7 - i) for i in range(8)), zero)
+    return DiagForms(A=diag - anti, B=diag + anti - 2 * gamma, fixed_left=None)
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +163,14 @@ def symbolic_diag_forms() -> DiagForms:
 # ----------------------------------------------------------------------
 
 Vector = Tuple[int, ...]
+
+
+def _sign_key(vec: Sequence[int]) -> Vector:
+    """An integer vector up to sign: signed so that its first nonzero entry
+    is positive."""
+    if next((x for x in vec if x), 0) < 0:
+        return tuple(-x for x in vec)
+    return tuple(vec)
 
 
 @dataclass(frozen=True)
@@ -189,20 +188,57 @@ class IntegerForms:
     gram_b: Tuple[Vector, ...]
 
 
+def _cleared(values: Sequence[object]) -> List[int]:
+    """Rationals times the lcm of their denominators, as integers."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def _entry_vectors(left: Sequence[int], right: Sequence[int]) -> List[List[int]]:
+    """The 64 entries of M, row by row, with a prefix of a..h and a prefix of
+    p..w fixed to integers: coefficient vectors over the monomials still free.
+
+    Slot x * (9 - len(right)) + y holds the product of the x-th free left and
+    the y-th free right variable, counting from 1; 0 stands for a fixed
+    factor, so slot 0 is the constant.
+    """
+    width = 9 - len(right)
+    lslots = [(0, x) for x in left] + [(width * (k + 1), 1) for k in range(8 - len(left))]
+    rslots = [(0, y) for y in right] + [(m + 1, 1) for m in range(8 - len(right))]
+    vectors = []
+    for lrow in LEFT_SIGN_TABLE:
+        for rcol in zip(*RIGHT_SIGN_TABLE):
+            vec = [0] * ((9 - len(left)) * width)
+            for (kl, sl), (kr, sr) in zip(lrow, rcol):  # m(i, j) = sum of L(i, k) * R(k, j)
+                (x, cx), (y, cy) = lslots[kl], rslots[kr]
+                vec[x + y] += sl * sr * cx * cy
+            vectors.append(vec)
+    return vectors
+
+
+def entries_distinct(prefix: Sequence[object]) -> bool:
+    """Whether the 64 entries of M, with a prefix of (a..h, p..w) fixed to
+    rationals, are pairwise distinct up to sign as polynomials in the
+    variables still free.
+
+    Clearing the denominators of each side scales the coefficients of each
+    kind of monomial (constant, free left, free right, free product) by one
+    positive factor in all 64 entries, which keeps equality up to sign.
+    """
+    if len(prefix) > 16:
+        raise ValueError(f"expected at most 16 fixed values, got {len(prefix)}")
+    vectors = _entry_vectors(_cleared(prefix[:8]), _cleared(prefix[8:]))
+    return len({_sign_key(vec) for vec in vectors}) == 64
+
+
 def integer_forms(left: Sequence[object]) -> IntegerForms:
     """The entries of M as integer vectors and A, B as integer Gram matrices,
     built straight from the two sign tables."""
     left = _require_numeric_left(left)
     scale = lcm(*(x.denominator for x in left))
-    ileft = [int(x * scale) for x in left]
-    entries = []
-    for lrow in LEFT_SIGN_TABLE:
-        for j in range(8):
-            vec = [0] * 8
-            for (kl, sl), rrow in zip(lrow, RIGHT_SIGN_TABLE):
-                kr, sr = rrow[j]
-                vec[kr] += sl * sr * ileft[kl]
-            entries.append(tuple(vec))
+    ileft = _cleared(left)
+    # with all of a..h fixed, slot 0 (the constant) is zero and slots 1..8 are p..w
+    entries = [tuple(vec[1:]) for vec in _entry_vectors(ileft, ())]
 
     def squares(vectors):  # Gram matrix of the sum of (v.x)^2
         return [[sum(v[k] * v[l] for v in vectors) for l in range(8)] for k in range(8)]
@@ -213,6 +249,15 @@ def integer_forms(left: Sequence[object]) -> IntegerForms:
     gram_b = tuple(tuple(d + a - 2 * gamma * (k == l) for l, (d, a) in enumerate(zip(*rows)))
                    for k, rows in enumerate(zip(diag, anti)))
     return IntegerForms(scale, tuple(entries), gram_a, gram_b)
+
+
+def _quadratic_poly(gram: Sequence[Vector], scale: int) -> MultiPoly:
+    """x^T gram x / scale^2 over (p..w)."""
+    return MultiPoly(RIGHT_VARS, {
+        tuple((m == k) + (m == l) for m in range(8)):
+            Fraction(gram[k][l] * (1 if k == l else 2), scale * scale)
+        for k in range(8) for l in range(k, 8)
+    })
 
 
 # ----------------------------------------------------------------------
@@ -247,11 +292,9 @@ def _linear_poly(vec: Vector, scale: int) -> MultiPoly:
 
 def _line_key(vec: Sequence[int]) -> Vector:
     """A nonzero integer vector up to a rational scalar: divided by the gcd of
-    its entries, signed so that the first nonzero entry is positive."""
+    its entries, then _sign_key."""
     g = gcd(*vec)
-    if next(x for x in vec if x) < 0:
-        g = -g
-    return tuple(x // g for x in vec)
+    return _sign_key([x // g for x in vec])
 
 
 def _linear_factors(gram: Sequence[Vector]) -> Optional[Tuple[Vector, Vector]]:

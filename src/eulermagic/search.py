@@ -28,11 +28,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cayley import cayley_scaled, skew_from_upper
-from .family8 import IntegerForms, improper_witnesses, integer_forms
+from .family8 import IntegerForms, entries_distinct, improper_witnesses, integer_forms
 from .matrices import Matrix, mat_mul, rescale_primitive
 from .octonion import left_matrix, right_matrix
 from .verify import VerifyReport, verify
@@ -287,23 +287,6 @@ def _w_roots(table, us, vs) -> Optional[List[Fraction]]:
     return sorted([Fraction(-c1 + root, 2 * c2), Fraction(-c1 - root, 2 * c2)])
 
 
-def _specialized_entries_proper(forms: IntegerForms, partial: Sequence[Fraction]) -> bool:
-    """Whether M with p..t fixed has pairwise-distinct entry squares as
-    polynomials in (u, v, w), i.e. no two entries agree up to sign."""
-    den = lcm(*(x.denominator for x in partial))
-    fixed = [int(x * den) for x in partial]
-    seen = set()
-    for vec in forms.entries:
-        # den * scale * entry as (constant, u, v, w) coefficients
-        entry = (sum(c * x for c, x in zip(vec, fixed)), den * vec[5], den * vec[6], den * vec[7])
-        if next((x for x in entry if x), 0) < 0:
-            entry = tuple(-x for x in entry)
-        if entry in seen:
-            return False
-        seen.add(entry)
-    return True
-
-
 def _search8_check_point(tables, nu: int, du: int, nv: int, dv: int):
     """Solve for w at u = nu/du, v = nv/dv: (list of w hits, near_miss flag)."""
     us = (du * du, nu * du, nu * nu)
@@ -332,10 +315,8 @@ def _search8_grid_chunk(left, partial, tables, points):
         for w in ws:
             right = tuple(partial) + (Fraction(nu, du), Fraction(nv, dv), w)
             matrix = mat_mul(lmat, right_matrix(list(right)))
-            try:
-                primitive = rescale_primitive(matrix)
-            except ValueError:
-                continue
+            # never the zero matrix: that needs p..t = 0, which the properness gate rejects
+            primitive = rescale_primitive(matrix)
             report = verify(primitive)
             if not report.is_euler_magic:
                 raise ValueError("internal error: solved point failed verification")
@@ -370,10 +351,9 @@ def search8_seeded(
     scan = improper_witnesses(left)
     if not scan.polynomial_matrix_proper or scan.properness_obstructed:
         raise ValueError("polynomial matrix improper")
-    forms = integer_forms(left)
-    if not _specialized_entries_proper(forms, partial):
+    if not entries_distinct(left + partial):
         raise ValueError("polynomial matrix improper after fixing (p, q, r, s, t)")
-    tables = _uvw_tables(forms, partial)
+    tables = _uvw_tables(integer_forms(left), partial)
 
     parts = []
     if supplied is not None:
@@ -401,9 +381,6 @@ def search8_seeded(
 # greedy backtracking over small left/partial tuples
 # ----------------------------------------------------------------------
 
-_GREEDY_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h", "p", "q", "r", "s", "t")
-
-
 def _greedy_values(lo: int, hi: int, rng: Xorshift64Star) -> List[int]:
     """Integers of [lo, hi] in increasing |value|, seed-shuffled within ties."""
     by_abs: Dict[int, List[int]] = {}
@@ -429,13 +406,13 @@ def greedy_backtrack_left(
 
     bounds is one (lo, hi) pair applied to all thirteen positions, or a
     sequence of thirteen such pairs.  After each assignment the 64 entry
-    polynomials (in the still-free variables) are compared up to sign; a
-    collision means two entry squares already coincide identically, so the
-    branch is pruned.  Tuples that survive with all thirteen values placed
-    have a proper polynomial matrix in (u, v, w) and are emitted as
-    (left, partial) pairs.  Deterministic for a given seed; max_nodes bounds
-    the number of assignments tried (the budget is part of the result's
-    reproducibility contract, not a wall-clock cutoff).
+    polynomials (in the still-free variables) are compared up to sign by
+    entries_distinct; a collision means two entry squares already coincide
+    identically, so the branch is pruned.  Tuples that survive with all
+    thirteen values placed have a proper polynomial matrix in (u, v, w) and
+    are emitted as (left, partial) pairs.  Deterministic for a given seed;
+    max_nodes >= 0 bounds the number of assignments tried (the budget is part
+    of the result's reproducibility contract, not a wall-clock cutoff).
     """
     bounds = list(bounds)
     if len(bounds) == 2 and all(isinstance(b, int) for b in bounds):
@@ -447,56 +424,34 @@ def greedy_backtrack_left(
     for lo, hi in per_position:
         if lo > hi:
             raise ValueError("empty bound range")
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be nonnegative, got {max_nodes}")
 
     rng = Xorshift64Star(seed)
     orders = [_greedy_values(lo, hi, rng) for lo, hi in per_position]
-
-    from .family8 import product_matrix
-
-    base = product_matrix(None)
     results: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    assigned: List[int] = []
+    nodes_left = inf if max_nodes is None else max_nodes
 
-    def entries_clash(matrix: Matrix) -> bool:
-        seen = set()
-        for i in range(8):
-            for j in range(8):
-                f = matrix.entry(i, j)
-                key_pos = tuple(sorted(f.terms.items()))
-                key_neg = tuple(sorted((-f).terms.items()))
-                key = min(key_pos, key_neg)
-                if key in seen:
-                    return True
-                seen.add(key)
-        return False
-
-    nodes_left = [max_nodes if max_nodes is not None else -1]
-
-    def descend(depth: int, matrix: Matrix, assigned: List[int]) -> bool:
+    def descend(depth: int) -> bool:
+        nonlocal nodes_left
         if len(results) >= max_results:
             return True
         if depth == 13:
             results.append((tuple(assigned[:8]), tuple(assigned[8:])))
             return len(results) >= max_results
-        name = _GREEDY_NAMES[depth]
         for value in orders[depth]:
-            if nodes_left[0] == 0:
+            if nodes_left == 0:
                 return True
-            if nodes_left[0] > 0:
-                nodes_left[0] -= 1
-            substituted = Matrix.from_rows(
-                [[matrix.entry(i, j).substitute(name, value) for j in range(8)]
-                 for i in range(8)]
-            )
-            if entries_clash(substituted):
-                continue
+            nodes_left -= 1
             assigned.append(value)
-            if descend(depth + 1, substituted, assigned):
-                assigned.pop()
-                return True
+            done = entries_distinct(assigned) and descend(depth + 1)
             assigned.pop()
+            if done:
+                return True
         return False
 
-    descend(0, base, [])
+    descend(0)
     return results
 
 

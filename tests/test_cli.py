@@ -222,6 +222,21 @@ def test_forms_restricted_left_prints_elimination(capsys):
     assert "F" in payload and "x" in payload and "y" in payload
 
 
+@pytest.mark.parametrize("left, flags, digest", [
+    ("2 1 1 4 2 1 1 -2", [], "0f81dab960fd2f557ec3f00d09a0eb8eb1ffe6ab6f51728ee0ea116d9b7a95b2"),
+    ("2 1 1 4 2 1 1 -2", ["--json"],
+     "eecd39716a652e9565fae9f1ada2f35d34a7b1c3e58d9cfd1d01aeb31f81719d"),
+    ("1 1 1 1 1 1 1 1", [], "a36c2e7c76a33305198e9644ac3ddc7da902fd3d75e3901acee2f43f84729f60"),
+    ("1 1 1 1 1 1 1 1", ["--json"],
+     "59cd404acb9fbb067ad5b978bdd3a4c2064b8cb8e9aaf03396c3bd4354e1eab7"),
+])
+def test_forms_output_is_pinned(capsys, left, flags, digest):
+    # the full stdout, byte for byte: A, B and, under the restriction, x, y, F
+    code, out, _ = run_cli(capsys, "forms", *left.split(), *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_determinism_across_workers(capsys):
     args = [
         "search5", "--seed", "2024", "--iterations", "50",

@@ -1,14 +1,17 @@
-"""The integer linear-form core of the 8x8 search against MultiPoly oracles.
+"""The integer linear-form core of the 8x8 layer against MultiPoly and sympy
+oracles.
 
-The witness scan and the per-point w-solve run on integer vectors and Gram
-matrices.  The references below redo both the slow way, through MultiPoly
-products, substitutions and zero tests, sharing no code with the core.
+The witness scan, the entry test, the diagonal forms and the per-point
+w-solve run on integer vectors and Gram matrices.  The references below redo
+them the slow way, through MultiPoly products, substitutions and zero tests
+or through sympy, sharing no code with the core.
 """
 
 from fractions import Fraction
 from math import isqrt
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,15 +20,16 @@ from eulermagic.family8 import (
     FAMILY_LEFT,
     _linear_factors,
     diag_forms,
+    entries_distinct,
     improper_witnesses,
     integer_forms,
     product_matrix,
 )
+from eulermagic.octonion import LEFT_SIGN_TABLE, RIGHT_SIGN_TABLE
 from eulermagic.poly import MultiPoly
 from eulermagic.search import (
     SearchConfig,
     _search8_check_point,
-    _specialized_entries_proper,
     _uvw_tables,
     _w_roots,
     search5_cayley,
@@ -84,6 +88,17 @@ def test_witness_scan_pinned(left):
 # the witness scan against a MultiPoly reference
 # ----------------------------------------------------------------------
 
+def _reference_forms(left):
+    """A and B from the squared MultiPoly entries of product_matrix(left)."""
+    m = product_matrix(left)
+    zero = MultiPoly.zero(RIGHT_VARS)
+    diag = sum((m.entry(i, i) * m.entry(i, i) for i in range(8)), zero)
+    anti = sum((m.entry(i, 7 - i) * m.entry(i, 7 - i) for i in range(8)), zero)
+    gamma = sum(Fraction(x) ** 2 for x in left) * sum(
+        (v * v for v in MultiPoly.variables_of(RIGHT_VARS)), zero)
+    return diag - anti, diag + anti - 2 * gamma
+
+
 def _leading(poly: MultiPoly):
     """Coefficient of the first variable (in p..w order) of a linear form."""
     return poly.terms[max(poly.terms)]
@@ -123,7 +138,7 @@ def _reference_scan(left):
                 table.setdefault(key, (pos1, pos2, relation, form))
     if collisions:
         return collisions, False, True
-    a_form = diag_forms(left).A
+    a_form = _reference_forms(left)[0]
     divisors = [rec for rec in table.values()
                 if not a_form.is_zero() and _divides(a_form, rec[3])]
     for first in divisors:
@@ -217,10 +232,9 @@ def _reference_w_roots(poly: MultiPoly):
 
 
 def _reference_point(left, partial, u, v):
-    forms = diag_forms(left)
     values = dict(zip(RIGHT_VARS, tuple(partial) + (u, v)))
     roots = []
-    for poly in (forms.A, forms.B):
+    for poly in _reference_forms(left):
         for name, value in values.items():
             poly = poly.substitute(name, value)
         roots.append(_reference_w_roots(poly))
@@ -316,13 +330,109 @@ _distinct_partial = st.lists(st.integers(-9, 9), min_size=5, max_size=5, unique=
 @example((Fraction(1, 2), 1, 1, 1, 1, 1, -1, 5), (Fraction(1, 2), 0, 0, 1, 0))
 def test_specialized_entries_match_multipoly_reference(left, partial):
     partial = tuple(Fraction(x) for x in partial)
-    got = _specialized_entries_proper(integer_forms(left), partial)
+    got = entries_distinct(tuple(Fraction(x) for x in left) + partial)
     assert got == _reference_entries_proper(left, partial)
 
 
 def test_search8_rejects_improper_specialization():
     with pytest.raises(ValueError, match="after fixing"):
         search8_seeded(WORKED_LEFT, (0, 0, 0, 0, 0))
+
+
+# ----------------------------------------------------------------------
+# the entry test on prefixes of (a..h, p..t)
+# ----------------------------------------------------------------------
+
+_SYMBOLIC_ENTRIES = [product_matrix(None).entry(i, j) for i in range(8) for j in range(8)]
+
+
+def _reference_entries_distinct(prefix):
+    """Substitute the prefix into the 16-variable MultiPoly entries and
+    compare their term maps up to sign."""
+    seen = set()
+    for f in _SYMBOLIC_ENTRIES:
+        for name, value in zip("abcdefghpqrst", prefix):
+            f = f.substitute(name, value)
+        key = min(tuple(sorted(f.terms.items())), tuple(sorted((-f).terms.items())))
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=13))
+@example([0, 0])  # a = b = 0: two entries agree up to sign
+@example(list(WORKED_LEFT + WORKED_PARTIAL))
+@example([0, 1, 1, 1, 1, 1, -1, 4, 2, -1, -3, 5, 7])
+def test_entries_distinct_matches_multipoly_on_integer_prefixes(prefix):
+    assert entries_distinct(prefix) == _reference_entries_distinct(prefix)
+
+
+_fraction = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.one_of(st.integers(-9, 9), _fraction), min_size=13, max_size=13))
+@example([Fraction(1, 2), 1, 1, 1, 1, 1, -1, 5, Fraction(3, 2), Fraction(-2, 3), -4, 5, 6])
+def test_entries_distinct_matches_multipoly_on_rational_assignments(prefix):
+    assert entries_distinct(prefix) == _reference_entries_distinct(prefix)
+
+
+def test_zero_partial_collides_for_every_left():
+    # with p..t = 0, m(1,4) = e*w - f*v + g*u = -m(5,8) identically in a..h
+    m = product_matrix(None)
+    first, second = m.entry(0, 3), m.entry(4, 7)
+    for name in "pqrst":
+        first, second = first.substitute(name, 0), second.substitute(name, 0)
+    assert not first.is_zero() and (first + second).is_zero()
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.tuples(*[st.one_of(st.integers(-9, 9), _fraction)] * 8))
+@example(WORKED_LEFT)
+@example(FAMILY_LEFT)
+def test_zero_partial_is_rejected(left):
+    # so a search8 grid point never reaches the zero matrix
+    assert not entries_distinct(left + (0,) * 5)
+    with pytest.raises(ValueError, match="improper"):
+        search8_seeded(left, (0,) * 5)
+
+
+# ----------------------------------------------------------------------
+# diag_forms against sympy
+# ----------------------------------------------------------------------
+
+_QQ_RING, *_QQ_RIGHT = sympy.ring(",".join(RIGHT_VARS), sympy.QQ)
+
+
+def _sympy_forms(left):
+    """A and B expanded in sympy's own polynomial ring from the two sign
+    tables."""
+    lq = [sympy.QQ(x.numerator, x.denominator) for x in map(Fraction, left)]
+    m = [[sum((LEFT_SIGN_TABLE[i][k][1] * lq[LEFT_SIGN_TABLE[i][k][0]]
+               * RIGHT_SIGN_TABLE[k][j][1] * _QQ_RIGHT[RIGHT_SIGN_TABLE[k][j][0]]
+               for k in range(8)), _QQ_RING.zero) for j in range(8)] for i in range(8)]
+    diag = sum((m[i][i] ** 2 for i in range(8)), _QQ_RING.zero)
+    anti = sum((m[i][7 - i] ** 2 for i in range(8)), _QQ_RING.zero)
+    gamma = sum(x * x for x in lq) * sum((v * v for v in _QQ_RIGHT), _QQ_RING.zero)
+    return diag - anti, diag + anti - 2 * gamma
+
+
+def _to_sympy(poly: MultiPoly):
+    return _QQ_RING.from_dict(
+        {exps: sympy.QQ(c.numerator, c.denominator) for exps, c in poly.terms.items()})
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.tuples(*[st.one_of(st.integers(-5, 5), _fraction)] * 8))
+@example(FAMILY_LEFT)
+@example((1,) * 8)
+@example((0,) * 8)
+@example((Fraction(1, 3), 1, 0, 0, 1, 1, 1, Fraction(-2, 5)))
+def test_diag_forms_match_sympy(left):
+    forms = diag_forms(left)
+    assert (_to_sympy(forms.A), _to_sympy(forms.B)) == _sympy_forms(left)
 
 
 # ----------------------------------------------------------------------

@@ -228,6 +228,48 @@ def test_greedy_backtrack_deterministic_and_bounded():
     assert len(run1) <= 3
 
 
+_WIGGLE = [(v - 1, v + 1) for v in WORKED_LEFT + WORKED_PARTIAL]
+_NEAR_LEFT = (0, 1, 1, 1, 1, 1, -1, 4)
+
+
+@pytest.mark.parametrize("bounds, seed, max_results, max_nodes, expected", [
+    # the walkthrough demo's call
+    (_WIGGLE, 3, 3, 50000, [(2, -1, -3, 5, 7), (2, -3, -4, 5, 7), (2, -3, -5, 4, 6)]),
+    # runs out of nodes: the third tuple is emitted by node 51, not by node 50
+    (_WIGGLE, 3, 10, 50, [(2, -1, -3, 5, 7), (2, -3, -4, 5, 7)]),
+    (_WIGGLE, 3, 10, 51, [(2, -1, -3, 5, 7), (2, -3, -4, 5, 7), (2, -3, -5, 4, 6)]),
+    (_WIGGLE, 3, 10, 100, [(2, -1, -3, 5, 7), (2, -3, -4, 5, 7), (2, -3, -5, 4, 6),
+                           (2, -3, -5, 4, 7), (3, -1, -5, 6, 7), (3, -2, -4, 5, 7),
+                           (3, -2, -5, 4, 6), (3, -2, -5, 4, 7), (3, -2, -5, 6, 7)]),
+])
+def test_greedy_backtrack_pinned(bounds, seed, max_results, max_nodes, expected):
+    hits = greedy_backtrack_left(bounds, seed=seed, max_results=max_results,
+                                 max_nodes=max_nodes)
+    assert hits == [(_NEAR_LEFT, partial) for partial in expected]
+
+
+@pytest.mark.parametrize("seed, expected", [
+    # wider bounds: the seed shuffles each +-x tie, so it picks the signs
+    (1, [((0, -1, -1, 1, -1, -1, -1, 3), (1, -2, -3, 4, 5)),
+         ((0, -1, -1, 1, -1, -1, -1, 3), (1, -2, -3, 4, 7)),
+         ((0, -1, -1, 1, -1, -1, -1, 3), (1, -2, -3, 4, 8)),
+         ((0, -1, -1, 1, -1, -1, -1, 3), (1, -2, -3, 5, 4))]),
+    (2, [((0, -1, -1, -1, -1, 1, 1, 3), (1, -2, -4, 5, 6)),
+         ((0, -1, -1, -1, -1, 1, 1, 3), (1, -2, -4, 5, 7)),
+         ((0, -1, -1, -1, -1, 1, 1, 3), (1, -2, -4, 7, 6)),
+         ((0, -1, -1, -1, -1, 1, 1, 3), (1, -2, -4, 7, 8))]),
+])
+def test_greedy_backtrack_pinned_signs(seed, expected):
+    bounds = [(v - 2, v + 2) for v in WORKED_LEFT + WORKED_PARTIAL]
+    assert greedy_backtrack_left(bounds, seed=seed, max_results=4, max_nodes=300) == expected
+
+
+def test_greedy_backtrack_rejects_negative_budget():
+    # raised before any assignment is tried
+    with pytest.raises(ValueError, match="max_nodes"):
+        greedy_backtrack_left((-1, 1), seed=1, max_results=1, max_nodes=-3)
+
+
 def test_candidate_json_shape():
     result = search8_seeded(WORKED_LEFT, WORKED_PARTIAL, supplied=WORKED_SOLUTION)
     payload = candidate_to_json_dict(result.candidates[0])
