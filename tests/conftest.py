@@ -3,8 +3,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from eulermagic.matrices import Matrix, parse_matrix_text
+
+# property tests run exact arithmetic whose cost varies a lot between
+# examples, so no per-example deadline; each test sets its own max_examples
+settings.register_profile("eulermagic", deadline=None)
+settings.load_profile("eulermagic")
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 

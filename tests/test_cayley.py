@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from eulermagic.cayley import (
     cayley,
@@ -122,6 +123,51 @@ def test_nonexistence_certificate_all_pass():
     ]
     statuses = [line.status for line in lines]
     assert statuses == ["PASS", "PASS", "PASS", "PASS", "AXIOM"]
+
+
+def _sympy_cayley3_forms():
+    """D and E in sympy, from (I - S) adj(I + S) and det(I + S) directly."""
+    a, b, c = sympy.symbols("a b c")
+    s = sympy.Matrix([[0, a, b], [-a, 0, c], [-b, -c, 0]])
+    eye = sympy.eye(3)
+    n = (eye - s) * (eye + s).adjugate()
+    delta = (eye + s).det()
+    d = sum(n[i, i] ** 2 for i in range(3)) - delta**2
+    e = sum(n[i, 2 - i] ** 2 for i in range(3)) - delta**2
+    return (a, b, c), sympy.expand(d), sympy.expand(e)
+
+
+def test_cayley3_forms_match_sympy():
+    gens, d_sym, e_sym = _sympy_cayley3_forms()
+    for ours, theirs in zip(cayley3_forms(), (d_sym, e_sym)):
+        expected = {exps: Fraction(int(c.p), int(c.q))
+                    for exps, c in sympy.Poly(theirs, *gens).as_dict().items()}
+        assert ours.terms == expected
+
+
+def test_nonexistence_certificate_identities_in_sympy():
+    """The four identities of nonexistence_certificate, checked by sympy."""
+    (a, b, c), d, e = _sympy_cayley3_forms()
+    # (i) (D + E)/2 = (a^2 - 2b^2 + c^2 - 2)^2 - 3(b^2 + 1)^2
+    main = (d + e) / 2 - ((a**2 - 2 * b**2 + c**2 - 2) ** 2 - 3 * (b**2 + 1) ** 2)
+    # (ii) in beta = b^2, s = a^2 + c^2, p = a^2 c^2
+    beta, s, p = b**2, a**2 + c**2, a**2 * c**2
+    d_claim = beta**2 - 2 * (1 + s) * beta + (1 - s) ** 2 - 4 * p
+    e_claim = (2 - s) * beta - s + 2 * p
+    # (iii) the quartic in (s, p) as 4 u1^2 - 3 u2^2
+    sv, pv = sympy.symbols("s p")
+    quartic = (4 * pv**2 + (-8 * sv**2 + 16 * sv - 8) * pv
+               + sv**4 - 4 * sv**3 + 12 * sv**2 - 16 * sv + 4)
+    elimination = quartic - (4 * (pv - (sv - 1) ** 2) ** 2 - 3 * ((sv - 2) * sv) ** 2)
+    # (iv) beta = (s - 2p)/(2 - s) in D = 0, times (2 - s)^2, is the quartic
+    num, den = sv - 2 * pv, 2 - sv
+    produces = (num**2 - 2 * (1 + sv) * num * den
+                + ((1 - sv) ** 2 - 4 * pv) * den**2) - quartic
+    for difference in (main, d / 2 - d_claim, e / 4 - e_claim, elimination, produces):
+        assert sympy.expand(difference) == 0
+    # a false identity is caught: the main identity with 3 replaced by 2
+    wrong = (d + e) / 2 - ((a**2 - 2 * b**2 + c**2 - 2) ** 2 - 2 * (b**2 + 1) ** 2)
+    assert sympy.expand(wrong) != 0
 
 
 def test_certificate_serialization():

@@ -1,6 +1,9 @@
 """Unit tests for the diagonal forms, restriction, solve chain, and family."""
 
+import functools
+import hashlib
 import json
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -20,7 +23,8 @@ from eulermagic.family8 import (
     w1_check,
     w1_coefficient_checker,
 )
-from eulermagic.poly import parse_poly
+from eulermagic.octonion import left_matrix, right_matrix
+from eulermagic.poly import parse_poly, quadratic_form_coeffs
 
 from conftest import load_fixture
 
@@ -28,8 +32,45 @@ RIGHT_VARS = ("p", "q", "r", "s", "t", "u", "v", "w")
 FAMILY_RIGHT = tuple(map(Fraction, (-7, -55, -11, 1, -27, -13, -19, 4)))
 
 
+def _blackbox_tables(left):
+    """Coefficient tables of A and B recovered by quadratic_form_coeffs from
+    numeric evaluations of the defining sums of L(left) * R(v).  Each probe
+    point costs one product, shared by both forms, of which only the diagonal
+    and anti-diagonal entries are formed; returns the two tables and the
+    number of products."""
+    lrows = left_matrix([Fraction(x) for x in left]).entries
+    gamma_left = sum(Fraction(x) ** 2 for x in left)
+    products = []
+
+    @functools.lru_cache(maxsize=None)
+    def forms_at(vec):
+        products.append(vec)
+        rrows = right_matrix(list(vec)).entries
+
+        def entry(i, j):  # (L * R)(i, j)
+            return sum(lrows[i][k] * rrows[k][j] for k in range(8))
+
+        diag = sum(entry(i, i) ** 2 for i in range(8))
+        anti = sum(entry(i, 7 - i) ** 2 for i in range(8))
+        gamma = gamma_left * sum(x * x for x in vec)
+        return diag - anti, diag + anti - 2 * gamma
+
+    table_a = quadratic_form_coeffs(lambda v: forms_at(tuple(v))[0], 8)
+    table_b = quadratic_form_coeffs(lambda v: forms_at(tuple(v))[1], 8)
+    return table_a, table_b, len(products)
+
+
 def test_diag_forms_cross_check():
-    forms = diag_forms(FAMILY_LEFT, cross_check=True)
+    lefts = (FAMILY_LEFT, (1,) * 8, (1, 2, 3, 4, 5, 6, 7, 8), (0, 1, 1, 1, 1, 1, -1, 5),
+             (Fraction(1, 2), -3, 0, Fraction(5, 3), 1, 2, -1, Fraction(-7, 4)))
+    for left in lefts:
+        forms = diag_forms(left)
+        table_a, table_b, products = _blackbox_tables(left)
+        assert forms.A.quadratic_coeff_table() == table_a
+        assert forms.B.quadratic_coeff_table() == table_b
+        # 4 homogeneity pairs, 8 unit vectors and 28 pairs of unit vectors
+        assert products == 44
+    forms = diag_forms(FAMILY_LEFT)
     assert forms.A.degree_in("w") == 1
     assert forms.B.degree_in("w") == 1
     assert forms.A.is_homogeneous(2)
@@ -247,3 +288,114 @@ def test_w1_coefficient_checker_matches_slow_path():
     assert not check((1, 2, 3, 4, 5, 6, 7, 8))
     for left in enumerate_w1(1)[:100]:
         assert check(left)
+
+
+def _digest(matrix):
+    rows = [[str(x) for x in row] for row in matrix.entries]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+# (left, free) -> (ok, failure_reason, solved_for, right, digest of primitive)
+_SOLVE_CHAIN_PINS = [
+    (FAMILY_LEFT, {"q": -55, "r": -11, "t": -27, "u": -13},
+     (True, None, "v", ("-7", "-55", "-11", "1", "-27", "-13", "-19", "4"), "bba1d608aad41a21")),
+    (FAMILY_LEFT, {"q": -1, "r": -1, "t": -1, "u": -1, "s": 0},
+     (True, None, "v", ("-15/44", "-1", "-1", "0", "-1", "-1", "0", "-3/10"), "e40bfb68bceb7b3b")),
+    (FAMILY_LEFT, {"q": Fraction(1, 2), "r": 3, "t": Fraction(-2, 3), "u": 5, "s": 2},
+     (True, None, "v", ("-528/8237", "1/2", "3", "2", "-2/3", "5", "-29/3", "-15385/396"),
+      "088ea15dff6ba054")),
+    ((1, 1, 1, 1, 1, 1, 1, 1), {"r": 1, "t": 2, "u": -1, "v": 3},
+     (False, "step 3: w-coefficient zero", "q", None, None)),
+    ((1, 1, 1, 1, 1, 1, 1, 1), {"r": Fraction(1, 3), "s": -2, "t": 0, "u": 1, "v": -1},
+     (False, "step 3: w-coefficient zero", "q", None, None)),
+    ((1, 2, 0, 1, 0, 0, 1, -1), {"r": 2, "t": -1, "u": 3, "v": 1},
+     (True, None, "q", ("18/5", "-5", "2", "1", "-1", "3", "1", "-3"), "16c3cf0c006ab9e7")),
+    ((3, 7, 2, 1, 0, 0, 0, -3), {"r": -2, "t": 1, "u": 4, "v": 1},
+     (True, None, "q", ("588/8555", "5/7", "-2", "1", "1", "4", "1", "-8359/294"),
+      "df7dd1ef6591a6b2")),
+    ((1, 2, 0, 1, 0, 0, 1, -1), {"r": Fraction(-1, 2), "s": 3, "t": Fraction(4, 5), "u": 0, "v": -2},
+     (True, None, "q", ("-42656/19925", "19/5", "-1/2", "3", "4/5", "0", "-2", "3411/860"),
+      "5acf93eb9ba89d4b")),
+    ((3, 1, 6, 4, 0, 0, -1, 3), {"q": 2, "r": 1, "t": -1, "u": Fraction(1, 2)},
+     (True, None, "v", ("-135/1954", "2", "1", "1", "-1", "1/2", "9/2", "376/45"),
+      "fb8f3c13fa549603")),
+    (FAMILY_LEFT, {"q": 0, "r": 0, "t": 0, "u": 0},
+     (True, None, "v", ("-3/62", "0", "0", "1", "0", "0", "-3", "-15"), "e7f7ad2f247a433f")),
+    (FAMILY_LEFT, {"q": -1, "r": -1, "t": -1, "u": -1},
+     (False, "step 3: w-coefficient zero", "v", None, None)),
+    (FAMILY_LEFT, {"q": 0, "r": 0, "t": 0, "u": 0, "s": 0},
+     (False, "step 2: p-coefficient zero", "v", None, None)),
+    ((1, 0, 1, 1, 2, 0, 0, 1), {"q": 1, "r": 1, "t": 1, "u": 1},
+     (False, "step 1: both q and v coefficients vanish (b = g = 0)", None, None, None)),
+]
+
+
+@pytest.mark.parametrize("left, free, expected", _SOLVE_CHAIN_PINS)
+def test_solve_chain_pinned(left, free, expected):
+    res = solve_chain(left, free)
+    right = None if res.right is None else tuple(str(x) for x in res.right)
+    primitive = None if res.primitive is None else _digest(res.primitive)
+    assert (res.ok, res.failure_reason, res.solved_for, right, primitive) == expected
+    if res.ok:
+        assert res.report.is_euler_magic
+
+
+# the p^2 coefficient of F is -128 h^2 times sign*x_i*x_j + sign*x_k*x_l in
+# each of q..v, over x = (a..h); a copy of the documented table
+_PATTERN = {
+    "q": ((0, 6, 1), (1, 7, 1)),
+    "r": ((0, 5, -1), (2, 7, 1)),
+    "s": ((0, 4, -1), (3, 7, 1)),
+    "t": ((0, 3, 1), (4, 7, 1)),
+    "u": ((0, 2, 1), (5, 7, 1)),
+    "v": ((0, 1, -1), (6, 7, 1)),
+}
+
+
+def _pattern_checker():
+    """The w1 checker as a per-part pattern comparison: the p^3 coefficient of
+    F vanishes, and each part of the p^2 coefficient equals -128 h^2 times its
+    _PATTERN form, or zero where no form is named."""
+    forms = symbolic_diag_forms()
+    x = forms.A.coefficient_of("w", 1)
+    y = forms.B.coefficient_of("w", 1)
+    f = y * forms.A - x * forms.B
+    p3 = f.coefficient_of("p", 3)
+    p2 = f.coefficient_of("p", 2)
+    parts = {name: p2.coefficient_of(name, 1) for name in RIGHT_VARS[1:]}
+    zero_right = {name: 0 for name in RIGHT_VARS}
+
+    def check(left):
+        point = {**dict(zip("abcdefgh", left)), **zero_right}
+        if p3.eval(point) != 0:
+            return False
+        h = left[7]
+        for name, part in parts.items():
+            want = 0
+            if name in _PATTERN:
+                (i, j, s1), (k, l, s2) = _PATTERN[name]
+                want = -128 * h * h * (s1 * left[i] * left[j] + s2 * left[k] * left[l])
+            if part.eval(point) != want:
+                return False
+        return True
+
+    return check
+
+
+def test_w1_coefficient_checker_matches_pattern_reference():
+    check, reference = w1_coefficient_checker(), _pattern_checker()
+    rng = random.Random(8128)
+    restricted = enumerate_w1(2)
+    answers = []
+    for k in range(1500):
+        if k % 5 == 0:
+            left = rng.choice(restricted)
+        elif k % 5 == 1:  # h = +-a: only the sum-of-squares condition can fail
+            left = [rng.randint(-4, 4) for _ in range(7)]
+            left.append(rng.choice((1, -1)) * left[0])
+        else:
+            left = [rng.randint(-4, 4) for _ in range(8)]
+        answer = check(left)
+        assert answer is reference(left), left
+        answers.append(answer)
+    assert answers.count(True) >= 300 and answers.count(False) >= 300

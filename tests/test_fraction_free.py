@@ -52,7 +52,7 @@ def _skew(max_n):
         .map(lambda values: skew_from_upper(n, values)))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(_square(_small_int, 6))
 @example([[0, 1], [1, 0]])  # a row swap at the first pivot
 @example([[0, 2, 1], [1, 1, 1], [3, 0, 2]])  # zero leading entry
@@ -77,7 +77,7 @@ def test_bareiss_adjugate_leaves_input_alone():
     assert rows == [[0, 2, 1], [1, 1, 1], [3, 0, 2]]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(_skew(7))
 def test_cayley_matches_sympy(s):
     n = s.rows
@@ -86,7 +86,7 @@ def test_cayley_matches_sympy(s):
     assert cayley(s).entries == _from_sympy(expected)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(_skew(7))
 def test_cayley_scaled_is_a_positive_multiple(s):
     p, det = cayley_scaled(s)
@@ -101,7 +101,7 @@ def test_cayley_scaled_is_a_positive_multiple(s):
     assert rescale_primitive(m) == rescale_primitive(p)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_square(_fraction, 5))
 @example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(2, 5), Fraction(-3, 7)]])
 @example([[0, Fraction(1, 4)], [Fraction(5, 6), 1]])
@@ -119,7 +119,7 @@ def test_mat_inverse_matches_sympy(rows):
         tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(_rows(n, _fraction), _rows(n, _fraction))))
 def test_determinant_is_multiplicative(pair):
     a, b = (Matrix.from_rows(rows) for rows in pair)

@@ -156,7 +156,7 @@ _small_left = st.tuples(*[st.integers(-2, 2)] * 8)
 _unit_left = st.tuples(*[st.sampled_from((-1, 1))] * 8)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.one_of(_small_left, _unit_left))
 @example((1, 1, 1, 1, 1, 1, 1, -1))
 @example((Fraction(1, 2),) * 8)
@@ -264,7 +264,7 @@ def _lefts(draw):
     return tuple(left)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_lefts(), st.tuples(*[_rational] * 5), _rational, _rational)
 @example(WORKED_LEFT, WORKED_PARTIAL, Fraction(13, 15), Fraction(-14, 15))
 @example((1, 0, 0, 0, 0, 0, 0, 1), (0,) * 5, 0, 0)  # A vanishes in w
@@ -323,7 +323,7 @@ _distinct_partial = st.lists(st.integers(-9, 9), min_size=5, max_size=5, unique=
     lambda nums: st.tuples(*[st.builds(Fraction, st.just(n), st.integers(1, 3)) for n in nums]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_distinct_left, _distinct_partial)
 @example(WORKED_LEFT, WORKED_PARTIAL)
 @example(WORKED_LEFT, (0, 0, 0, 0, 0))
@@ -360,7 +360,7 @@ def _reference_entries_distinct(prefix):
     return True
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=13))
 @example([0, 0])  # a = b = 0: two entries agree up to sign
 @example(list(WORKED_LEFT + WORKED_PARTIAL))
@@ -372,7 +372,7 @@ def test_entries_distinct_matches_multipoly_on_integer_prefixes(prefix):
 _fraction = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12)
 @given(st.lists(st.one_of(st.integers(-9, 9), _fraction), min_size=13, max_size=13))
 @example([Fraction(1, 2), 1, 1, 1, 1, 1, -1, 5, Fraction(3, 2), Fraction(-2, 3), -4, 5, 6])
 def test_entries_distinct_matches_multipoly_on_rational_assignments(prefix):
@@ -388,7 +388,7 @@ def test_zero_partial_collides_for_every_left():
     assert not first.is_zero() and (first + second).is_zero()
 
 
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=5)
 @given(st.tuples(*[st.one_of(st.integers(-9, 9), _fraction)] * 8))
 @example(WORKED_LEFT)
 @example(FAMILY_LEFT)
@@ -424,7 +424,7 @@ def _to_sympy(poly: MultiPoly):
         {exps: sympy.QQ(c.numerator, c.denominator) for exps, c in poly.terms.items()})
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.tuples(*[st.one_of(st.integers(-5, 5), _fraction)] * 8))
 @example(FAMILY_LEFT)
 @example((1,) * 8)

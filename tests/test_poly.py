@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulermagic.poly import MultiPoly, parse_poly, quadratic_form_coeffs
 
@@ -153,3 +155,105 @@ def test_quadratic_form_coeffs_rejects_non_quadratic():
 
     with pytest.raises(ValueError):
         quadratic_form_coeffs(cubic, 1)
+
+
+# ----------------------------------------------------------------------
+# property tests: ring laws, substitution, rendering and the normal form
+# ----------------------------------------------------------------------
+
+COEFFS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+)
+POLYS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), COEFFS, max_size=5).map(
+    lambda terms: MultiPoly(XYZ, terms)
+)
+POINTS = st.fixed_dictionaries({name: COEFFS for name in XYZ})
+
+
+def _assert_normal_form(p):
+    for exps, c in p.terms.items():
+        assert isinstance(exps, tuple) and len(exps) == len(p.variables)
+        assert c != 0
+        assert isinstance(c, (int, Fraction))
+        if isinstance(c, Fraction):
+            assert c.denominator != 1
+
+
+@given(POLYS, POLYS, POLYS)
+@settings(max_examples=60)
+def test_ring_laws(a, b, c):
+    zero, one = MultiPoly.zero(XYZ), MultiPoly.constant(XYZ, 1)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * zero == zero
+    assert a * one == a
+    assert a + (-a) == zero and a - a == zero
+    assert a - b == a + (-b)
+    for p in (a + b, a * b, -a, a - b, a * c + b):
+        _assert_normal_form(p)
+
+
+@given(POLYS, COEFFS)
+@settings(max_examples=60)
+def test_scalar_operations_match_constants(a, k):
+    const = MultiPoly.constant(XYZ, k)
+    _assert_normal_form(const)
+    for p, q in ((a * k, a * const), (k * a, const * a), (a + k, a + const),
+                 (a - k, a - const), (k - a, const - a)):
+        assert p == q
+        _assert_normal_form(p)
+
+
+@given(POLYS, st.integers(0, 4))
+@settings(max_examples=40)
+def test_power_is_repeated_product(a, n):
+    expect = MultiPoly.constant(XYZ, 1)
+    for _ in range(n):
+        expect = expect * a
+    assert a ** n == expect
+    _assert_normal_form(a ** n)
+
+
+@given(POLYS, st.sampled_from(XYZ), COEFFS, POINTS)
+@settings(max_examples=60)
+def test_numeric_substitute_agrees_with_eval(a, name, value, point):
+    sub = a.substitute(name, value)
+    _assert_normal_form(sub)
+    assert sub.degree_in(name) <= 0
+    assert sub.eval(point) == a.eval({**point, name: value})
+
+
+@given(POLYS, st.sampled_from(XYZ), POLYS)
+@settings(max_examples=40)
+def test_polynomial_substitute_agrees_with_compose(a, name, q):
+    images = {v: q if v == name else MultiPoly.variable(XYZ, v) for v in XYZ}
+    sub = a.substitute(name, q)
+    assert sub == a.compose(images, XYZ)
+    _assert_normal_form(sub)
+
+
+@given(POLYS, st.sampled_from(XYZ), st.integers(0, 2))
+@settings(max_examples=40)
+def test_coefficient_of_normal_form(a, name, k):
+    _assert_normal_form(a.coefficient_of(name, k))
+
+
+@given(POLYS)
+@settings(max_examples=60)
+def test_parse_poly_roundtrip_property(a):
+    parsed = parse_poly(str(a), XYZ)
+    assert parsed == a
+    _assert_normal_form(parsed)
+    _assert_normal_form(a)
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), COEFFS, max_size=5))
+@settings(max_examples=40)
+def test_constructor_normal_form(terms):
+    p = MultiPoly(XYZ, terms)
+    _assert_normal_form(p)
+    assert p.terms == {e: c for e, c in terms.items() if c}

@@ -225,7 +225,7 @@ _any_inputs = st.integers(1, 4).flatmap(lambda n: st.lists(
 ).map(Matrix.from_rows))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_orthogonal_inputs, st.integers(-4, 4).filter(bool), st.data())
 def test_verify_symmetries_of_orthogonal_inputs(m, c, data):
     # gamma is the common row norm, so it survives every symmetry below
@@ -241,7 +241,7 @@ def test_verify_symmetries_of_orthogonal_inputs(m, c, data):
     assert _flags(scaled) == _flags(report)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_any_inputs, st.integers(-4, 4).filter(bool), st.data())
 def test_verify_row_negation_and_scaling_on_any_input(m, c, data):
     report = verify(m)
