@@ -32,11 +32,10 @@ from .octonion import (
     RIGHT_VARS,
     left_matrix,
     right_matrix,
-    sum_of_squares,
     symbolic_left_params,
     symbolic_right_params,
 )
-from .poly import MultiPoly, quadratic_form_coeffs
+from .poly import MultiPoly
 from .verify import VerifyReport, report_to_json_dict, verify
 
 __all__ = [
@@ -113,37 +112,13 @@ class DiagForms:
     fixed_left: Optional[Tuple[Fraction, ...]]
 
 
-def diag_forms(left: Sequence[object], cross_check: bool = False) -> DiagForms:
+def diag_forms(left: Sequence[object]) -> DiagForms:
     """The quadratic forms A and B in (p..w) for a fixed numeric left tuple,
-    read off the Gram matrices of integer_forms.
-
-    With cross_check=True the symbolic coefficients are validated against a
-    blackbox recovery from purely numeric evaluations of the defining sums,
-    an independent code path through the numeric matrix product.
-    """
+    read off the Gram matrices of integer_forms."""
     left = _require_numeric_left(left)
     forms = integer_forms(left)
     a_form, b_form = (_quadratic_poly(g, forms.scale) for g in (forms.gram_a, forms.gram_b))
-    if cross_check:
-        _oracle_check(left, a_form, b_form)
     return DiagForms(A=a_form, B=b_form, fixed_left=left)
-
-
-def _oracle_check(left: Tuple[Fraction, ...], a_form: MultiPoly, b_form: MultiPoly) -> None:
-    lmat = left_matrix(left)
-    gamma_left = sum_of_squares(left)
-
-    def numeric_forms(vec: Sequence[Fraction]) -> Tuple[Fraction, Fraction]:
-        m = mat_mul(lmat, right_matrix(list(vec)))
-        diag = sum(m.entry(i, i) ** 2 for i in range(8))
-        anti = sum(m.entry(i, 7 - i) ** 2 for i in range(8))
-        gamma = gamma_left * sum(x * x for x in vec)
-        return diag - anti, diag + anti - 2 * gamma
-
-    table_a = quadratic_form_coeffs(lambda v: numeric_forms(v)[0], 8)
-    table_b = quadratic_form_coeffs(lambda v: numeric_forms(v)[1], 8)
-    if table_a != a_form.quadratic_coeff_table() or table_b != b_form.quadratic_coeff_table():
-        raise ValueError("oracle mismatch: symbolic forms disagree with blackbox recovery")
 
 
 def symbolic_diag_forms() -> DiagForms:
@@ -523,52 +498,26 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
         raise ValueError(f"missing fixed values for {missing}")
 
     forms = diag_forms(left)
-    f_poly, x, y = eliminate_w(forms)
-
-    # step 1: the p^2 coefficient is linear in the solvable variables
-    p2 = f_poly.coefficient_of("p", 2)
-    for name, value in fixed.items():
-        p2 = p2.substitute(name, value)
-    lead = p2.coefficient_of(solve_var, 1)
-    if lead.is_zero():
-        return SolveChainResult(
-            ok=False, failure_reason=f"step 1: {solve_var}-coefficient zero",
-            left=left, solved_for=solve_var, right=None, matrix=None, primitive=None, report=None,
-        )
-    solved_value = -Fraction(p2.coefficient_of(solve_var, 0).constant_value(),
-                             lead.constant_value())
+    f_poly = eliminate_w(forms)[0]
+    # each step substitutes the values known so far, which leaves a linear
+    # polynomial in one variable: the p^2 coefficient of F (linear in the
+    # solvable variables), then F (the p^2 term is gone), then A (linear in w)
     values = dict(fixed)
-    values[solve_var] = solved_value
-
-    # step 2: F is now a polynomial in p of degree <= 1
-    f_spec = f_poly
-    for name, value in values.items():
-        f_spec = f_spec.substitute(name, value)
-    if f_spec.degree_in("p") > 1:
-        raise ValueError("internal error: p^2 term survived the first step")
-    p_lead = f_spec.coefficient_of("p", 1)
-    if p_lead.is_zero():
-        return SolveChainResult(
-            ok=False, failure_reason="step 2: p-coefficient zero",
-            left=left, solved_for=solve_var, right=None, matrix=None, primitive=None, report=None,
-        )
-    p_value = -Fraction(f_spec.coefficient_of("p", 0).constant_value(),
-                        p_lead.constant_value())
-    values["p"] = p_value
-
-    # step 3: A is linear in w; solve it
-    a_spec = forms.A
-    for name, value in values.items():
-        a_spec = a_spec.substitute(name, value)
-    w_lead = a_spec.coefficient_of("w", 1)
-    if w_lead.is_zero():
-        return SolveChainResult(
-            ok=False, failure_reason="step 3: w-coefficient zero",
-            left=left, solved_for=solve_var, right=None, matrix=None, primitive=None, report=None,
-        )
-    w_value = -Fraction(a_spec.coefficient_of("w", 0).constant_value(),
-                        w_lead.constant_value())
-    values["w"] = w_value
+    steps = ((f_poly.coefficient_of("p", 2), solve_var), (f_poly, "p"), (forms.A, "w"))
+    for step, (poly, var) in enumerate(steps, 1):
+        for name, value in values.items():
+            poly = poly.substitute(name, value)
+        if poly.degree_in(var) > 1:
+            raise ValueError(f"internal error: step {step} is not linear in {var}")
+        lead = poly.coefficient_of(var, 1)
+        if lead.is_zero():
+            return SolveChainResult(
+                ok=False, failure_reason=f"step {step}: {var}-coefficient zero",
+                left=left, solved_for=solve_var, right=None, matrix=None, primitive=None,
+                report=None,
+            )
+        values[var] = -Fraction(poly.coefficient_of(var, 0).constant_value(),
+                                lead.constant_value())
 
     point = {name: values[name] for name in RIGHT_VARS}
     if forms.A.eval(point) != 0 or forms.B.eval(point) != 0:
@@ -678,68 +627,43 @@ def w1_coefficient_checker():
     Returns check(left) -> bool testing, for an integer tuple satisfying the
     degree-one restriction, that the p^3 coefficient of F vanishes and that
     the p^2 coefficient equals -128 h^2 times the documented linear form.
-    The coefficient structure is extracted once from the fully symbolic F, so
-    the per-tuple work is plain integer arithmetic.
+    Both facts are written once, from the fully symbolic F, as 8 residual
+    polynomials in a..h that must vanish: the p^3 coefficient, the w-part of
+    the p^2 coefficient, and each q..v part of it plus 128 h^2 times its
+    _P2_PATTERN form.  The per-tuple work is plain integer arithmetic.
     """
     forms = symbolic_diag_forms()
-    a_form, b_form = forms.A, forms.B
-    x = a_form.coefficient_of("w", 1)
-    y = b_form.coefficient_of("w", 1)
-    f = y * a_form - x * b_form
+    x = forms.A.coefficient_of("w", 1)
+    y = forms.B.coefficient_of("w", 1)
+    f = y * forms.A - x * forms.B
+    p2 = f.coefficient_of("p", 2)
+    lv = symbolic_left_params(BOTH_VARS)
+    residuals = [f.coefficient_of("p", 3), p2.coefficient_of("w", 1)]
+    for name, (i, j, s1), (k, l, s2) in _P2_PATTERN:
+        residuals.append(p2.coefficient_of(name, 1)
+                         + 128 * lv[7] * lv[7] * (s1 * lv[i] * lv[j] + s2 * lv[k] * lv[l]))
 
-    def compile_left_poly(poly: MultiPoly) -> List[Tuple[int, Tuple[int, ...]]]:
-        """[(coeff, flat index list over a..h)] for a poly in the left block."""
-        compiled = []
+    compiled: List[List[Tuple[int, Tuple[int, ...]]]] = []
+    for poly in residuals:  # [(coeff, flat index list over a..h)] per residual
+        terms = []
         for exps, coeff in poly.terms.items():
             if any(exps[8:]):
-                raise ValueError("polynomial has right-block variables")
+                raise ValueError("residual has right-block variables")
             if not isinstance(coeff, int):
                 raise ValueError("expected integer coefficients")
-            flat = []
-            for i, e in enumerate(exps[:8]):
-                flat.extend([i] * e)
-            compiled.append((int(coeff), tuple(flat)))
-        return compiled
-
-    p3 = compile_left_poly(f.coefficient_of("p", 3))
-    p2 = f.coefficient_of("p", 2)
-    if p2.degree_in("p") > 0:
-        raise ValueError("unexpected p term inside the p^2 coefficient")
-    p2_by_var: Dict[str, List[Tuple[int, Tuple[int, ...]]]] = {}
-    for name in RIGHT_VARS[1:]:
-        part = p2.coefficient_of(name, 1)
-        if not part.is_zero():
-            p2_by_var[name] = compile_left_poly(part)
-
-    expected_pattern = {
-        name: (t1, t2) for name, t1, t2 in _P2_PATTERN
-    }
-
-    def evaluate(compiled, values) -> int:
-        total = 0
-        for coeff, flat in compiled:
-            term = coeff
-            for i in flat:
-                term *= values[i]
-            total += term
-        return total
+            terms.append((coeff, tuple(i for i, e in enumerate(exps[:8]) for _ in range(e))))
+        compiled.append(terms)
 
     def check(left: Sequence[int]) -> bool:
         values = [int(v) for v in left]
-        h = values[7]
-        if evaluate(p3, values) != 0:
-            return False
-        factor = -128 * h * h
-        for name, compiled in p2_by_var.items():
-            got = evaluate(compiled, values)
-            pattern = expected_pattern.get(name)
-            if pattern is None:
-                if got != 0:
-                    return False
-                continue
-            (i1, j1, s1), (i2, j2, s2) = pattern
-            want = factor * (s1 * values[i1] * values[j1] + s2 * values[i2] * values[j2])
-            if got != want:
+        for terms in compiled:
+            total = 0
+            for coeff, flat in terms:
+                term = coeff
+                for i in flat:
+                    term *= values[i]
+                total += term
+            if total:
                 return False
         return True
 

@@ -51,6 +51,8 @@ class MultiPoly:
     terms: Dict[Exponents, Coeff] = field(default_factory=dict)
 
     def __post_init__(self):
+        # the one normalisation point: every operation hands its raw sums
+        # here, which drops zero coefficients and stores integral ones as int
         names = tuple(self.variables)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in context {names}")
@@ -76,9 +78,8 @@ class MultiPoly:
     @staticmethod
     def constant(variables: Sequence[str], value: Coeff) -> "MultiPoly":
         variables = tuple(variables)
-        value = _norm_coeff(Fraction(value) if not isinstance(value, (int, Fraction)) else value)
-        if not value:
-            return MultiPoly(variables, {})
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
         return MultiPoly(variables, {(0,) * len(variables): value})
 
     @staticmethod
@@ -142,11 +143,7 @@ class MultiPoly:
         self._check_context(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = out.get(exps, 0) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
+            out[exps] = out.get(exps, 0) + c
         return MultiPoly(self.variables, out)
 
     __radd__ = __add__
@@ -166,11 +163,7 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return MultiPoly.zero(self.variables)
-            return MultiPoly(
-                self.variables, {e: c * other for e, c in self.terms.items()}
-            )
+            return MultiPoly(self.variables, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_context(other)
@@ -178,11 +171,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(exps, 0) + c1 * c2
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
+                out[exps] = out.get(exps, 0) + c1 * c2
         return MultiPoly(self.variables, out)
 
     __rmul__ = __mul__
@@ -198,9 +187,6 @@ class MultiPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def scale(self, c: Coeff) -> "MultiPoly":
-        return self * c
 
     # ------------------------------------------------------------------
     # coefficient extraction and substitution
@@ -231,15 +217,8 @@ class MultiPoly:
             out: Dict[Exponents, Coeff] = {}
             for exps, c in self.terms.items():
                 k = exps[i]
-                coeff = c * value**k if k else c
-                if not coeff:
-                    continue
                 reduced = exps[:i] + (0,) + exps[i + 1:]
-                s = out.get(reduced, 0) + coeff
-                if s:
-                    out[reduced] = s
-                else:
-                    out.pop(reduced, None)
+                out[reduced] = out.get(reduced, 0) + (c * value**k if k else c)
             return MultiPoly(self.variables, out)
         if isinstance(value, MultiPoly):
             self._check_context(value)
@@ -367,7 +346,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
         if raw in {"+", "-"}:
             raise ValueError(f"dangling sign in {text!r}")
         chunks.append(raw)
-    result = MultiPoly.zero(variables)
+    terms: Dict[Exponents, Coeff] = {}
     for chunk in chunks:
         sign = 1
         while chunk and chunk[0] in "+-":
@@ -388,9 +367,9 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
                 if name not in variables:
                     raise ValueError(f"unknown variable {name!r} in {text!r}")
                 exps[variables.index(name)] += int(power) if power else 1
-        term = MultiPoly(variables, {tuple(exps): _norm_coeff(coeff)}) if coeff else MultiPoly.zero(variables)
-        result = result + term
-    return result
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
+    return MultiPoly(variables, terms)
 
 
 def quadratic_form_coeffs(
