@@ -18,8 +18,10 @@ matrices; properness is reported, never assumed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -163,10 +165,11 @@ class IntegerForms:
     gram_b: Tuple[Vector, ...]
 
 
-def _cleared(values: Sequence[object]) -> List[int]:
-    """Rationals times the lcm of their denominators, as integers."""
+def _cleared(values: Sequence[object]) -> Tuple[int, List[int]]:
+    """The lcm of the denominators of some rationals, and the rationals times
+    it as integers."""
     den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values]
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def _entry_vectors(left: Sequence[int], right: Sequence[int]) -> List[List[int]]:
@@ -202,7 +205,7 @@ def entries_distinct(prefix: Sequence[object]) -> bool:
     """
     if len(prefix) > 16:
         raise ValueError(f"expected at most 16 fixed values, got {len(prefix)}")
-    vectors = _entry_vectors(_cleared(prefix[:8]), _cleared(prefix[8:]))
+    vectors = _entry_vectors(_cleared(prefix[:8])[1], _cleared(prefix[8:])[1])
     return len({_sign_key(vec) for vec in vectors}) == 64
 
 
@@ -210,8 +213,7 @@ def integer_forms(left: Sequence[object]) -> IntegerForms:
     """The entries of M as integer vectors and A, B as integer Gram matrices,
     built straight from the two sign tables."""
     left = _require_numeric_left(left)
-    scale = lcm(*(x.denominator for x in left))
-    ileft = _cleared(left)
+    scale, ileft = _cleared(left)
     # with all of a..h fixed, slot 0 (the constant) is zero and slots 1..8 are p..w
     entries = [tuple(vec[1:]) for vec in _entry_vectors(ileft, ())]
 
@@ -391,32 +393,22 @@ def enumerate_w1(a_max: int) -> List[Tuple[int, ...]]:
     """
     if a_max < 1:
         raise ValueError("a_max must be at least 1")
-    out: List[Tuple[int, ...]] = []
+    solutions: List[Tuple[int, ...]] = []
+
+    def extend(prefix: Tuple[int, ...], remaining: int) -> None:
+        # b..g with b^2 + ... + g^2 = 6a^2: each value is bounded by the
+        # square root of what is left, and the last one is that root
+        root = isqrt(remaining)
+        if len(prefix) == 6:
+            if root * root == remaining:
+                solutions.extend((*prefix, v) for v in ((-root, root) if root else (0,)))
+            return
+        for v in range(-root, root + 1):
+            extend((*prefix, v), remaining - v * v)
+
     for a in range(1, a_max + 1):
-        target = 6 * a * a
-        bound = isqrt(target)
-        solutions: List[List[int]] = []
-
-        def extend(i: int, remaining: int, current: List[int]) -> None:
-            if i == 6:
-                if remaining == 0:
-                    solutions.append(current[:])
-                return
-            for v in range(-bound, bound + 1):
-                if v * v <= remaining:
-                    current.append(v)
-                    extend(i + 1, remaining - v * v, current)
-                    current.pop()
-
-        extend(0, target, [])
-        for middle in solutions:
-            for h in (a, -a):
-                tup = (a, *middle, h)
-                g = 0
-                for x in tup:
-                    g = gcd(g, abs(x))
-                if g == 1:
-                    out.append(tup)
+        extend((a,), 6 * a * a)
+    out = [(*tup, h) for tup in solutions if gcd(*tup) == 1 for h in (-tup[0], tup[0])]
     out.sort()
     return out
 
@@ -524,15 +516,10 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
         raise ValueError("internal error: back-check of A = B = 0 failed")
 
     right = tuple(values[name] for name in RIGHT_VARS)
+    # a zero right tuple has no p-term in F and fails at step 2, so L * R != 0
+    assert any(right), "solve chain reached a zero right tuple"
     matrix = mat_mul(left_matrix(left), right_matrix(right))
-    try:
-        primitive = rescale_primitive(matrix)
-    except ValueError:
-        return SolveChainResult(
-            ok=False, failure_reason="degenerate: zero matrix",
-            left=left, solved_for=solve_var, right=right, matrix=matrix,
-            primitive=None, report=None,
-        )
+    primitive = rescale_primitive(matrix)
     report = verify(primitive)
     return SolveChainResult(
         ok=True, failure_reason=None, left=left, solved_for=solve_var,
@@ -557,6 +544,9 @@ def family_x_poly() -> MultiPoly:
     )
 
 
+_family_x = cache(family_x_poly)  # built on the first family point, not at import
+
+
 @dataclass(frozen=True)
 class FamilyResult:
     q: Fraction
@@ -578,7 +568,7 @@ def four_parameter_family(q, r, t, u) -> FamilyResult:
     report says whether the point keeps properness.
     """
     q, r, t, u = (Fraction(v) for v in (q, r, t, u))
-    x_value = family_x_poly().eval({"q": q, "r": r, "t": t, "u": u})
+    x_value = _family_x().eval({"q": q, "r": r, "t": t, "u": u})
     if x_value == 0:
         raise ValueError("degenerate parameter: X = 0")
     if u == 0:
@@ -593,8 +583,11 @@ def four_parameter_family(q, r, t, u) -> FamilyResult:
         t - r - 3,
         Fraction(u * u - x_value, 2 * u),
     )
-    matrix = mat_mul(left_matrix(FAMILY_LEFT), right_matrix(right))
-    primitive = rescale_primitive(matrix)
+    # L * R in integers: R with its denominators cleared by their lcm den
+    den, iright = _cleared(right)
+    product = mat_mul(left_matrix(FAMILY_LEFT), right_matrix(iright))
+    matrix = Matrix(8, 8, tuple(tuple(Fraction(x, den) for x in row) for row in product.entries))
+    primitive = rescale_primitive(product)
     report = verify(primitive)
     return FamilyResult(
         q=q, r=r, t=t, u=u, x_value=x_value, right=right,
@@ -621,17 +614,12 @@ def family_result_to_json_dict(result: FamilyResult) -> dict:
 # fast bulk verification of the elimination coefficients
 # ----------------------------------------------------------------------
 
-def w1_coefficient_checker():
-    """Build a fast per-tuple checker for the two elimination coefficient facts.
-
-    Returns check(left) -> bool testing, for an integer tuple satisfying the
-    degree-one restriction, that the p^3 coefficient of F vanishes and that
-    the p^2 coefficient equals -128 h^2 times the documented linear form.
-    Both facts are written once, from the fully symbolic F, as 8 residual
-    polynomials in a..h that must vanish: the p^3 coefficient, the w-part of
-    the p^2 coefficient, and each q..v part of it plus 128 h^2 times its
-    _P2_PATTERN form.  The per-tuple work is plain integer arithmetic.
-    """
+def _w1_residuals() -> List[MultiPoly]:
+    """The 8 polynomials in a..h, over the context (a..h, p..w), that vanish
+    exactly when the two elimination coefficient facts hold: the p^3
+    coefficient of F, the w-part of its p^2 coefficient, and each q..v part of
+    it plus 128 h^2 times its _P2_PATTERN form.  All come from the fully
+    symbolic F."""
     forms = symbolic_diag_forms()
     x = forms.A.coefficient_of("w", 1)
     y = forms.B.coefficient_of("w", 1)
@@ -642,29 +630,50 @@ def w1_coefficient_checker():
     for name, (i, j, s1), (k, l, s2) in _P2_PATTERN:
         residuals.append(p2.coefficient_of(name, 1)
                          + 128 * lv[7] * lv[7] * (s1 * lv[i] * lv[j] + s2 * lv[k] * lv[l]))
+    return residuals
 
-    compiled: List[List[Tuple[int, Tuple[int, ...]]]] = []
-    for poly in residuals:  # [(coeff, flat index list over a..h)] per residual
+
+def _horner(terms: Sequence[Tuple[Vector, int]]) -> str:
+    """Python source for a nonempty sum of (exponents over a..h, integer
+    coefficient) terms in greedy multivariate Horner form: the variable in the
+    most terms is factored out of them once, and both parts recurse."""
+    counts = [sum(1 for exps, _ in terms if exps[k]) for k in range(8)]
+    k = max(range(8), key=counts.__getitem__)
+    if not counts[k]:  # only the constant term is left
+        return str(terms[0][1])
+    inner = [(exps[:k] + (exps[k] - 1,) + exps[k + 1:], c) for exps, c in terms if exps[k]]
+    rest = [term for term in terms if not term[0][k]]
+    source = f"{LEFT_VARS[k]}*({_horner(inner)})"
+    return f"{source} + {_horner(rest)}" if rest else source
+
+
+def w1_coefficient_checker():
+    """Build a fast per-tuple checker for the two elimination coefficient facts.
+
+    Returns check(left) -> bool testing, for an integer tuple satisfying the
+    degree-one restriction, that the p^3 coefficient of F vanishes and that
+    the p^2 coefficient equals -128 h^2 times the documented linear form:
+    that each of the 8 residual polynomials of _w1_residuals vanishes.  Each
+    call compiles them once to one straight-line function of integer Horner
+    expressions, one per nonzero residual, in order; a residual is never
+    simplified by the restriction, so it is evaluated in full whenever the
+    ones before it vanish.  left must hold exactly 8 integers, taken through
+    operator.index: a non-integer raises TypeError and a wrong count
+    ValueError.
+    """
+    # the source holds only the residuals' integer coefficients and a..h
+    lines = ["def check(left):", f"    {', '.join(LEFT_VARS)} = map(index, left)"]
+    for poly in _w1_residuals():
         terms = []
         for exps, coeff in poly.terms.items():
             if any(exps[8:]):
                 raise ValueError("residual has right-block variables")
             if not isinstance(coeff, int):
                 raise ValueError("expected integer coefficients")
-            terms.append((coeff, tuple(i for i, e in enumerate(exps[:8]) for _ in range(e))))
-        compiled.append(terms)
-
-    def check(left: Sequence[int]) -> bool:
-        values = [int(v) for v in left]
-        for terms in compiled:
-            total = 0
-            for coeff, flat in terms:
-                term = coeff
-                for i in flat:
-                    term *= values[i]
-                total += term
-            if total:
-                return False
-        return True
-
-    return check
+            terms.append((exps[:8], coeff))
+        if terms:
+            lines += [f"    if {_horner(terms)}:", "        return False"]
+    lines.append("    return True")
+    namespace = {"index": operator.index}
+    exec("\n".join(lines), namespace)
+    return namespace["check"]

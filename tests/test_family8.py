@@ -2,15 +2,18 @@
 
 import functools
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from eulermagic.family8 import (
     FAMILY_LEFT,
+    _horner,
+    _w1_residuals,
     diag_forms,
     eliminate_w,
     enumerate_w1,
@@ -23,8 +26,11 @@ from eulermagic.family8 import (
     w1_check,
     w1_coefficient_checker,
 )
+from eulermagic.matrices import mat_mul, rescale_primitive
 from eulermagic.octonion import left_matrix, right_matrix
 from eulermagic.poly import parse_poly, quadratic_form_coeffs
+from eulermagic.search import Xorshift64Star
+from eulermagic.verify import verify
 
 from conftest import load_fixture
 
@@ -164,6 +170,34 @@ def test_w1_check():
     assert not w1_check((0, 0, 0, 0, 0, 0, 0, 0))  # needs a = +-h != 0
 
 
+# SHA-256 of repr(enumerate_w1(a_max)), which pins the tuples and their order
+_W1_SHA256 = {
+    1: "e11dcbeace91df4da669c4982943a171c03b6812a9e65744cc6f1be6a20f5a65",
+    2: "7fe697448401424057a95035ec04c7a59693ef6157f21aa07dff84672d17b376",
+    3: "43bf0c92dceecbd56f1251df3e01d4df0404dfd59fffd55e3bb3b54abcbf3802",
+}
+
+
+def _brute_force_w1(a_max):
+    """enumerate_w1 by testing every b..g in the box [-isqrt(6a^2), isqrt(6a^2)]^6."""
+    out = []
+    for a in range(1, a_max + 1):
+        bound = isqrt(6 * a * a)
+        square = {v: v * v for v in range(-bound, bound + 1)}
+        for middle in itertools.product(square, repeat=6):
+            if sum(map(square.__getitem__, middle)) == 6 * a * a and gcd(a, *middle) == 1:
+                out += [(a, *middle, a), (a, *middle, -a)]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("a_max", sorted(_W1_SHA256))
+def test_enumerate_w1_pinned(a_max):
+    tuples = enumerate_w1(a_max)
+    assert hashlib.sha256(repr(tuples).encode()).hexdigest() == _W1_SHA256[a_max]
+    if a_max < 3:
+        assert tuples == _brute_force_w1(a_max)
+
+
 def test_enumerate_w1_counts_and_canonical_order():
     tuples = enumerate_w1(1)
     assert len(tuples) == 1088
@@ -208,11 +242,16 @@ def test_solve_chain_rejects_fixing_solved_variable():
 
 
 def test_solve_chain_reports_degenerate_pivots():
-    res = solve_chain(FAMILY_LEFT, {"q": 0, "r": 0, "t": 0, "u": 0})
-    if not res.ok:
-        assert "coefficient" in res.failure_reason
-    else:
-        assert res.report.is_euler_magic
+    # s = 0 as well: F keeps no p-term after step 1
+    res = solve_chain(FAMILY_LEFT, {"q": 0, "r": 0, "t": 0, "u": 0, "s": 0})
+    assert (res.ok, res.failure_reason, res.solved_for) == (
+        False, "step 2: p-coefficient zero", "v")
+    assert res.right is None and res.matrix is None and res.report is None
+    # A keeps no w-term once p..v are known
+    res = solve_chain(FAMILY_LEFT, {"q": -1, "r": -1, "t": -1, "u": -1})
+    assert (res.ok, res.failure_reason, res.solved_for) == (
+        False, "step 3: w-coefficient zero", "v")
+    assert res.right is None and res.matrix is None and res.report is None
 
 
 def test_four_parameter_family_showcase_point(family8):
@@ -235,6 +274,41 @@ def test_four_parameter_family_generic_point():
 def test_four_parameter_family_rational_point():
     fam = four_parameter_family(Fraction(1, 2), 3, -2, 7)
     assert fam.report.is_euler_magic
+
+
+def _fraction_family(q, r, t, u):
+    """X, the right tuple, L * R as a Fraction product, its primitive
+    rescaling and the report, written out from the family's definition."""
+    x = (7 * q * q + 7 * r * r + 21 * q * t - 7 * r * t + 34 * t * t
+         - 7 * q * u - 21 * t * u + 4 * u * u + 7 * q + 21 * r - 7 * u + 34)
+    right = (3 * (t * t - 1) * u / (2 * x), q, r, Fraction(1), t, u - q - 3 * t - 1, t - r - 3,
+             (u * u - x) / (2 * u))
+    matrix = mat_mul(left_matrix(FAMILY_LEFT), right_matrix(right))
+    primitive = rescale_primitive(matrix)
+    return x, right, matrix, primitive, verify(primitive)
+
+
+def test_four_parameter_family_matches_fraction_product():
+    """The integer product gives what the Fraction product gave, on the 100
+    seeded points of the family acceptance test."""
+    rng = Xorshift64Star(20260814)
+    checked = 0
+    while checked < 100:
+        point = tuple(rng.rational(20, 6) for _ in range(4))
+        try:
+            result = four_parameter_family(*point)
+        except ValueError:
+            continue
+        x, right, matrix, primitive, report = _fraction_family(*map(Fraction, point))
+        assert result.x_value == x and result.right == right, point
+        assert all(type(v) is Fraction for row in result.matrix.entries for v in row)
+        assert result.matrix == matrix, point
+        assert [[str(v) for v in row] for row in result.matrix.entries] == \
+            [[str(v) for v in row] for row in matrix.entries]
+        assert result.primitive.entries == primitive.entries, point
+        assert all(type(v) is int for row in result.primitive.entries for v in row)
+        assert result.report == report, point
+        checked += 1
 
 
 def test_family_degenerate_parameters():
@@ -288,6 +362,38 @@ def test_w1_coefficient_checker_matches_slow_path():
     assert not check((1, 2, 3, 4, 5, 6, 7, 8))
     for left in enumerate_w1(1)[:100]:
         assert check(left)
+
+
+def test_w1_coefficient_checker_takes_exactly_eight_integers():
+    check = w1_coefficient_checker()
+    # truncated to integers, this would read as (1,) * 8, which passes
+    half = (Fraction(3, 2), 1, 1, 1, 1, 1, 1, Fraction(3, 2))
+    assert not w1_check(half) and _pattern_checker()(half) is False
+    with pytest.raises(TypeError):
+        check(half)
+    with pytest.raises(ValueError):
+        check((1,) * 9)
+    with pytest.raises(ValueError):
+        check((1, 2, 3))
+
+
+def test_w1_coefficient_checker_matches_residual_eval():
+    """The compiled checker against MultiPoly.eval of its 8 residuals, and
+    each residual's Horner source against its own value, on 2,000 seeded
+    tuples in [-4, 4]^8."""
+    residuals = _w1_residuals()
+    assert len(residuals) == 8 and residuals[1].is_zero()
+    sources = [compile(_horner([(exps[:8], c) for exps, c in poly.terms.items()]), "<horner>",
+                       "eval") for poly in residuals if not poly.is_zero()]
+    check = w1_coefficient_checker()
+    rng = random.Random(2718)
+    for _ in range(2000):
+        left = tuple(rng.randint(-4, 4) for _ in range(8))
+        names = dict(zip("abcdefgh", left))
+        values = [poly.eval({**names, **dict.fromkeys(RIGHT_VARS, 0)}) for poly in residuals]
+        assert check(left) is not any(values), left
+        assert [eval(source, {}, names) for source in sources] == \
+            [v for v, poly in zip(values, residuals) if not poly.is_zero()], left
 
 
 def _digest(matrix):

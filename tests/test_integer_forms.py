@@ -3,12 +3,12 @@ oracles.
 
 The witness scan, the entry test, the diagonal forms and the per-point
 w-solve run on integer vectors and Gram matrices.  The references below redo
-them the slow way, through MultiPoly products, substitutions and zero tests
-or through sympy, sharing no code with the core.
+them another way, through numeric L * R products, MultiPoly products,
+substitutions and zero tests or through sympy, sharing no code with the core.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 import sympy
@@ -25,7 +25,8 @@ from eulermagic.family8 import (
     integer_forms,
     product_matrix,
 )
-from eulermagic.octonion import LEFT_SIGN_TABLE, RIGHT_SIGN_TABLE
+from eulermagic.matrices import mat_mul
+from eulermagic.octonion import LEFT_SIGN_TABLE, RIGHT_SIGN_TABLE, left_matrix, right_matrix
 from eulermagic.poly import MultiPoly
 from eulermagic.search import (
     SearchConfig,
@@ -85,7 +86,7 @@ def test_witness_scan_pinned(left):
 
 
 # ----------------------------------------------------------------------
-# the witness scan against a MultiPoly reference
+# the witness scan against a reference from numeric products and MultiPoly
 # ----------------------------------------------------------------------
 
 def _reference_forms(left):
@@ -99,48 +100,83 @@ def _reference_forms(left):
     return diag - anti, diag + anti - 2 * gamma
 
 
-def _leading(poly: MultiPoly):
-    """Coefficient of the first variable (in p..w order) of a linear form."""
-    return poly.terms[max(poly.terms)]
+def _reference_entries(left):
+    """The 64 entries of L(left) * R(p..w), row by row, as coefficient
+    vectors over p..w read off the numeric products at the 8 basis vectors of
+    p..w, and scaled to integers by one positive factor: (scale, vectors)."""
+    lm = left_matrix(left)
+    products = [mat_mul(lm, right_matrix([int(k == m) for m in range(8)])).entries
+                for k in range(8)]
+    coeffs = [[Fraction(prod[i][j]) for prod in products] for i in range(8) for j in range(8)]
+    scale = lcm(*(c.denominator for vec in coeffs for c in vec))
+    return scale, [tuple(int(c * scale) for c in vec) for vec in coeffs]
+
+
+def _linear(vec, scale) -> MultiPoly:
+    return MultiPoly(RIGHT_VARS, {tuple(int(k == m) for m in range(8)): Fraction(c, scale)
+                                  for k, c in enumerate(vec)})
+
+
+def _hyperplane_probe(entries):
+    """A test vec -> whether scale^2 * A is zero at one integer point of the
+    hyperplane vec.x = 0, which it must be when that line divides A.
+
+    The point is c * z + t * e_k: k is the first nonzero index of vec, c its
+    entry, z = (m^2 + 3m + 1) with z_k = 0, and t = -vec.z.  With G the Gram
+    matrix of scale^2 * A, the value is c^2 z.Gz + 2ct (Gz)_k + t^2 G_kk, so
+    each test costs one dot product.
+    """
+    diag, anti = entries[::9], entries[7:57:7]
+    gram = [[sum(d[k] * d[m] for d in diag) - sum(a[k] * a[m] for a in anti)
+             for m in range(8)] for k in range(8)]
+    pivots = []
+    for k in range(8):
+        z = [0 if m == k else m * m + 3 * m + 1 for m in range(8)]
+        gz = [sum(g * x for g, x in zip(row, z)) for row in gram]
+        pivots.append((z, sum(x * y for x, y in zip(z, gz)), gz[k], gram[k][k]))
+
+    def vanishes(vec):
+        k = next(m for m, c in enumerate(vec) if c)
+        z, zgz, gz_k, g_kk = pivots[k]
+        c, t = vec[k], -sum(v * x for v, x in zip(vec, z))
+        return c * c * zgz + 2 * c * t * gz_k + t * t * g_kk == 0
+
+    return vanishes
 
 
 def _divides(quadratic: MultiPoly, linear: MultiPoly) -> bool:
     """Whether the linear form divides the quadratic: it vanishes on the
-    hyperplane.  One point of the hyperplane rejects most forms cheaply; the
-    decision is the exact substitution."""
+    hyperplane, decided by exact substitution."""
     exps, c = max(linear.terms.items())
     name = RIGHT_VARS[exps.index(1)]
-    # c * z, with the pivot coordinate moved onto the hyperplane
-    z = {v: k * k + 3 * k + 1 for k, v in enumerate(RIGHT_VARS)}
-    z[name] = 0
-    probe = {v: c * x for v, x in z.items()}
-    probe[name] = -linear.eval(z)
-    if quadratic.eval(probe) != 0:
-        return False
     rest = (MultiPoly.variable(RIGHT_VARS, name) * c - linear) * Fraction(1, c)
     return quadratic.substitute(name, rest).is_zero()
 
 
 def _reference_scan(left):
-    m = product_matrix(left)
-    flat = [((i + 1, j + 1), m.entry(i, j)) for i in range(8) for j in range(8)]
+    scale, entries = _reference_entries(left)
+    positions = [(i + 1, j + 1) for i in range(8) for j in range(8)]
     collisions, table = [], {}
-    for relation in ("difference", "sum"):
+    for relation, sign in (("difference", -1), ("sum", 1)):
         for x in range(64):
             for y in range(x + 1, 64):
-                (pos1, f), (pos2, g) = flat[x], flat[y]
-                form = f - g if relation == "difference" else f + g
-                if form.is_zero():
-                    collisions.append(("identical-squares", pos1, pos2, relation, str(form)))
+                vec = tuple(f + sign * g for f, g in zip(entries[x], entries[y]))
+                if not any(vec):
+                    collisions.append(("identical-squares", positions[x], positions[y],
+                                       relation, "0"))
                     continue
-                lead = _leading(form)
-                key = tuple(sorted((e, Fraction(c, lead)) for e, c in form.terms.items()))
-                table.setdefault(key, (pos1, pos2, relation, form))
+                g = gcd(*vec) * (1 if next(c for c in vec if c) > 0 else -1)
+                key = tuple(c // g for c in vec)
+                table.setdefault(key, (positions[x], positions[y], relation, vec))
     if collisions:
         return collisions, False, True
     a_form = _reference_forms(left)[0]
-    divisors = [rec for rec in table.values()
-                if not a_form.is_zero() and _divides(a_form, rec[3])]
+    probe, divisors = _hyperplane_probe(entries), []
+    for *rec, vec in table.values():
+        if not a_form.is_zero() and probe(vec):
+            form = _linear(vec, scale)
+            if _divides(a_form, form):
+                divisors.append((*rec, form))
     for first in divisors:
         for second in divisors:
             product = first[3] * second[3]
