@@ -72,9 +72,9 @@ from .family8 import (
     family_x_poly,
     four_parameter_family,
     improper_witnesses,
-    product_matrix,
     solve_chain,
     symbolic_diag_forms,
+    verified_product,
     w1_check,
     w1_coefficient_checker,
 )

@@ -19,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .matrices import (
     Matrix,
     SingularMatrixError,
     bareiss_adjugate,
+    clear_denominators,
     determinant,
     identity,
     mat_add,
@@ -93,8 +93,8 @@ def cayley_scaled(s: Matrix) -> Tuple[Matrix, int]:
     if not is_skew(s):
         raise ValueError("input is not skew-symmetric")
     n = s.rows
-    d = lcm(*(x.denominator for r in s.entries for x in r))
-    s_int = [[x.numerator * (d // x.denominator) for x in r] for r in s.entries]
+    d, flat = clear_denominators([x for r in s.entries for x in r])
+    s_int = [flat[i:i + n] for i in range(0, n * n, n)]
     adj, det = bareiss_adjugate(
         [[d + x if i == j else x for j, x in enumerate(r)] for i, r in enumerate(s_int)])
     assert det > 0, "det(I + S) <= 0 for a skew S"
@@ -157,41 +157,20 @@ def sign_diagonal(m: Matrix) -> Matrix:
 ABC = ("a", "b", "c")
 
 
-def _det3_poly(m: List[List[MultiPoly]]) -> MultiPoly:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _adjugate3_poly(m: List[List[MultiPoly]]) -> List[List[MultiPoly]]:
-    cof = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            rows = [r for r in range(3) if r != i]
-            cols = [c for c in range(3) if c != j]
-            minor = (
-                m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
-                - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
-            )
-            cof[i][j] = minor if (i + j) % 2 == 0 else -minor
-    return [[cof[j][i] for j in range(3)] for i in range(3)]
-
-
 def _symbolic_cayley3() -> Tuple[List[List[MultiPoly]], MultiPoly]:
-    """(Delta * M, Delta) for the 3x3 Cayley transform with symbolic a, b, c."""
+    """(Delta * M, Delta) for the 3x3 Cayley transform with symbolic a, b, c.
+
+    k = (c, -b, a) spans the kernel of S, and S^2 = k k^t - |k|^2 I, so
+    (Euler-Rodrigues) adj(I + S) = I - S + k k^t, Delta = det(I + S) =
+    1 + |k|^2, and Delta * M = (I - S)(I - S + k k^t) = (I - S)^2 + k k^t.
+    """
     a, b, c = MultiPoly.variables_of(ABC)
-    zero = MultiPoly.zero(ABC)
     one = MultiPoly.constant(ABC, 1)
-    s = [[zero, a, b], [-a, zero, c], [-b, -c, zero]]
-    i_plus = [[(one if i == j else zero) + s[i][j] for j in range(3)] for i in range(3)]
-    i_minus = [[(one if i == j else zero) - s[i][j] for j in range(3)] for i in range(3)]
-    delta = _det3_poly(i_plus)
-    adj = _adjugate3_poly(i_plus)
-    scaled = [[sum((i_minus[i][k] * adj[k][j] for k in range(3)), zero) for j in range(3)]
-              for i in range(3)]
-    return scaled, delta
+    i_minus = [[one, -a, -b], [a, one, -c], [b, c, one]]
+    k = (c, -b, a)
+    scaled = [[sum((i_minus[i][m] * i_minus[m][j] for m in range(3)), k[i] * k[j])
+               for j in range(3)] for i in range(3)]
+    return scaled, one + a * a + b * b + c * c
 
 
 def cayley3_forms() -> Tuple[MultiPoly, MultiPoly]:
@@ -321,6 +300,6 @@ def ortho_reduce(m: Matrix):
     k = (n - 1) // 2
     lam = Fraction(determinant(m)) / Fraction(gamma) ** k
     if lam * lam != gamma:
-        raise ValueError("internal error: lambda^2 != gamma")
+        raise RuntimeError("internal error: lambda^2 != gamma")
     scaled = mat_scale(1 / lam, m)
     return lam, scaled

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .matrices import Matrix, mat_mul, rescale_primitive
+from .matrices import Matrix, clear_denominators, mat_mul, rescale_primitive
 from .octonion import (
     LEFT_SIGN_TABLE,
     LEFT_VARS,
@@ -34,8 +34,6 @@ from .octonion import (
     RIGHT_VARS,
     left_matrix,
     right_matrix,
-    symbolic_left_params,
-    symbolic_right_params,
 )
 from .poly import MultiPoly
 from .verify import VerifyReport, report_to_json_dict, verify
@@ -46,6 +44,7 @@ __all__ = [
     "IntegerForms",
     "integer_forms",
     "entries_distinct",
+    "verified_product",
     "Witness",
     "WitnessReport",
     "diag_forms",
@@ -92,21 +91,6 @@ def _require_numeric_left(left: Sequence[object]) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def product_matrix(left: Sequence[object]) -> Matrix:
-    """M = L(left) * R(p..w) with symbolic right coefficients.
-
-    Numeric left gives entries over the context (p..w); pass left=None for
-    the fully symbolic matrix over (a..h, p..w).
-    """
-    if left is None:
-        lparams = symbolic_left_params(BOTH_VARS)
-        rparams = symbolic_right_params(BOTH_VARS)
-        return mat_mul(left_matrix(lparams), right_matrix(rparams))
-    left = _require_numeric_left(left)
-    rparams = symbolic_right_params(RIGHT_VARS)
-    return mat_mul(left_matrix(left), right_matrix(rparams))
-
-
 @dataclass(frozen=True)
 class DiagForms:
     A: MultiPoly
@@ -124,14 +108,19 @@ def diag_forms(left: Sequence[object]) -> DiagForms:
 
 
 def symbolic_diag_forms() -> DiagForms:
-    """A and B over the full 16-variable context (a..h, p..w)."""
-    m = product_matrix(None)
+    """A and B over the full 16-variable context (a..h, p..w), with the
+    entries of M read off _entry_vectors((), ())."""
+    # slot 9x + y holds the product of left variable x and right variable y,
+    # counting from 1: the monomial with exponent 1 at positions x - 1 and 7 + y
+    slots = {9 * x + y: tuple(int(k in (x - 1, 7 + y)) for k in range(16))
+             for x in range(1, 9) for y in range(1, 9)}
+    entries = [MultiPoly(BOTH_VARS, {exps: vec[slot] for slot, exps in slots.items()})
+               for vec in _entry_vectors((), ())]
     zero = MultiPoly.zero(BOTH_VARS)
-    lparams = symbolic_left_params(BOTH_VARS)
-    rparams = symbolic_right_params(BOTH_VARS)
-    gamma = sum((v * v for v in lparams), zero) * sum((v * v for v in rparams), zero)
-    diag = sum((m.entry(i, i) * m.entry(i, i) for i in range(8)), zero)
-    anti = sum((m.entry(i, 7 - i) * m.entry(i, 7 - i) for i in range(8)), zero)
+    symbols = MultiPoly.variables_of(BOTH_VARS)
+    gamma = sum((v * v for v in symbols[:8]), zero) * sum((v * v for v in symbols[8:]), zero)
+    diag = sum((m * m for m in entries[::9]), zero)
+    anti = sum((m * m for m in entries[7:57:7]), zero)
     return DiagForms(A=diag - anti, B=diag + anti - 2 * gamma, fixed_left=None)
 
 
@@ -163,13 +152,6 @@ class IntegerForms:
     entries: Tuple[Vector, ...]
     gram_a: Tuple[Vector, ...]
     gram_b: Tuple[Vector, ...]
-
-
-def _cleared(values: Sequence[object]) -> Tuple[int, List[int]]:
-    """The lcm of the denominators of some rationals, and the rationals times
-    it as integers."""
-    den = lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def _entry_vectors(left: Sequence[int], right: Sequence[int]) -> List[List[int]]:
@@ -205,7 +187,8 @@ def entries_distinct(prefix: Sequence[object]) -> bool:
     """
     if len(prefix) > 16:
         raise ValueError(f"expected at most 16 fixed values, got {len(prefix)}")
-    vectors = _entry_vectors(_cleared(prefix[:8])[1], _cleared(prefix[8:])[1])
+    vectors = _entry_vectors(clear_denominators(prefix[:8])[1],
+                             clear_denominators(prefix[8:])[1])
     return len({_sign_key(vec) for vec in vectors}) == 64
 
 
@@ -213,7 +196,7 @@ def integer_forms(left: Sequence[object]) -> IntegerForms:
     """The entries of M as integer vectors and A, B as integer Gram matrices,
     built straight from the two sign tables."""
     left = _require_numeric_left(left)
-    scale, ileft = _cleared(left)
+    scale, ileft = clear_denominators(left)
     # with all of a..h fixed, slot 0 (the constant) is zero and slots 1..8 are p..w
     entries = [tuple(vec[1:]) for vec in _entry_vectors(ileft, ())]
 
@@ -226,6 +209,23 @@ def integer_forms(left: Sequence[object]) -> IntegerForms:
     gram_b = tuple(tuple(d + a - 2 * gamma * (k == l) for l, (d, a) in enumerate(zip(*rows)))
                    for k, rows in enumerate(zip(diag, anti)))
     return IntegerForms(scale, tuple(entries), gram_a, gram_b)
+
+
+def verified_product(left: Sequence[object],
+                     right: Sequence[object]) -> Tuple[Matrix, Matrix, VerifyReport]:
+    """(M, primitive, report) for M = L(left) * R(right) with rational tuples.
+
+    Each side's denominators are cleared by their lcm, the product is taken
+    in integers and divided back to Fractions for M; primitive is its
+    rescale_primitive and report is verify on that.
+    """
+    lden, ileft = clear_denominators(left)
+    rden, iright = clear_denominators(right)
+    product = mat_mul(left_matrix(ileft), right_matrix(iright))
+    den = lden * rden
+    matrix = Matrix(8, 8, tuple(tuple(Fraction(x, den) for x in row) for row in product.entries))
+    primitive = rescale_primitive(product)
+    return matrix, primitive, verify(primitive)
 
 
 def _quadratic_poly(gram: Sequence[Vector], scale: int) -> MultiPoly:
@@ -246,7 +246,7 @@ Position = Tuple[int, int]  # 1-based
 
 @dataclass(frozen=True)
 class Witness:
-    kind: str  # "identical-squares", "factor-of-A", or "generic-difference"
+    kind: str  # "identical-squares" or "factor-of-A"
     first: Position
     second: Position
     relation: str  # "difference" or "sum"
@@ -255,7 +255,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    left: Optional[Tuple[Fraction, ...]]
+    left: Tuple[Fraction, ...]
     witnesses: Tuple[Witness, ...]
     polynomial_matrix_proper: bool
     properness_obstructed: bool
@@ -311,7 +311,7 @@ def _linear_factors(gram: Sequence[Vector]) -> Optional[Tuple[Vector, Vector]]:
     return _line_key(l1), _line_key(l2)
 
 
-def improper_witnesses(left: Optional[Sequence[object]]) -> WitnessReport:
+def improper_witnesses(left: Sequence[object]) -> WitnessReport:
     """Entry-difference witnesses showing a left tuple cannot give a proper M.
 
     Two layers:
@@ -326,17 +326,7 @@ def improper_witnesses(left: Optional[Sequence[object]]) -> WitnessReport:
     pair sums and differences are keyed up to a scalar, and A is factored
     once from its Gram matrix; its two lines are then looked up among the
     pair forms.  A square c * l^2 reports the same pair twice.
-
-    With left=None the report carries the single generic witness
-    m(1,8) - m(8,1) = -2(a*w + h*p) over the full symbolic context: whenever
-    a = h = 0 those two entries coincide identically.
     """
-    if left is None:
-        m = product_matrix(None)
-        form = m.entry(0, 7) - m.entry(7, 0)
-        generic = Witness("generic-difference", (1, 8), (8, 1), "difference", form)
-        return WitnessReport(None, (generic,), True, False)
-
     left = _require_numeric_left(left)
     forms = integer_forms(left)
     positions = [(x // 8 + 1, x % 8 + 1) for x in range(64)]
@@ -431,9 +421,9 @@ def eliminate_w(forms: DiagForms) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
     y = b_form.coefficient_of("w", 1)
     f = y * a_form - x * b_form
     if f.degree_in("w") > 0:
-        raise ValueError("internal error: elimination left a w term")
+        raise RuntimeError("internal error: elimination left a w term")
     if forms.fixed_left is not None and w1_check(forms.fixed_left) and f.degree_in("p") > 2:
-        raise ValueError("internal error: p^3 coefficient did not vanish under the restriction")
+        raise RuntimeError("internal error: p^3 coefficient did not vanish under the restriction")
     return f, x, y
 
 
@@ -500,7 +490,7 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
         for name, value in values.items():
             poly = poly.substitute(name, value)
         if poly.degree_in(var) > 1:
-            raise ValueError(f"internal error: step {step} is not linear in {var}")
+            raise RuntimeError(f"internal error: step {step} is not linear in {var}")
         lead = poly.coefficient_of(var, 1)
         if lead.is_zero():
             return SolveChainResult(
@@ -513,14 +503,12 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
 
     point = {name: values[name] for name in RIGHT_VARS}
     if forms.A.eval(point) != 0 or forms.B.eval(point) != 0:
-        raise ValueError("internal error: back-check of A = B = 0 failed")
+        raise RuntimeError("internal error: back-check of A = B = 0 failed")
 
     right = tuple(values[name] for name in RIGHT_VARS)
     # a zero right tuple has no p-term in F and fails at step 2, so L * R != 0
     assert any(right), "solve chain reached a zero right tuple"
-    matrix = mat_mul(left_matrix(left), right_matrix(right))
-    primitive = rescale_primitive(matrix)
-    report = verify(primitive)
+    matrix, primitive, report = verified_product(left, right)
     return SolveChainResult(
         ok=True, failure_reason=None, left=left, solved_for=solve_var,
         right=right, matrix=matrix, primitive=primitive, report=report,
@@ -564,13 +552,13 @@ def four_parameter_family(q, r, t, u) -> FamilyResult:
     """The proper family at left (2,1,1,4,2,1,1,-2), specialized at (q,r,t,u).
 
     right = (3(t^2-1)u / 2X, q, r, 1, t, u-q-3t-1, t-r-3, (u^2-X) / 2u).
-    Requires X != 0 and u != 0; every specialization is Euler magic, and the
-    report says whether the point keeps properness.
+    Requires u != 0.  X never vanishes: homogenised in (q, r, t, u, 1) it has
+    a positive definite Gram matrix.  Every specialization is Euler magic,
+    and the report says whether the point keeps properness.
     """
     q, r, t, u = (Fraction(v) for v in (q, r, t, u))
     x_value = _family_x().eval({"q": q, "r": r, "t": t, "u": u})
-    if x_value == 0:
-        raise ValueError("degenerate parameter: X = 0")
+    assert x_value > 0, "X is positive definite"
     if u == 0:
         raise ValueError("degenerate parameter: u = 0")
     right = (
@@ -583,12 +571,7 @@ def four_parameter_family(q, r, t, u) -> FamilyResult:
         t - r - 3,
         Fraction(u * u - x_value, 2 * u),
     )
-    # L * R in integers: R with its denominators cleared by their lcm den
-    den, iright = _cleared(right)
-    product = mat_mul(left_matrix(FAMILY_LEFT), right_matrix(iright))
-    matrix = Matrix(8, 8, tuple(tuple(Fraction(x, den) for x in row) for row in product.entries))
-    primitive = rescale_primitive(product)
-    report = verify(primitive)
+    matrix, primitive, report = verified_product(FAMILY_LEFT, right)
     return FamilyResult(
         q=q, r=r, t=t, u=u, x_value=x_value, right=right,
         matrix=matrix, primitive=primitive, report=report,
@@ -625,7 +608,7 @@ def _w1_residuals() -> List[MultiPoly]:
     y = forms.B.coefficient_of("w", 1)
     f = y * forms.A - x * forms.B
     p2 = f.coefficient_of("p", 2)
-    lv = symbolic_left_params(BOTH_VARS)
+    lv = MultiPoly.variables_of(BOTH_VARS)
     residuals = [f.coefficient_of("p", 3), p2.coefficient_of("w", 1)]
     for name, (i, j, s1), (k, l, s2) in _P2_PATTERN:
         residuals.append(p2.coefficient_of(name, 1)
@@ -667,9 +650,9 @@ def w1_coefficient_checker():
         terms = []
         for exps, coeff in poly.terms.items():
             if any(exps[8:]):
-                raise ValueError("residual has right-block variables")
+                raise RuntimeError("residual has right-block variables")
             if not isinstance(coeff, int):
-                raise ValueError("expected integer coefficients")
+                raise RuntimeError("expected integer coefficients")
             terms.append((exps[:8], coeff))
         if terms:
             lines += [f"    if {_horner(terms)}:", "        return False"]

@@ -1,8 +1,8 @@
 """Exact dense matrix algebra over rationals (and other exact ring elements).
 
-Matrices are immutable and generic in their entry type: rational entries are
-ints or fractions.Fraction, and symbolic work stores MultiPoly entries.  All
-arithmetic is exact; nothing here ever rounds.
+Matrices are immutable and hold exact rationals: ints or fractions.Fraction.
+The arithmetic (mat_mul, mat_add, ...) only needs + and *, so tests may also
+multiply matrices of other exact ring elements.  Nothing here ever rounds.
 
 The plain-text interchange format is one row per line with whitespace
 separated entries written as "p/q" or "p"; the JSON form is
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import List, Sequence, Tuple
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "bareiss_adjugate",
     "mat_inverse",
     "rescale_primitive",
+    "clear_denominators",
     "parse_matrix_text",
     "format_matrix_text",
     "matrix_to_json_dict",
@@ -133,16 +134,11 @@ def transpose(a: Matrix) -> Matrix:
     return Matrix(a.cols, a.rows, tuple(zip(*a.entries)))
 
 
-def _clear_denominators(a: Matrix) -> Tuple[List[List[int]], List[int]]:
-    """Scale each row to integers; returns (integer rows, row multipliers)."""
-    int_rows: List[List[int]] = []
-    multipliers: List[int] = []
-    for r in a.entries:
-        fr = [Fraction(x) for x in r]
-        m = lcm(*(x.denominator for x in fr)) if fr else 1
-        int_rows.append([int(x * m) for x in fr])
-        multipliers.append(m)
-    return int_rows, multipliers
+def clear_denominators(values: Sequence[object]) -> Tuple[int, List[int]]:
+    """(den, ints): the lcm of the denominators of some rationals (ints or
+    Fractions), and the rationals times it as integers."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def _bareiss_forward(rows: List[List[int]], n: int) -> Tuple[List[List[int]], int, bool]:
@@ -180,15 +176,12 @@ def determinant(a: Matrix):
     if not a.is_square():
         raise ValueError("determinant needs a square matrix")
     n = a.rows
-    int_rows, multipliers = _clear_denominators(a)
-    rows, sign, singular = _bareiss_forward(int_rows, n)
+    multipliers, int_rows = zip(*map(clear_denominators, a.entries))
+    rows, sign, singular = _bareiss_forward(list(int_rows), n)
     if singular:
         return 0
     det_int = sign * rows[n - 1][n - 1]
-    scale = 1
-    for m in multipliers:
-        scale *= m
-    value = Fraction(det_int, scale)
+    value = Fraction(det_int, prod(multipliers))
     return int(value) if value.denominator == 1 else value
 
 
@@ -221,7 +214,7 @@ def mat_inverse(a: Matrix) -> Matrix:
     if not a.is_square():
         raise ValueError("inverse needs a square matrix")
     n = a.rows
-    int_rows, multipliers = _clear_denominators(a)
+    multipliers, int_rows = zip(*map(clear_denominators, a.entries))
     adj, det = bareiss_adjugate(int_rows)
     # undo the row scaling: A was diag(1/m_i) * A_int, so A^-1 = A_int^-1 * diag(m_i)
     return Matrix(n, n, tuple(
@@ -233,11 +226,11 @@ def rescale_primitive(a: Matrix) -> Matrix:
     """The positive rescaling of a rational matrix to integer entries with gcd 1."""
     if all(x == 0 for r in a.entries for x in r):
         raise ValueError("cannot rescale the zero matrix")
-    # ints and Fractions both carry numerator and denominator
-    denom_lcm = lcm(*(x.denominator for r in a.entries for x in r))
-    ints = [[x.numerator * (denom_lcm // x.denominator) for x in r] for r in a.entries]
-    g = gcd(*(x for r in ints for x in r))
-    return Matrix(a.rows, a.cols, tuple(tuple(x // g for x in r) for r in ints))
+    _, ints = clear_denominators([x for r in a.entries for x in r])
+    g = gcd(*ints)
+    c = a.cols
+    return Matrix(a.rows, c, tuple(
+        tuple(x // g for x in ints[i:i + c]) for i in range(0, len(ints), c)))
 
 
 # ----------------------------------------------------------------------

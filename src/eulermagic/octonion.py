@@ -2,8 +2,8 @@
 
 Both 8x8 sign patterns are stored as explicit tables of (source index, sign)
 pairs, one per entry, so they can be audited position by position.  The
-builders are generic in the coefficient type: passing rationals gives a
-numeric matrix, passing MultiPoly symbols gives a symbolic one.
+builders are generic in the coefficient type: they only multiply each
+coefficient by a sign.
 
 For any coefficients, left_matrix(x) times its transpose equals
 (sum of the eight squares) times the identity, and likewise for
@@ -13,11 +13,9 @@ gamma = gamma_product(left, right).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .matrices import Matrix
-from .poly import MultiPoly
 
 __all__ = [
     "LEFT_SIGN_TABLE",
@@ -28,8 +26,6 @@ __all__ = [
     "right_matrix",
     "gamma_product",
     "sum_of_squares",
-    "symbolic_left_params",
-    "symbolic_right_params",
 ]
 
 LEFT_VARS: Tuple[str, ...] = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -96,14 +92,3 @@ def gamma_product(left: Sequence[object], right: Sequence[object]):
     """gamma of M = L(left) * R(right): the product of the two square sums."""
     return sum_of_squares(left) * sum_of_squares(right)
 
-
-def symbolic_left_params(context: Sequence[str] = LEFT_VARS) -> Tuple[MultiPoly, ...]:
-    """Generators named a..h inside the given polynomial context."""
-    context = tuple(context)
-    return tuple(MultiPoly.variable(context, n) for n in LEFT_VARS)
-
-
-def symbolic_right_params(context: Sequence[str] = RIGHT_VARS) -> Tuple[MultiPoly, ...]:
-    """Generators named p..w inside the given polynomial context."""
-    context = tuple(context)
-    return tuple(MultiPoly.variable(context, n) for n in RIGHT_VARS)

@@ -28,13 +28,18 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import inf, isqrt, lcm
+from math import inf, isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cayley import cayley_scaled, skew_from_upper
-from .family8 import IntegerForms, entries_distinct, improper_witnesses, integer_forms
-from .matrices import Matrix, mat_mul, rescale_primitive
-from .octonion import left_matrix, right_matrix
+from .family8 import (
+    IntegerForms,
+    entries_distinct,
+    improper_witnesses,
+    integer_forms,
+    verified_product,
+)
+from .matrices import Matrix, clear_denominators, rescale_primitive
 from .verify import VerifyReport, verify
 
 __all__ = [
@@ -250,9 +255,9 @@ def _bounded_height_offsets(height: int) -> List[Fraction]:
 def _uvw_tables(forms: IntegerForms, partial: Sequence[Fraction]):
     """A and B with (p..t) fixed, times a positive constant, as integer terms
     (i, j, k, c) meaning c * u^i * v^j * w^k (at most 10 terms each)."""
-    den = lcm(*(x.denominator for x in partial))
+    den, ipartial = clear_denominators(partial)
     # den * (p..w) with p..t fixed: (integer coefficient, exponents of u, v, w)
-    coords = [(int(x * den), (0, 0, 0)) for x in partial] + [
+    coords = [(x, (0, 0, 0)) for x in ipartial] + [
         (den, (1, 0, 0)), (den, (0, 1, 0)), (den, (0, 0, 1))]
     tables = []
     for gram in (forms.gram_a, forms.gram_b):
@@ -308,18 +313,15 @@ def _search8_grid_chunk(left, partial, tables, points):
     v = nv/dv.  Returns (candidates, hits, near)."""
     candidates: List[Candidate] = []
     hits = near_misses = 0
-    lmat = left_matrix(list(left))
     for index, nu, du, nv, dv in points:
         ws, near = _search8_check_point(tables, nu, du, nv, dv)
         near_misses += near
         for w in ws:
             right = tuple(partial) + (Fraction(nu, du), Fraction(nv, dv), w)
-            matrix = mat_mul(lmat, right_matrix(list(right)))
             # never the zero matrix: that needs p..t = 0, which the properness gate rejects
-            primitive = rescale_primitive(matrix)
-            report = verify(primitive)
+            _, primitive, report = verified_product(left, right)
             if not report.is_euler_magic:
-                raise ValueError("internal error: solved point failed verification")
+                raise RuntimeError("internal error: solved point failed verification")
             candidates.append(_make_candidate(index, right, primitive, report))
             hits += 1
     return candidates, hits, near_misses

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from eulermagic.matrices import Matrix, parse_matrix_text
+from eulermagic.matrices import Matrix, mat_mul, parse_matrix_text
+from eulermagic.octonion import LEFT_VARS, RIGHT_VARS, left_matrix, right_matrix
+from eulermagic.poly import MultiPoly
 
 # property tests run exact arithmetic whose cost varies a lot between
 # examples, so no per-example deadline; each test sets its own max_examples
@@ -17,6 +19,19 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 def load_fixture(name: str) -> Matrix:
     return parse_matrix_text((FIXTURES / name).read_text(encoding="utf-8"))
+
+
+def multipoly_product(left=None) -> Matrix:
+    """L(left) * R(p..w) by mat_mul over MultiPoly, a reference for the 8x8
+    layer that shares no code with family8.  A numeric left tuple gives
+    entries over (p..w); left=None keeps a..h symbolic too, over
+    (a..h, p..w)."""
+    if left is None:
+        symbols = MultiPoly.variables_of(LEFT_VARS + RIGHT_VARS)
+        left = symbols[:8]
+    else:
+        symbols = MultiPoly.variables_of(RIGHT_VARS)
+    return mat_mul(left_matrix(left), right_matrix(symbols[-8:]))
 
 
 @pytest.fixture

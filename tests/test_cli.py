@@ -1,11 +1,12 @@
 """End-to-end tests for the command line interface."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from eulermagic import cli
+from eulermagic import cli, family8
 from eulermagic.matrices import parse_matrix_text
 from eulermagic.poly import parse_poly
 
@@ -189,6 +190,18 @@ def test_search8_supplied_solution(capsys):
     candidate = json.loads(lines[0])
     assert candidate["score"] == 64
     assert candidate["gamma"] == "786656"
+
+
+def test_search8_internal_error_is_not_a_usage_error(monkeypatch):
+    # a solved point that fails its exact re-verification is a bug, which must
+    # surface as such instead of exiting 2 like bad input
+    real_verify = family8.verify
+    monkeypatch.setattr(family8, "verify",
+                        lambda m: dataclasses.replace(real_verify(m), is_euler_magic=False))
+    with pytest.raises(RuntimeError, match="internal error: solved point failed verification"):
+        cli.main(["search8", "--left", "0", "1", "1", "1", "1", "1", "-1", "5",
+                  "--partial", "3", "-2", "-4", "5", "6",
+                  "--solution", "13/15", "-14/15", "-23/5"])
 
 
 def test_search8_improper_left_exits_two(capsys):

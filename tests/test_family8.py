@@ -23,16 +23,17 @@ from eulermagic.family8 import (
     improper_witnesses,
     solve_chain,
     symbolic_diag_forms,
+    verified_product,
     w1_check,
     w1_coefficient_checker,
 )
-from eulermagic.matrices import mat_mul, rescale_primitive
+from eulermagic.matrices import Matrix, determinant, mat_mul, rescale_primitive
 from eulermagic.octonion import left_matrix, right_matrix
 from eulermagic.poly import parse_poly, quadratic_form_coeffs
 from eulermagic.search import Xorshift64Star
 from eulermagic.verify import verify
 
-from conftest import load_fixture
+from conftest import load_fixture, multipoly_product
 
 RIGHT_VARS = ("p", "q", "r", "s", "t", "u", "v", "w")
 FAMILY_RIGHT = tuple(map(Fraction, (-7, -55, -11, 1, -27, -13, -19, 4)))
@@ -156,11 +157,15 @@ def test_family_left_unobstructed():
 
 
 def test_generic_witness_collapses_when_a_h_vanish():
-    rep = improper_witnesses(None)
-    w0 = rep.witnesses[0]
-    assert (w0.first, w0.second) == ((1, 8), (8, 1))
-    assert str(w0.form) == "-2*a*w - 2*h*p"
-    assert w0.form.substitute("a", 0).substitute("h", 0).is_zero()
+    # m(1,8) - m(8,1) = -2(a*w + h*p) over (a..h, p..w), so with a = h = 0
+    # those two entries coincide identically, and the scan reports them
+    m = multipoly_product()
+    form = m.entry(0, 7) - m.entry(7, 0)
+    assert str(form) == "-2*a*w - 2*h*p"
+    assert form.substitute("a", 0).substitute("h", 0).is_zero()
+    rep = improper_witnesses((0, 1, 2, 3, 5, 7, 11, 0))
+    assert ("identical-squares", (1, 8), (8, 1), "difference") in [
+        (w.kind, w.first, w.second, w.relation) for w in rep.witnesses]
 
 
 def test_w1_check():
@@ -312,38 +317,32 @@ def test_four_parameter_family_matches_fraction_product():
 
 
 def test_family_degenerate_parameters():
-    with pytest.raises(ValueError):
-        four_parameter_family(0, 0, 0, 0)  # u = 0
-    # X factors as 0 at u solving 4u^2 + ... = 0 for some integer points; find one
-    xp = family_x_poly()
-    found = None
-    for q in range(-6, 7):
-        for r in range(-6, 7):
-            for t in range(-6, 7):
-                base = {"q": q, "r": r, "t": t}
-                c0 = xp.eval({**base, "u": 0})
-                c1 = xp.coefficient_of("u", 1).eval({**base, "u": 0})
-                disc = c1 * c1 - 16 * c0
-                if disc < 0:
-                    continue
-                root = int(disc) ** 0.5
-                si = round(root)
-                if si * si != disc:
-                    continue
-                for sign in (1, -1):
-                    u = Fraction(-c1 + sign * si, 8)
-                    if u != 0:
-                        found = (q, r, t, u)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            break
-    if found is not None:
-        with pytest.raises(ValueError):
-            four_parameter_family(*found)
+    with pytest.raises(ValueError, match="u = 0"):
+        four_parameter_family(0, 0, 0, 0)
+    # X has no real root: homogenised in (q, r, t, u, 1), its Gram matrix has
+    # positive leading principal minors
+    gram = [[Fraction(0)] * 5 for _ in range(5)]
+    for exps, c in family_x_poly().terms.items():
+        i, j = [k for k, e in enumerate(exps) for _ in range(e)] + [4] * (2 - sum(exps))
+        gram[i][j] += Fraction(c, 2)
+        gram[j][i] += Fraction(c, 2)
+    minors = [determinant(Matrix.from_rows([row[:k] for row in gram[:k]])) for k in range(1, 6)]
+    assert minors == [7, 49, Fraction(1617, 2), Fraction(7497, 16), Fraction(21021, 4)]
+
+
+def test_verified_product_matches_fraction_product():
+    rng = random.Random(2718)
+    for _ in range(20):
+        left, right = ([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(8)]
+                       for _ in range(2))
+        right[3] = Fraction(1, 2)  # never the zero matrix
+        matrix, primitive, report = verified_product(left, right)
+        expected = mat_mul(left_matrix(left), right_matrix(right))
+        assert matrix == expected
+        assert all(type(v) is Fraction for row in matrix.entries for v in row)
+        assert primitive == rescale_primitive(expected)
+        assert report == verify(primitive)
+        assert report.cond_orthogonal  # M * M^t = gamma * I for every L * R
 
 
 def test_family_json_schema():

@@ -23,10 +23,16 @@ from eulermagic.family8 import (
     entries_distinct,
     improper_witnesses,
     integer_forms,
-    product_matrix,
+    symbolic_diag_forms,
 )
 from eulermagic.matrices import mat_mul
-from eulermagic.octonion import LEFT_SIGN_TABLE, RIGHT_SIGN_TABLE, left_matrix, right_matrix
+from eulermagic.octonion import (
+    LEFT_SIGN_TABLE,
+    LEFT_VARS,
+    RIGHT_SIGN_TABLE,
+    left_matrix,
+    right_matrix,
+)
 from eulermagic.poly import MultiPoly
 from eulermagic.search import (
     SearchConfig,
@@ -36,6 +42,8 @@ from eulermagic.search import (
     search5_cayley,
     search8_seeded,
 )
+
+from conftest import multipoly_product
 
 RIGHT_VARS = ("p", "q", "r", "s", "t", "u", "v", "w")
 WORKED_LEFT = (0, 1, 1, 1, 1, 1, -1, 5)
@@ -90,8 +98,8 @@ def test_witness_scan_pinned(left):
 # ----------------------------------------------------------------------
 
 def _reference_forms(left):
-    """A and B from the squared MultiPoly entries of product_matrix(left)."""
-    m = product_matrix(left)
+    """A and B from the squared MultiPoly entries of L(left) * R(p..w)."""
+    m = multipoly_product(left)
     zero = MultiPoly.zero(RIGHT_VARS)
     diag = sum((m.entry(i, i) * m.entry(i, i) for i in range(8)), zero)
     anti = sum((m.entry(i, 7 - i) * m.entry(i, 7 - i) for i in range(8)), zero)
@@ -339,7 +347,7 @@ def test_worked_solution_is_a_root_of_both_forms():
 
 
 def _reference_entries_proper(left, partial):
-    m = product_matrix(left)
+    m = multipoly_product(left)
     seen = set()
     for i in range(8):
         for j in range(8):
@@ -379,7 +387,7 @@ def test_search8_rejects_improper_specialization():
 # the entry test on prefixes of (a..h, p..t)
 # ----------------------------------------------------------------------
 
-_SYMBOLIC_ENTRIES = [product_matrix(None).entry(i, j) for i in range(8) for j in range(8)]
+_SYMBOLIC_ENTRIES = [x for row in multipoly_product().entries for x in row]
 
 
 def _reference_entries_distinct(prefix):
@@ -417,7 +425,7 @@ def test_entries_distinct_matches_multipoly_on_rational_assignments(prefix):
 
 def test_zero_partial_collides_for_every_left():
     # with p..t = 0, m(1,4) = e*w - f*v + g*u = -m(5,8) identically in a..h
-    m = product_matrix(None)
+    m = multipoly_product()
     first, second = m.entry(0, 3), m.entry(4, 7)
     for name in "pqrst":
         first, second = first.substitute(name, 0), second.substitute(name, 0)
@@ -440,23 +448,23 @@ def test_zero_partial_is_rejected(left):
 # ----------------------------------------------------------------------
 
 _QQ_RING, *_QQ_RIGHT = sympy.ring(",".join(RIGHT_VARS), sympy.QQ)
+_QQ_RING16, *_QQ_BOTH = sympy.ring(",".join(LEFT_VARS + RIGHT_VARS), sympy.QQ)
 
 
-def _sympy_forms(left):
+def _sympy_forms(ring, left, right):
     """A and B expanded in sympy's own polynomial ring from the two sign
-    tables."""
-    lq = [sympy.QQ(x.numerator, x.denominator) for x in map(Fraction, left)]
-    m = [[sum((LEFT_SIGN_TABLE[i][k][1] * lq[LEFT_SIGN_TABLE[i][k][0]]
-               * RIGHT_SIGN_TABLE[k][j][1] * _QQ_RIGHT[RIGHT_SIGN_TABLE[k][j][0]]
-               for k in range(8)), _QQ_RING.zero) for j in range(8)] for i in range(8)]
-    diag = sum((m[i][i] ** 2 for i in range(8)), _QQ_RING.zero)
-    anti = sum((m[i][7 - i] ** 2 for i in range(8)), _QQ_RING.zero)
-    gamma = sum(x * x for x in lq) * sum((v * v for v in _QQ_RIGHT), _QQ_RING.zero)
+    tables, for left and right tuples of elements of the ring."""
+    m = [[sum((LEFT_SIGN_TABLE[i][k][1] * left[LEFT_SIGN_TABLE[i][k][0]]
+               * RIGHT_SIGN_TABLE[k][j][1] * right[RIGHT_SIGN_TABLE[k][j][0]]
+               for k in range(8)), ring.zero) for j in range(8)] for i in range(8)]
+    diag = sum((m[i][i] ** 2 for i in range(8)), ring.zero)
+    anti = sum((m[i][7 - i] ** 2 for i in range(8)), ring.zero)
+    gamma = sum((x * x for x in left), ring.zero) * sum((v * v for v in right), ring.zero)
     return diag - anti, diag + anti - 2 * gamma
 
 
-def _to_sympy(poly: MultiPoly):
-    return _QQ_RING.from_dict(
+def _to_sympy(poly: MultiPoly, ring=_QQ_RING):
+    return ring.from_dict(
         {exps: sympy.QQ(c.numerator, c.denominator) for exps, c in poly.terms.items()})
 
 
@@ -468,7 +476,15 @@ def _to_sympy(poly: MultiPoly):
 @example((Fraction(1, 3), 1, 0, 0, 1, 1, 1, Fraction(-2, 5)))
 def test_diag_forms_match_sympy(left):
     forms = diag_forms(left)
-    assert (_to_sympy(forms.A), _to_sympy(forms.B)) == _sympy_forms(left)
+    lq = [sympy.QQ(x.numerator, x.denominator) for x in map(Fraction, left)]
+    assert (_to_sympy(forms.A), _to_sympy(forms.B)) == _sympy_forms(_QQ_RING, lq, _QQ_RIGHT)
+
+
+def test_symbolic_diag_forms_match_sympy():
+    # the 16-variable forms, with a..h symbolic too
+    forms = symbolic_diag_forms()
+    got = (_to_sympy(forms.A, _QQ_RING16), _to_sympy(forms.B, _QQ_RING16))
+    assert got == _sympy_forms(_QQ_RING16, _QQ_BOTH[:8], _QQ_BOTH[8:])
 
 
 # ----------------------------------------------------------------------

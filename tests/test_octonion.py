@@ -15,12 +15,8 @@ from eulermagic.octonion import (
     left_matrix,
     right_matrix,
     sum_of_squares,
-    symbolic_left_params,
-    symbolic_right_params,
 )
 from eulermagic.poly import MultiPoly
-
-BOTH = LEFT_VARS + RIGHT_VARS
 
 
 def test_sign_tables_are_signed_permutations():
@@ -64,10 +60,8 @@ def test_numeric_norm_identity():
 
 def test_symbolic_norm_identity():
     """X * X^t equals the sum-of-squares scalar identically in the parameters."""
-    for build, params, names in (
-        (left_matrix, symbolic_left_params(), LEFT_VARS),
-        (right_matrix, symbolic_right_params(), RIGHT_VARS),
-    ):
+    for build, names in ((left_matrix, LEFT_VARS), (right_matrix, RIGHT_VARS)):
+        params = MultiPoly.variables_of(names)
         m = build(params)
         s = sum_of_squares(params)
         product = mat_mul(m, transpose(m))
@@ -88,10 +82,3 @@ def test_gamma_product_factors():
         m = mat_mul(left_matrix(lx), right_matrix(rx))
         assert mat_mul(m, transpose(m)) == mat_scale(g, identity(8))
 
-
-def test_symbolic_params_live_in_requested_context():
-    params = symbolic_left_params(BOTH)
-    assert all(p.variables == BOTH for p in params)
-    assert str(params[0]) == "a"
-    rparams = symbolic_right_params(BOTH)
-    assert str(rparams[-1]) == "w"
