@@ -43,6 +43,7 @@ __all__ = [
     "is_skew",
     "cayley",
     "cayley_scaled",
+    "cayley_integer",
     "inverse_cayley",
     "sign_diagonal",
     "cayley3_forms",
@@ -81,11 +82,25 @@ def is_skew(m: Matrix) -> bool:
         e[i][j] == -e[j][i] for i in range(m.rows) for j in range(i, m.rows))
 
 
+def cayley_integer(d: int, s_int: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """(P, det) = (det * cayley(S), det(dI + S_int)) for an integer matrix S_int = d * S.
+
+    With A = dI + S_int, dI - S_int = 2dI - A and A * adj A = det * I, so
+    P = (dI - S_int) * adj A = 2d * adj A - det * I: one Bareiss adjugate and
+    no matrix product.
+    """
+    adj, det = bareiss_adjugate(
+        [[d + x if i == j else x for j, x in enumerate(r)] for i, r in enumerate(s_int)])
+    d2 = 2 * d
+    return [[d2 * x - det if i == j else d2 * x for j, x in enumerate(r)]
+            for i, r in enumerate(adj)], det
+
+
 def cayley_scaled(s: Matrix) -> Tuple[Matrix, int]:
     """(P, det) with integer P = det * cayley(S) and det > 0, for rational skew S.
 
-    With d the lcm of the denominators of S and S_int = d * S, the product
-    P = (dI - S_int) * adj(dI + S_int) needs integer arithmetic only, and
+    With d the lcm of the denominators of S and S_int = d * S, cayley_integer
+    gives P = (dI - S_int) * adj(dI + S_int) in integer arithmetic, and
     det = det(dI + S_int) = d^n * det(I + S).  det(I + S) is positive for real
     skew S: the eigenvalues of S are 0 and conjugate pairs +-ib, so it is a
     product of factors 1 + b^2.
@@ -94,15 +109,9 @@ def cayley_scaled(s: Matrix) -> Tuple[Matrix, int]:
         raise ValueError("input is not skew-symmetric")
     n = s.rows
     d, flat = clear_denominators([x for r in s.entries for x in r])
-    s_int = [flat[i:i + n] for i in range(0, n * n, n)]
-    adj, det = bareiss_adjugate(
-        [[d + x if i == j else x for j, x in enumerate(r)] for i, r in enumerate(s_int)])
+    p, det = cayley_integer(d, [flat[i:i + n] for i in range(0, n * n, n)])
     assert det > 0, "det(I + S) <= 0 for a skew S"
-    minus = [[d - x if i == j else -x for j, x in enumerate(r)] for i, r in enumerate(s_int)]
-    cols = list(zip(*adj))
-    return Matrix(n, n, tuple(
-        tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in minus
-    )), det
+    return Matrix(n, n, p), det
 
 
 def cayley(s: Matrix) -> Matrix:

@@ -31,7 +31,7 @@ from itertools import product
 from math import inf, isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cayley import cayley_scaled, skew_from_upper
+from .cayley import cayley_integer
 from .family8 import (
     IntegerForms,
     entries_distinct,
@@ -127,6 +127,8 @@ class SearchResult:
     hits: int
     near_misses: int
     best_score: int
+    # 8x8 grid points where A and B both vanish identically in w; not in the JSON summary
+    full_lines: int = 0
 
 
 def _canonical_sign(m: Matrix) -> Matrix:
@@ -165,11 +167,12 @@ def _rank(candidates: Iterable[Candidate]) -> Tuple[Candidate, ...]:
 
 
 def _merge_parts(parts, iterations: int) -> SearchResult:
-    """One result from per-chunk (candidates, hits, near misses) triples."""
-    ranked = _rank(c for candidates, _, _ in parts for c in candidates)
+    """One result from per-chunk (candidates, hits, near misses, full lines);
+    counts add up in chunk order, so the merge does not depend on workers."""
+    ranked = _rank(c for candidates, _, _, _ in parts for c in candidates)
     best = ranked[0].score if ranked else 0
     return SearchResult(ranked, iterations, sum(p[1] for p in parts),
-                        sum(p[2] for p in parts), best)
+                        sum(p[2] for p in parts), best, sum(p[3] for p in parts))
 
 
 def _check_workers(workers: int) -> None:
@@ -193,6 +196,21 @@ def _map_chunks(func, args: tuple, items: list, workers: int) -> list:
 # 5x5 random Cayley search
 # ----------------------------------------------------------------------
 
+def _search5_primitive(params: Sequence[Fraction]) -> Matrix:
+    """The primitive integer matrix of cayley(S), for the 5x5 skew S with
+    strict upper triangle params, computed in integers only."""
+    d, upper = clear_denominators(params)
+    s_int = [[0] * 5 for _ in range(5)]
+    values = iter(upper)
+    for i in range(5):
+        for j in range(i + 1, 5):
+            s_int[i][j] = v = next(values)
+            s_int[j][i] = -v
+    # P is a positive multiple of cayley(S), so it has the same primitive matrix
+    scaled, _ = cayley_integer(d, s_int)
+    return rescale_primitive(Matrix(5, 5, scaled))
+
+
 def _search5_sample(config: SearchConfig, index: int):
     """(candidate | None, is_hit, is_near_miss) for one sample index."""
     rng = Xorshift64Star(stream_seed(config.seed, index))
@@ -200,9 +218,7 @@ def _search5_sample(config: SearchConfig, index: int):
         rng.rational(config.numerator_bound, config.denominator_bound)
         for _ in range(10)
     )
-    # P is a positive multiple of cayley(S), so it has the same primitive matrix
-    scaled, _ = cayley_scaled(skew_from_upper(5, params))
-    primitive = rescale_primitive(scaled)
+    primitive = _search5_primitive(params)
     report = verify(primitive)
     if report.is_euler_magic:
         if report.distinct_square_count >= config.score_threshold:
@@ -222,7 +238,7 @@ def _search5_run_indices(config: SearchConfig, indices: Sequence[int]):
             candidates.append(cand)
         hits += is_hit
         near += is_near
-    return candidates, hits, near
+    return candidates, hits, near, 0  # no full lines in the 5x5 search
 
 
 def search5_cayley(config: SearchConfig, workers: int = 1) -> SearchResult:
@@ -292,30 +308,36 @@ def _w_roots(table, us, vs) -> Optional[List[Fraction]]:
     return sorted([Fraction(-c1 + root, 2 * c2), Fraction(-c1 - root, 2 * c2)])
 
 
-def _search8_check_point(tables, nu: int, du: int, nv: int, dv: int):
-    """Solve for w at u = nu/du, v = nv/dv: (list of w hits, near_miss flag)."""
+def _point_solve(tables, nu: int, du: int, nv: int, dv: int):
+    """Solve for w at u = nu/du, v = nv/dv: (list of w hits, near_miss flag,
+    full_line flag); a full line is a point where A and B both vanish
+    identically in w, so every w solves both."""
     us = (du * du, nu * du, nu * nu)
     vs = (dv * dv, nv * dv, nv * nv)
     roots_a, roots_b = (_w_roots(table, us, vs) for table in tables)
-    if roots_a is None and roots_b is None:
-        return [], False  # a full line of solutions; outside this harness
     if roots_a is None:
-        return roots_b, False
+        return roots_b or [], False, roots_b is None
     if roots_b is None:
-        return roots_a, False
+        return roots_a, False, False
     common = sorted(set(roots_a) & set(roots_b))
     near = bool((roots_a or roots_b) and not common)
-    return common, near
+    return common, near, False
+
+
+def _search8_check_point(tables, nu: int, du: int, nv: int, dv: int):
+    """(list of w hits, near_miss flag) of _point_solve."""
+    return _point_solve(tables, nu, du, nv, dv)[:2]
 
 
 def _search8_grid_chunk(left, partial, tables, points):
     """points: list of (sample_index, nu, du, nv, dv) with u = nu/du and
-    v = nv/dv.  Returns (candidates, hits, near)."""
+    v = nv/dv.  Returns (candidates, hits, near misses, full lines)."""
     candidates: List[Candidate] = []
-    hits = near_misses = 0
+    hits = near_misses = full_lines = 0
     for index, nu, du, nv, dv in points:
-        ws, near = _search8_check_point(tables, nu, du, nv, dv)
+        ws, near, full = _point_solve(tables, nu, du, nv, dv)
         near_misses += near
+        full_lines += full
         for w in ws:
             right = tuple(partial) + (Fraction(nu, du), Fraction(nv, dv), w)
             # never the zero matrix: that needs p..t = 0, which the properness gate rejects
@@ -324,7 +346,7 @@ def _search8_grid_chunk(left, partial, tables, points):
                 raise RuntimeError("internal error: solved point failed verification")
             candidates.append(_make_candidate(index, right, primitive, report))
             hits += 1
-    return candidates, hits, near_misses
+    return candidates, hits, near_misses, full_lines
 
 
 def search8_seeded(
@@ -361,11 +383,11 @@ def search8_seeded(
     if supplied is not None:
         u, v, w = (Fraction(x) for x in supplied)
         point = (0, u.numerator, u.denominator, v.numerator, v.denominator)
-        got, _, near = _search8_grid_chunk(left, partial, tables, [point])
+        got, _, near, _ = _search8_grid_chunk(left, partial, tables, [point])
         kept = [c for c in got if c.source_params[7] == w]
         if not kept:
             raise ValueError("supplied solution does not satisfy the diagonal conditions")
-        parts.append((kept, len(kept), near))
+        parts.append((kept, len(kept), near, 0))
     first = len(parts)  # the grid's first sample index
     points = []
     if height > 0:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 from typing import Dict, List, Tuple
 
 from .matrices import Matrix
@@ -71,32 +73,23 @@ def verify(m: Matrix) -> VerifyReport:
         raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
     n = m.rows
     rows = m.entries
-    gamma = sum(x * x for x in rows[0])
-    # M * M^t = gamma * I, read off the upper triangle of row dot products
-    cond_orthogonal = all(
-        sum(x * y for x, y in zip(rows[i], rows[j])) == (gamma if i == j else 0)
-        for i in range(n)
-        for j in range(i, n)
-    )
-    diag_sum = sum(rows[i][i] ** 2 for i in range(n))
-    anti_sum = sum(rows[i][n - 1 - i] ** 2 for i in range(n))
-    cond_diagonal = diag_sum == gamma
-    cond_antidiagonal = anti_sum == gamma
+    squares = tuple(tuple(x * x for x in row) for row in rows)
+    row_norms = [sum(row) for row in squares]
+    gamma = row_norms[0]
+    # M * M^t = gamma * I: every row norm is gamma, distinct rows are orthogonal
+    cond_orthogonal = all(norm == gamma for norm in row_norms) and all(
+        sum(map(mul, rows[i], rows[j])) == 0 for i in range(n) for j in range(i + 1, n))
+    cond_diagonal = sum(squares[i][i] for i in range(n)) == gamma
+    cond_antidiagonal = sum(squares[i][n - 1 - i] for i in range(n)) == gamma
     is_euler_magic = cond_orthogonal and cond_diagonal and cond_antidiagonal and gamma != 0
 
-    squares = Matrix(n, n, tuple(tuple(x * x for x in row) for row in rows))
     # Fraction(k) and k hash and compare equal, so int and Fraction squares share keys
     by_value: Dict[object, List[Position]] = {}
-    for i in range(n):
-        for j in range(n):
-            by_value.setdefault(squares.entry(i, j), []).append((i + 1, j + 1))
-    pairs: List[Tuple[Position, Position]] = []
-    for positions in by_value.values():
-        if len(positions) > 1:
-            for x in range(len(positions)):
-                for y in range(x + 1, len(positions)):
-                    pairs.append((positions[x], positions[y]))
-    pairs.sort()
+    for i, row in enumerate(squares, 1):
+        for j, square in enumerate(row, 1):
+            by_value.setdefault(square, []).append((i, j))
+    pairs = sorted(pair for positions in by_value.values()
+                   for pair in combinations(positions, 2))
     distinct = len(by_value)
     return VerifyReport(
         n=n,
@@ -108,7 +101,7 @@ def verify(m: Matrix) -> VerifyReport:
         is_proper=distinct == n * n,
         distinct_square_count=distinct,
         duplicate_pairs=tuple(pairs),
-        squares_matrix=squares,
+        squares_matrix=Matrix(n, n, squares),
     )
 
 

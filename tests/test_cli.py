@@ -172,6 +172,19 @@ def test_search5_hit_path_is_pinned(capsys):
         "bfca2362a87ed73ad583dd71cd1cc1163bb9b8c33c9a6ffbfd464274adc76bec")
 
 
+# recorded before the sampler moved to the integer Cayley core; at these sizes
+# no sample is a hit or a near miss, so each stdout is the bare summary line
+_SEARCH5_500 = "d2690905744ea377d7a52ca9e665cdbbe0bbc6e7b428899fa372f9b036a88320"
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+@pytest.mark.parametrize("bounds", [(), ("--numerator-bound", "3", "--denominator-bound", "2")])
+def test_search5_stdout_is_pinned(capsys, seed, bounds):
+    code, out, _ = run_cli(capsys, "search5", "--seed", seed, "--iterations", "500", *bounds)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SEARCH5_500
+
+
 def test_search5_requires_seed(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["search5", "--iterations", "5"])

@@ -36,11 +36,14 @@ from eulermagic.octonion import (
 from eulermagic.poly import MultiPoly
 from eulermagic.search import (
     SearchConfig,
+    _merge_parts,
     _search8_check_point,
+    _search8_grid_chunk,
     _uvw_tables,
     _w_roots,
     search5_cayley,
     search8_seeded,
+    summary_to_json_dict,
 )
 
 from conftest import multipoly_product
@@ -324,6 +327,22 @@ def test_w_solve_full_line_branches():
     tables = _uvw_tables(integer_forms((0,) * 8), [Fraction(1)] * 5)
     assert tables == ((), ())
     assert _search8_check_point(tables, 1, 2, 3, 4) == ([], False)
+
+
+def test_grid_chunk_counts_full_lines():
+    # A and B vanish identically in w at every point: each point is a full
+    # line, counted as such and as no other outcome
+    left, partial = (0,) * 8, (Fraction(1),) * 5
+    tables = _uvw_tables(integer_forms(left), partial)
+    assert tables == ((), ())
+    points = [(0, 1, 2, 3, 4), (1, 0, 1, 0, 1), (2, -5, 3, 7, 2)]
+    assert _search8_grid_chunk(left, partial, tables, points) == ([], 0, 0, 3)
+    parts = [_search8_grid_chunk(left, partial, tables, points[k::2]) for k in range(2)]
+    merged = _merge_parts(parts, len(points))
+    assert (merged.hits, merged.near_misses, merged.full_lines) == (0, 0, 3)
+    assert merged == _merge_parts(parts[::-1], len(points))
+    assert summary_to_json_dict(merged) == {
+        "summary": True, "iterations": 3, "hits": 0, "near_misses": 0, "best_score": 0}
 
 
 def _roots(c2, c1, c0):

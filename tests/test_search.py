@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from eulermagic import search
-from eulermagic.cayley import cayley_scaled, skew_from_upper
-from eulermagic.matrices import Matrix, mat_mul, rescale_primitive
+from eulermagic.cayley import cayley, cayley_scaled, inverse_cayley, ortho_reduce, skew_from_upper
+from eulermagic.matrices import Matrix, mat_mul, mat_scale, rescale_primitive
 from eulermagic.octonion import left_matrix, right_matrix
 from eulermagic.search import (
     SearchConfig,
@@ -22,6 +22,8 @@ from eulermagic.search import (
     summary_to_json_dict,
 )
 from eulermagic.verify import verify
+
+from conftest import load_fixture
 
 WORKED_LEFT = (0, 1, 1, 1, 1, 1, -1, 5)
 WORKED_PARTIAL = (3, -2, -4, 5, 6)
@@ -146,6 +148,41 @@ def test_search5_verifies_every_sample_at_unit_bounds(monkeypatch):
     assert result.iterations == len(verified) == 300
     assert all(m.is_integer() and any(x != 0 for r in m.entries for x in r)
                for m in verified)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_search5_integer_core_reaches_the_fixtures(k):
+    # the hit path: skew parameters whose Cayley transform is a known 5x5
+    # Euler magic matrix, pushed through the sampler's integer core
+    m = load_fixture(f"five5_{k}.txt")
+    negated = tuple(tuple(-x for x in row) for row in m.entries)
+    for sign in (1, -1):
+        _, orthogonal = ortho_reduce(mat_scale(sign, m))
+        s = inverse_cayley(orthogonal)
+        params = [s.entry(i, j) for i in range(5) for j in range(i + 1, 5)]
+        primitive = search._search5_primitive(params)
+        assert primitive.entries in (m.entries, negated)
+        assert verify(primitive).is_euler_magic
+
+
+@pytest.mark.parametrize("numerator_bound, denominator_bound", [(120, 8), (3, 2), (1, 1)])
+def test_search5_sampler_matches_public_cayley(monkeypatch, numerator_bound,
+                                               denominator_bound):
+    verified = []
+
+    def recording_verify(m):
+        verified.append(m)
+        return verify(m)
+
+    monkeypatch.setattr(search, "verify", recording_verify)
+    config = SearchConfig(seed=17, numerator_bound=numerator_bound,
+                          denominator_bound=denominator_bound, max_iterations=300)
+    search5_cayley(config)
+    assert len(verified) == 300
+    for index, m in enumerate(verified):
+        rng = Xorshift64Star(stream_seed(config.seed, index))
+        params = [rng.rational(numerator_bound, denominator_bound) for _ in range(10)]
+        assert m == rescale_primitive(cayley(skew_from_upper(5, params)))
 
 
 def test_search8_supplied_solution():

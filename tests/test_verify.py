@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulermagic.cayley import cayley, skew_from_upper
@@ -255,3 +255,66 @@ def test_verify_row_negation_and_scaling_on_any_input(m, c, data):
     assert scaled.gamma == c * c * report.gamma
     assert _flags(scaled) == _flags(report)
     assert scaled.duplicate_pairs == report.duplicate_pairs
+
+
+# ----------------------------------------------------------------------
+# every field of verify, types included, against plain loops
+# ----------------------------------------------------------------------
+
+def _fields(report):
+    squares = report.squares_matrix.entries
+    return (report.n, report.gamma, type(report.gamma), report.cond_orthogonal,
+            report.cond_diagonal, report.cond_antidiagonal, report.is_euler_magic,
+            report.is_proper, report.distinct_square_count, report.duplicate_pairs,
+            squares, tuple(type(x) for row in squares for x in row))
+
+
+def _plain_fields(m):
+    """The fields of verify(m) from loops over the entries, in the types verify gives."""
+    rows = m.entries
+    n = len(rows)
+    gamma = 0
+    for x in rows[0]:
+        gamma = gamma + x * x
+    orthogonal = True
+    for i in range(n):
+        for j in range(n):
+            dot = 0
+            for k in range(n):
+                dot = dot + rows[i][k] * rows[j][k]
+            orthogonal = orthogonal and dot == (gamma if i == j else 0)
+    diag = anti = 0
+    for i in range(n):
+        diag = diag + rows[i][i] * rows[i][i]
+        anti = anti + rows[i][n - 1 - i] * rows[i][n - 1 - i]
+    cells = [((i + 1, j + 1), rows[i][j] * rows[i][j]) for i in range(n) for j in range(n)]
+    # positions are listed row-major, so this is already the sorted order
+    pairs = tuple((p, q) for k, (p, x) in enumerate(cells) for q, y in cells[k + 1:] if x == y)
+    distinct = len({x for _, x in cells})
+    squares = tuple(tuple(x for _, x in cells[i * n:(i + 1) * n]) for i in range(n))
+    magic = orthogonal and diag == gamma and anti == gamma and gamma != 0
+    return (n, gamma, type(gamma), orthogonal, diag == gamma, anti == gamma, magic,
+            distinct == n * n, distinct, pairs, squares, tuple(type(x) for _, x in cells))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_verify_fields_match_plain_loops_on_fixtures(name):
+    m = load_fixture(name)
+    for variant in (m, _as_ints(m)):
+        assert _fields(verify(variant)) == _plain_fields(variant)
+
+
+_entry = st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+_mixed_inputs = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(_entry, min_size=n, max_size=n), min_size=n, max_size=n,
+).map(Matrix.from_rows))
+
+
+@settings(max_examples=150)
+@given(st.one_of(_mixed_inputs, _orthogonal_inputs, _orthogonal_inputs.map(_as_fractions)))
+@example(Matrix.from_rows([[1, 2], [3, 4]]))  # not orthogonal
+@example(Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))  # gamma = 0, duplicates
+@example(Matrix.from_rows([[1, -1], [1, 1]]))  # orthogonal, all squares equal
+@example(Matrix.from_rows([[Fraction(2), -2], [2, Fraction(2)]]))  # int and Fraction squares collide
+def test_verify_fields_match_plain_loops(m):
+    assert _fields(verify(m)) == _plain_fields(m)
