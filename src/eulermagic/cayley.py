@@ -29,10 +29,8 @@ from .matrices import (
     determinant,
     identity,
     mat_add,
-    mat_inverse,
     mat_mul,
     mat_scale,
-    mat_sub,
     transpose,
 )
 from .poly import MultiPoly
@@ -96,6 +94,14 @@ def cayley_integer(d: int, s_int: Sequence[Sequence[int]]) -> Tuple[List[List[in
             for i, r in enumerate(adj)], det
 
 
+def _cayley_cleared(m: Matrix) -> Tuple[Matrix, int]:
+    """cayley_integer on d * m, with d the lcm of the denominators of a square m."""
+    n = m.rows
+    d, flat = clear_denominators([x for r in m.entries for x in r])
+    p, det = cayley_integer(d, [flat[i:i + n] for i in range(0, n * n, n)])
+    return Matrix(n, n, p), det
+
+
 def cayley_scaled(s: Matrix) -> Tuple[Matrix, int]:
     """(P, det) with integer P = det * cayley(S) and det > 0, for rational skew S.
 
@@ -107,11 +113,9 @@ def cayley_scaled(s: Matrix) -> Tuple[Matrix, int]:
     """
     if not is_skew(s):
         raise ValueError("input is not skew-symmetric")
-    n = s.rows
-    d, flat = clear_denominators([x for r in s.entries for x in r])
-    p, det = cayley_integer(d, [flat[i:i + n] for i in range(0, n * n, n)])
+    p, det = _cayley_cleared(s)
     assert det > 0, "det(I + S) <= 0 for a skew S"
-    return Matrix(n, n, p), det
+    return p, det
 
 
 def cayley(s: Matrix) -> Matrix:
@@ -121,18 +125,17 @@ def cayley(s: Matrix) -> Matrix:
 
 
 def inverse_cayley(m: Matrix) -> Matrix:
-    """The skew matrix S with cayley(S) = m, for orthogonal m without eigenvalue -1."""
+    """The skew matrix S with cayley(S) = m, for orthogonal m without eigenvalue -1:
+    the Cayley map is an involution, so S = (I - m)(I + m)^(-1)."""
     if not m.is_square():
         raise ValueError("input must be square")
-    n = m.rows
-    if mat_mul(m, transpose(m)) != identity(n):
+    if mat_mul(m, transpose(m)) != identity(m.rows):
         raise ValueError("input is not orthogonal")
     try:
-        inv = mat_inverse(mat_add(identity(n), m))
+        p, det = _cayley_cleared(m)
     except SingularMatrixError:
         raise ValueError("minus-one eigenvalue: I + M is singular") from None
-    s = mat_mul(mat_sub(identity(n), m), inv)
-    return s
+    return Matrix(p.rows, p.cols, tuple(tuple(Fraction(x, det) for x in r) for r in p.entries))
 
 
 def sign_diagonal(m: Matrix) -> Matrix:

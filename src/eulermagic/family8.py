@@ -311,6 +311,16 @@ def _linear_factors(gram: Sequence[Vector]) -> Optional[Tuple[Vector, Vector]]:
     return _line_key(l1), _line_key(l2)
 
 
+def _pair_vectors(entries: Sequence[Vector]):
+    """(first, second, relation, vector) for every entry pair: all differences
+    in combinations order, then all sums."""
+    positions = [(x // 8 + 1, x % 8 + 1) for x in range(64)]
+    for relation, sign in (("difference", -1), ("sum", 1)):
+        for x, y in combinations(range(64), 2):
+            yield (positions[x], positions[y], relation,
+                   tuple([a + sign * b for a, b in zip(entries[x], entries[y])]))
+
+
 def improper_witnesses(left: Sequence[object]) -> WitnessReport:
     """Entry-difference witnesses showing a left tuple cannot give a proper M.
 
@@ -322,43 +332,33 @@ def improper_witnesses(left: Sequence[object]) -> WitnessReport:
         entry-pair forms, any Euler magic specialization kills one factor and
         hence collides two entry squares (the all +-1 left tuples).
 
-    The scan works on the integer linear forms of integer_forms: the 4,032
-    pair sums and differences are keyed up to a scalar, and A is factored
-    once from its Gram matrix; its two lines are then looked up among the
-    pair forms.  A square c * l^2 reports the same pair twice.
+    entries_distinct decides the first layer.  Otherwise A is factored once
+    from its Gram matrix, and only when it splits are the 4,032 pair sums and
+    differences of integer_forms keyed up to a scalar, to find the first pair
+    on each of its two lines.  A square c * l^2 reports the same pair twice.
     """
     left = _require_numeric_left(left)
     forms = integer_forms(left)
-    positions = [(x // 8 + 1, x % 8 + 1) for x in range(64)]
-    collisions: List[Witness] = []
-    # line key -> its first pair in scan order: (order, pos1, pos2, relation, vector)
-    pair_lines: Dict[Vector, Tuple[int, Position, Position, str, Vector]] = {}
-    for relation, sign in (("difference", -1), ("sum", 1)):
-        for x, y in combinations(range(64), 2):
-            vec = tuple([a + sign * b for a, b in zip(forms.entries[x], forms.entries[y])])
-            if not any(vec):
-                collisions.append(Witness("identical-squares", positions[x], positions[y],
-                                          relation, MultiPoly.zero(RIGHT_VARS)))
-                continue
-            key = _line_key(vec)
-            if key not in pair_lines:
-                pair_lines[key] = (len(pair_lines), positions[x], positions[y], relation, vec)
-    if collisions:
-        return WitnessReport(left, tuple(collisions), False, True)
+    if not entries_distinct(left):
+        return WitnessReport(left, tuple(
+            Witness("identical-squares", pos1, pos2, relation, MultiPoly.zero(RIGHT_VARS))
+            for pos1, pos2, relation, vec in _pair_vectors(forms.entries) if not any(vec)
+        ), False, True)
 
-    factor_witnesses: Tuple[Witness, ...] = ()
+    witnesses: Tuple[Witness, ...] = ()
     lines = _linear_factors(forms.gram_a)
-    if lines is not None and all(key in pair_lines for key in lines):
-        factor_witnesses = tuple(
-            Witness("factor-of-A", pos1, pos2, relation, _linear_poly(vec, forms.scale))
-            for _, pos1, pos2, relation, vec in sorted(pair_lines[key] for key in lines)
-        )
-    return WitnessReport(
-        left=left,
-        witnesses=factor_witnesses,
-        polynomial_matrix_proper=True,
-        properness_obstructed=bool(factor_witnesses),
-    )
+    if lines is not None:
+        first: Dict[Vector, Witness] = {}  # line key -> its first pair in scan order
+        for pos1, pos2, relation, vec in _pair_vectors(forms.entries):
+            key = _line_key(vec)
+            if key in lines and key not in first:
+                first[key] = Witness("factor-of-A", pos1, pos2, relation,
+                                     _linear_poly(vec, forms.scale))
+        if len(first) == len(set(lines)):
+            witnesses = tuple(first.values())
+            if len(witnesses) == 1:  # A = c * l^2
+                witnesses *= 2
+    return WitnessReport(left, witnesses, True, bool(witnesses))
 
 
 # ----------------------------------------------------------------------

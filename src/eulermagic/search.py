@@ -324,11 +324,6 @@ def _point_solve(tables, nu: int, du: int, nv: int, dv: int):
     return common, near, False
 
 
-def _search8_check_point(tables, nu: int, du: int, nv: int, dv: int):
-    """(list of w hits, near_miss flag) of _point_solve."""
-    return _point_solve(tables, nu, du, nv, dv)[:2]
-
-
 def _search8_grid_chunk(left, partial, tables, points):
     """points: list of (sample_index, nu, du, nv, dv) with u = nu/du and
     v = nv/dv.  Returns (candidates, hits, near misses, full lines)."""

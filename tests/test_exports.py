@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -20,3 +21,26 @@ def test_advertised_names_resolve():
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert len(names) > 50
     assert [name for name in names if not hasattr(eulermagic, name)] == []
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/tracer.py wraps these by name in traced benchmark runs;
+    # loading it is enough, install() would patch the modules
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(module, attr) for _, module, attr, _ in tracer.LAYERS] + [
+        ("eulermagic.family8", "w1_coefficient_checker"),
+        ("eulermagic.poly", "MultiPoly.substitute"),
+        ("eulermagic.poly", "MultiPoly.__post_init__"),
+    ]
+    assert len(names) > 10
+    missing = []
+    for module, attr in names:
+        value = importlib.import_module(module)
+        for part in attr.split("."):
+            value = getattr(value, part, None)
+        if not callable(value):
+            missing.append((module, attr))
+    assert missing == []

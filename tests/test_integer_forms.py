@@ -15,7 +15,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eulermagic import cli
+from eulermagic import cli, family8
 from eulermagic.family8 import (
     FAMILY_LEFT,
     _linear_factors,
@@ -37,7 +37,7 @@ from eulermagic.poly import MultiPoly
 from eulermagic.search import (
     SearchConfig,
     _merge_parts,
-    _search8_check_point,
+    _point_solve,
     _search8_grid_chunk,
     _uvw_tables,
     _w_roots,
@@ -258,6 +258,21 @@ def test_witness_scan_reports_factor_witnesses_on_unit_tuples():
         assert [w[0] for w in witnesses] == ["factor-of-A", "factor-of-A"]
 
 
+def test_witness_scan_keys_pair_lines_only_when_a_splits(monkeypatch):
+    calls = []
+    line_key = family8._line_key
+    monkeypatch.setattr(family8, "_line_key", lambda vec: calls.append(vec) or line_key(vec))
+    # proper lefts whose A does not split: no pair line is keyed
+    for left in (WORKED_LEFT, FAMILY_LEFT):
+        assert improper_witnesses(left).witnesses == ()
+    assert calls == []
+    # A splits on the all +-1 tuples, and the scan still finds both factors
+    for left in ((1,) * 8, (1, 1, 1, 1, 1, 1, 1, -1), (1, -1, 1, -1, 1, -1, 1, -1)):
+        kinds = [w.kind for w in improper_witnesses(left).witnesses]
+        assert kinds == ["factor-of-A", "factor-of-A"]
+    assert calls
+
+
 # ----------------------------------------------------------------------
 # the per-point w-solve against MultiPoly substitution
 # ----------------------------------------------------------------------
@@ -287,17 +302,17 @@ def _reference_point(left, partial, u, v):
         roots.append(_reference_w_roots(poly))
     roots_a, roots_b = roots
     if roots_a is None and roots_b is None:
-        return [], False
+        return [], False, True
     if roots_a is None or roots_b is None:
-        return (roots_b if roots_a is None else roots_a), False
+        return (roots_b if roots_a is None else roots_a), False, False
     common = sorted(set(roots_a) & set(roots_b))
-    return common, bool(set(roots_a) | set(roots_b)) and not common
+    return common, bool(set(roots_a) | set(roots_b)) and not common, False
 
 
 def _integer_point(left, partial, u, v):
     tables = _uvw_tables(integer_forms(left), [Fraction(x) for x in partial])
     u, v = Fraction(u), Fraction(v)
-    return _search8_check_point(tables, u.numerator, u.denominator, v.numerator, v.denominator)
+    return _point_solve(tables, u.numerator, u.denominator, v.numerator, v.denominator)
 
 
 _rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -323,10 +338,10 @@ def test_w_solve_matches_multipoly_substitution(left, partial, u, v):
 def test_w_solve_full_line_branches():
     # A = 8(h^2 - a^2) w^2 at p..v = 0, so h = a leaves only B's roots
     tables = _uvw_tables(integer_forms((1, 0, 0, 0, 0, 0, 0, 1)), [Fraction(0)] * 5)
-    assert _search8_check_point(tables, 0, 1, 0, 1) == ([Fraction(0)], False)
+    assert _point_solve(tables, 0, 1, 0, 1) == ([Fraction(0)], False, False)
     tables = _uvw_tables(integer_forms((0,) * 8), [Fraction(1)] * 5)
     assert tables == ((), ())
-    assert _search8_check_point(tables, 1, 2, 3, 4) == ([], False)
+    assert _point_solve(tables, 1, 2, 3, 4) == ([], False, True)
 
 
 def test_grid_chunk_counts_full_lines():
@@ -361,8 +376,9 @@ def test_w_roots_cases():
 
 
 def test_worked_solution_is_a_root_of_both_forms():
-    ws, near = _integer_point(WORKED_LEFT, WORKED_PARTIAL, Fraction(13, 15), Fraction(-14, 15))
-    assert Fraction(-23, 5) in ws and not near
+    ws, near, full = _integer_point(WORKED_LEFT, WORKED_PARTIAL,
+                                    Fraction(13, 15), Fraction(-14, 15))
+    assert Fraction(-23, 5) in ws and not near and not full
 
 
 def _reference_entries_proper(left, partial):
