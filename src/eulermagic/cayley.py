@@ -40,7 +40,6 @@ __all__ = [
     "skew3",
     "is_skew",
     "cayley",
-    "cayley_scaled",
     "cayley_integer",
     "inverse_cayley",
     "sign_diagonal",
@@ -59,14 +58,14 @@ def skew_from_upper(n: int, values: Sequence[object]) -> Matrix:
     expected = n * (n - 1) // 2
     if len(values) != expected:
         raise ValueError(f"need {expected} upper-triangle values for n={n}, got {len(values)}")
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     it = iter(values)
     for i in range(n):
         for j in range(i + 1, n):
             v = next(it)
             rows[i][j] = v
             rows[j][i] = -v
-    return Matrix.from_rows(rows)
+    return Matrix(n, n, rows)
 
 
 def skew3(a, b, c) -> Matrix:
@@ -94,34 +93,28 @@ def cayley_integer(d: int, s_int: Sequence[Sequence[int]]) -> Tuple[List[List[in
             for i, r in enumerate(adj)], det
 
 
-def _cayley_cleared(m: Matrix) -> Tuple[Matrix, int]:
-    """cayley_integer on d * m, with d the lcm of the denominators of a square m."""
+def _cayley_map(m: Matrix) -> Matrix:
+    """(I - m)(I + m)^(-1) as Fractions: cayley_integer on d * m, with d the
+    lcm of the denominators of a square m, divided by det = d^n * det(I + m).
+
+    det > 0 for both callers.  For skew S the eigenvalues are 0 and pairs
+    +-ib, so det(I + S) is a product of factors 1 + b^2.  For orthogonal M
+    with I + M nonsingular every eigenvalue is 1 or one of a pair e^(+-i theta)
+    with theta != pi, so det(I + M) is a product of 2s and of factors
+    2 + 2 cos theta, all positive.
+    """
     n = m.rows
     d, flat = clear_denominators([x for r in m.entries for x in r])
     p, det = cayley_integer(d, [flat[i:i + n] for i in range(0, n * n, n)])
-    return Matrix(n, n, p), det
-
-
-def cayley_scaled(s: Matrix) -> Tuple[Matrix, int]:
-    """(P, det) with integer P = det * cayley(S) and det > 0, for rational skew S.
-
-    With d the lcm of the denominators of S and S_int = d * S, cayley_integer
-    gives P = (dI - S_int) * adj(dI + S_int) in integer arithmetic, and
-    det = det(dI + S_int) = d^n * det(I + S).  det(I + S) is positive for real
-    skew S: the eigenvalues of S are 0 and conjugate pairs +-ib, so it is a
-    product of factors 1 + b^2.
-    """
-    if not is_skew(s):
-        raise ValueError("input is not skew-symmetric")
-    p, det = _cayley_cleared(s)
-    assert det > 0, "det(I + S) <= 0 for a skew S"
-    return p, det
+    assert det > 0, "det(I + m) <= 0"
+    return Matrix(n, n, [[Fraction(x, det) for x in r] for r in p])
 
 
 def cayley(s: Matrix) -> Matrix:
     """(I - S)(I + S)^(-1); exact, orthogonal for every rational skew S."""
-    p, det = cayley_scaled(s)
-    return Matrix(p.rows, p.cols, tuple(tuple(Fraction(x, det) for x in r) for r in p.entries))
+    if not is_skew(s):
+        raise ValueError("input is not skew-symmetric")
+    return _cayley_map(s)
 
 
 def inverse_cayley(m: Matrix) -> Matrix:
@@ -132,10 +125,9 @@ def inverse_cayley(m: Matrix) -> Matrix:
     if mat_mul(m, transpose(m)) != identity(m.rows):
         raise ValueError("input is not orthogonal")
     try:
-        p, det = _cayley_cleared(m)
+        return _cayley_map(m)
     except SingularMatrixError:
         raise ValueError("minus-one eigenvalue: I + M is singular") from None
-    return Matrix(p.rows, p.cols, tuple(tuple(Fraction(x, det) for x in r) for r in p.entries))
 
 
 def sign_diagonal(m: Matrix) -> Matrix:

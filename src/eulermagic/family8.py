@@ -454,12 +454,10 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
     left = _require_numeric_left(left)
     if not w1_check(left):
         raise ValueError("left tuple does not satisfy the degree-one restriction")
-    a, b, c, d, e, f_, g, h = left
-    if a * g + b * h != 0:
-        solve_var = "q"
-    elif -a * b + g * h != 0:
-        solve_var = "v"
-    else:
+    pivots = {name: s1 * left[i] * left[j] + s2 * left[k] * left[l]
+              for name, (i, j, s1), (k, l, s2) in _P2_PATTERN}
+    solve_var = next((name for name in ("q", "v") if pivots[name] != 0), None)
+    if solve_var is None:
         return SolveChainResult(
             ok=False,
             failure_reason="step 1: both q and v coefficients vanish (b = g = 0)",

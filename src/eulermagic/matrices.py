@@ -224,10 +224,10 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 def rescale_primitive(a: Matrix) -> Matrix:
     """The positive rescaling of a rational matrix to integer entries with gcd 1."""
-    if all(x == 0 for r in a.entries for x in r):
-        raise ValueError("cannot rescale the zero matrix")
     _, ints = clear_denominators([x for r in a.entries for x in r])
     g = gcd(*ints)
+    if g == 0:
+        raise ValueError("cannot rescale the zero matrix")
     c = a.cols
     return Matrix(a.rows, c, tuple(
         tuple(x // g for x in ints[i:i + c]) for i in range(0, len(ints), c)))

@@ -27,11 +27,10 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import inf, isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cayley import cayley_integer
+from .cayley import cayley_integer, skew_from_upper
 from .family8 import (
     IntegerForms,
     entries_distinct,
@@ -180,9 +179,9 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-def _map_chunks(func, args: tuple, items: list, workers: int) -> list:
-    """[func(*args, chunk)] over strided chunks of items, one per process of a
-    pool of min(workers, CPU count, len(items)); no pool for a single chunk."""
+def _map_chunks(func, args: tuple, items: range, workers: int) -> list:
+    """[func(*args, chunk)] over strided slices of the range items, one per process
+    of a pool of min(workers, CPU count, len(items)); no pool for a single chunk."""
     size = min(workers, os.cpu_count() or 1, len(items))
     if size <= 1:
         return [func(*args, items)]
@@ -200,14 +199,8 @@ def _search5_primitive(params: Sequence[Fraction]) -> Matrix:
     """The primitive integer matrix of cayley(S), for the 5x5 skew S with
     strict upper triangle params, computed in integers only."""
     d, upper = clear_denominators(params)
-    s_int = [[0] * 5 for _ in range(5)]
-    values = iter(upper)
-    for i in range(5):
-        for j in range(i + 1, 5):
-            s_int[i][j] = v = next(values)
-            s_int[j][i] = -v
     # P is a positive multiple of cayley(S), so it has the same primitive matrix
-    scaled, _ = cayley_integer(d, s_int)
+    scaled, _ = cayley_integer(d, skew_from_upper(5, upper).entries)
     return rescale_primitive(Matrix(5, 5, scaled))
 
 
@@ -248,7 +241,7 @@ def search5_cayley(config: SearchConfig, workers: int = 1) -> SearchResult:
     results for any worker count.
     """
     _check_workers(workers)
-    indices = list(range(config.max_iterations))
+    indices = range(config.max_iterations)
     parts = _map_chunks(_search5_run_indices, (config,), indices, workers)
     return _merge_parts(parts, len(indices))
 
@@ -324,12 +317,16 @@ def _point_solve(tables, nu: int, du: int, nv: int, dv: int):
     return common, near, False
 
 
-def _search8_grid_chunk(left, partial, tables, points):
-    """points: list of (sample_index, nu, du, nv, dv) with u = nu/du and
-    v = nv/dv.  Returns (candidates, hits, near misses, full lines)."""
+def _search8_grid_chunk(left, partial, tables, us, vs, first, indices):
+    """Grid point n of indices is u = nu/du = us[n // len(vs)] and v = nv/dv =
+    vs[n % len(vs)], given as integer (numerator, denominator) pairs, with
+    sample index first + n.  Returns (candidates, hits, near misses, full
+    lines)."""
     candidates: List[Candidate] = []
     hits = near_misses = full_lines = 0
-    for index, nu, du, nv, dv in points:
+    for n in indices:
+        i, j = divmod(n, len(vs))
+        (nu, du), (nv, dv) = us[i], vs[j]
         ws, near, full = _point_solve(tables, nu, du, nv, dv)
         near_misses += near
         full_lines += full
@@ -339,7 +336,7 @@ def _search8_grid_chunk(left, partial, tables, points):
             _, primitive, report = verified_product(left, right)
             if not report.is_euler_magic:
                 raise RuntimeError("internal error: solved point failed verification")
-            candidates.append(_make_candidate(index, right, primitive, report))
+            candidates.append(_make_candidate(first + n, right, primitive, report))
             hits += 1
     return candidates, hits, near_misses, full_lines
 
@@ -377,22 +374,25 @@ def search8_seeded(
     parts = []
     if supplied is not None:
         u, v, w = (Fraction(x) for x in supplied)
-        point = (0, u.numerator, u.denominator, v.numerator, v.denominator)
-        got, _, near, _ = _search8_grid_chunk(left, partial, tables, [point])
+        got, _, near, _ = _search8_grid_chunk(
+            left, partial, tables, [(u.numerator, u.denominator)],
+            [(v.numerator, v.denominator)], 0, range(1))
         kept = [c for c in got if c.source_params[7] == w]
         if not kept:
             raise ValueError("supplied solution does not satisfy the diagonal conditions")
         parts.append((kept, len(kept), near, 0))
     first = len(parts)  # the grid's first sample index
-    points = []
+    points = range(0)
     if height > 0:
         cu, cv = (Fraction(0), Fraction(0)) if center is None else (
             Fraction(center[0]), Fraction(center[1]))
         offsets = _bounded_height_offsets(height)
-        grid = product([cu + x for x in offsets], [cv + x for x in offsets])
-        points = [(first + n, u.numerator, u.denominator, v.numerator, v.denominator)
-                  for n, (u, v) in enumerate(grid)]
-        parts += _map_chunks(_search8_grid_chunk, (left, partial, tables), points, workers)
+        us, vs = ([(y.numerator, y.denominator) for y in (c + x for x in offsets)]
+                  for c in (cu, cv))
+        # the grid us x vs, u outer, as an index range
+        points = range(len(us) * len(vs))
+        parts += _map_chunks(_search8_grid_chunk, (left, partial, tables, us, vs, first),
+                             points, workers)
     return _merge_parts(parts, first + len(points))
 
 

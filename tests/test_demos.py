@@ -1,5 +1,7 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/ runs to completion against the package in src/ and
+prints exactly the pinned bytes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,18 +12,29 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# SHA-256 of each demo's stdout; the output holds no paths and does not
+# depend on the working directory
+STDOUT_SHA256 = {
+    "reproduce_showcase.py":
+        "b9a8ac06ff2d5ff37e007a93c4719f3b8c430630c4f56176974ff1aa61d01bd1",
+    "search_walkthrough.py":
+        "d506fce96f68b342738473329f3bd1934de87c5294e3d482d3c98c7f41ee9f6c",
+    "three_by_three_certificate.py":
+        "cbe68d0ec9f4bc1098c2548881a9d88585dcb2f8a92cd77cbc055c8c2a822d58",
+}
+
 
 def test_demos_found():
-    assert {"reproduce_showcase.py", "search_walkthrough.py",
-            "three_by_three_certificate.py"} <= {p.name for p in DEMOS}
+    assert {p.name for p in DEMOS} == set(STDOUT_SHA256)
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_zero(script):
+@pytest.mark.parametrize("name, digest", [
+    pytest.param(name, digest, id=name) for name, digest in STDOUT_SHA256.items()])
+def test_demo_exits_zero(name, digest):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == digest

@@ -1,9 +1,9 @@
 """The fraction-free Bareiss and Cayley layer against sympy oracles.
 
-bareiss_adjugate, mat_inverse, determinant and cayley_scaled run on integer
-Bareiss elimination.  sympy (used here only) recomputes determinants,
-inverses and Cayley transforms with its own rational arithmetic, sharing no
-code with the package.
+bareiss_adjugate, mat_inverse, determinant and cayley_integer (behind cayley
+and inverse_cayley) run on integer Bareiss elimination.  sympy (used here
+only) recomputes determinants, inverses and Cayley transforms with its own
+rational arithmetic, sharing no code with the package.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eulermagic.cayley import cayley, cayley_scaled, skew_from_upper
+from eulermagic.cayley import cayley, cayley_integer, skew_from_upper
 from eulermagic.matrices import (
     Matrix,
     SingularMatrixError,
@@ -88,17 +88,17 @@ def test_cayley_matches_sympy(s):
 
 @settings(max_examples=30)
 @given(_skew(7))
-def test_cayley_scaled_is_a_positive_multiple(s):
-    p, det = cayley_scaled(s)
+def test_cayley_integer_is_a_positive_multiple(s):
     n = s.rows
     d = lcm(*(x.denominator for r in s.entries for x in r))
+    p, det = cayley_integer(d, [[int(d * x) for x in r] for r in s.entries])
     assert det > 0
     assert det == d**n * (sympy.eye(n) + _to_sympy(s.entries)).det()
-    assert p.is_integer()
+    assert all(isinstance(x, int) for r in p for x in r)
     m = cayley(s)
-    assert all(Fraction(x, det) == y for rp, rm in zip(p.entries, m.entries)
+    assert all(Fraction(x, det) == y for rp, rm in zip(p, m.entries)
                for x, y in zip(rp, rm))
-    assert rescale_primitive(m) == rescale_primitive(p)
+    assert rescale_primitive(m) == rescale_primitive(Matrix(n, n, p))
 
 
 @settings(max_examples=40)

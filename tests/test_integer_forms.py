@@ -350,9 +350,11 @@ def test_grid_chunk_counts_full_lines():
     left, partial = (0,) * 8, (Fraction(1),) * 5
     tables = _uvw_tables(integer_forms(left), partial)
     assert tables == ((), ())
-    points = [(0, 1, 2, 3, 4), (1, 0, 1, 0, 1), (2, -5, 3, 7, 2)]
-    assert _search8_grid_chunk(left, partial, tables, points) == ([], 0, 0, 3)
-    parts = [_search8_grid_chunk(left, partial, tables, points[k::2]) for k in range(2)]
+    us, vs = [(1, 2), (0, 1), (-5, 3)], [(3, 4)]
+    points = range(3)
+    assert _search8_grid_chunk(left, partial, tables, us, vs, 0, points) == ([], 0, 0, 3)
+    parts = [_search8_grid_chunk(left, partial, tables, us, vs, 0, points[k::2])
+             for k in range(2)]
     merged = _merge_parts(parts, len(points))
     assert (merged.hits, merged.near_misses, merged.full_lines) == (0, 0, 3)
     assert merged == _merge_parts(parts[::-1], len(points))

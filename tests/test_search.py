@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from eulermagic import search
-from eulermagic.cayley import cayley, cayley_scaled, inverse_cayley, ortho_reduce, skew_from_upper
+from eulermagic.cayley import (
+    cayley,
+    cayley_integer,
+    inverse_cayley,
+    ortho_reduce,
+    skew_from_upper,
+)
 from eulermagic.matrices import Matrix, mat_mul, mat_scale, rescale_primitive
 from eulermagic.octonion import left_matrix, right_matrix
 from eulermagic.search import (
@@ -131,9 +137,9 @@ def test_search5_known_near_miss():
 def test_search5_verifies_every_sample_at_unit_bounds(monkeypatch):
     # bounds 1/1 draw every skew entry from {-1, 0, 1}, the all-zero S among
     # them; its Cayley transform is I, and no sample may be dropped
-    scaled, det = cayley_scaled(skew_from_upper(5, [0] * 10))
+    scaled, det = cayley_integer(1, skew_from_upper(5, [0] * 10).entries)
     assert det == 1
-    assert rescale_primitive(scaled) == Matrix.from_rows(
+    assert rescale_primitive(Matrix(5, 5, scaled)) == Matrix.from_rows(
         [[int(i == j) for j in range(5)] for i in range(5)])
     verified = []
 
@@ -183,6 +189,35 @@ def test_search5_sampler_matches_public_cayley(monkeypatch, numerator_bound,
         rng = Xorshift64Star(stream_seed(config.seed, index))
         params = [rng.rational(numerator_bound, denominator_bound) for _ in range(10)]
         assert m == rescale_primitive(cayley(skew_from_upper(5, params)))
+
+
+def test_search5_fills_each_skew_matrix_with_skew_from_upper(monkeypatch):
+    # the parameter order of the skew matrix is written once, in skew_from_upper
+    calls = []
+
+    def counting_skew_from_upper(n, values):
+        calls.append(n)
+        return skew_from_upper(n, values)
+
+    monkeypatch.setattr(search, "skew_from_upper", counting_skew_from_upper)
+    search5_cayley(SearchConfig(seed=3, max_iterations=3))
+    assert calls == [5, 5, 5]
+
+
+def test_searches_hand_workers_index_ranges(monkeypatch):
+    # neither search materialises its samples or grid points as a list
+    seen = []
+    map_chunks = search._map_chunks
+
+    def recording_map_chunks(func, args, items, workers):
+        seen.append(items)
+        return map_chunks(func, args, items, workers)
+
+    monkeypatch.setattr(search, "_map_chunks", recording_map_chunks)
+    search5_cayley(SearchConfig(seed=3, max_iterations=7), workers=2)
+    search8_seeded(WORKED_LEFT, WORKED_PARTIAL, supplied=WORKED_SOLUTION, height=1)
+    assert [type(items) for items in seen] == [range, range]
+    assert seen == [range(7), range(len(_bounded_height_offsets(1)) ** 2)]
 
 
 def test_search8_supplied_solution():
