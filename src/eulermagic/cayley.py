@@ -52,9 +52,9 @@ __all__ = [
 ]
 
 
-def skew_from_upper(n: int, values: Sequence[object]) -> Matrix:
-    """Skew-symmetric n x n matrix from its strict upper triangle, row by row."""
-    values = list(values)
+def _skew_rows(n: int, values: Sequence[object]) -> List[List[object]]:
+    """The rows of the skew-symmetric n x n matrix with strict upper triangle
+    values, row by row: the one place that fixes the parameter order."""
     expected = n * (n - 1) // 2
     if len(values) != expected:
         raise ValueError(f"need {expected} upper-triangle values for n={n}, got {len(values)}")
@@ -65,7 +65,12 @@ def skew_from_upper(n: int, values: Sequence[object]) -> Matrix:
             v = next(it)
             rows[i][j] = v
             rows[j][i] = -v
-    return Matrix(n, n, rows)
+    return rows
+
+
+def skew_from_upper(n: int, values: Sequence[object]) -> Matrix:
+    """Skew-symmetric n x n matrix from its strict upper triangle, row by row."""
+    return Matrix(n, n, _skew_rows(n, list(values)))
 
 
 def skew3(a, b, c) -> Matrix:

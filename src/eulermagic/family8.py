@@ -367,8 +367,8 @@ def improper_witnesses(left: Sequence[object]) -> WitnessReport:
 
 def w1_check(left: Sequence[object]) -> bool:
     """h = +-a != 0 and b^2+c^2+d^2+e^2+f^2+g^2 = 6 a^2."""
-    left = _require_numeric_left(left)
-    a, b, c, d, e, f, g, h = left
+    # clearing denominators scales every value by one positive integer
+    a, b, c, d, e, f, g, h = clear_denominators(_require_numeric_left(left))[1]
     if a == 0 or (h != a and h != -a):
         return False
     return b * b + c * c + d * d + e * e + f * f + g * g == 6 * a * a
@@ -380,26 +380,33 @@ def enumerate_w1(a_max: int) -> List[Tuple[int, ...]]:
 
     Canonical form: a > 0 and gcd of all eight entries equal to 1; both signs
     of h and all sign/position variants of b..g appear as separate tuples.
+
+    Meet in the middle: the triples (b, c, d) with b^2 + c^2 + d^2 <= 6a^2
+    are listed in lexicographic order and indexed by their square sum; each
+    is paired with the triples (e, f, g) of the complementary sum, which are
+    in lexicographic order too, so the tuples come out sorted.
     """
     if a_max < 1:
         raise ValueError("a_max must be at least 1")
-    solutions: List[Tuple[int, ...]] = []
-
-    def extend(prefix: Tuple[int, ...], remaining: int) -> None:
-        # b..g with b^2 + ... + g^2 = 6a^2: each value is bounded by the
-        # square root of what is left, and the last one is that root
-        root = isqrt(remaining)
-        if len(prefix) == 6:
-            if root * root == remaining:
-                solutions.extend((*prefix, v) for v in ((-root, root) if root else (0,)))
-            return
-        for v in range(-root, root + 1):
-            extend((*prefix, v), remaining - v * v)
-
+    out: List[Tuple[int, ...]] = []
     for a in range(1, a_max + 1):
-        extend((a,), 6 * a * a)
-    out = [(*tup, h) for tup in solutions if gcd(*tup) == 1 for h in (-tup[0], tup[0])]
-    out.sort()
+        total = 6 * a * a
+        triples: List[Tuple[int, Tuple[int, int, int]]] = []
+        by_sum: Dict[int, List[Tuple[int, int, int]]] = {}
+        root_b = isqrt(total)
+        for b in range(-root_b, root_b + 1):
+            root_c = isqrt(total - b * b)
+            for c in range(-root_c, root_c + 1):
+                root_d = isqrt(total - b * b - c * c)
+                for d in range(-root_d, root_d + 1):
+                    s = b * b + c * c + d * d
+                    triples.append((s, (b, c, d)))
+                    by_sum.setdefault(s, []).append((b, c, d))
+        for s, first in triples:
+            head = gcd(a, *first)
+            for second in by_sum.get(total - s, ()):
+                if head == 1 or gcd(head, *second) == 1:
+                    out += [(a, *first, *second, -a), (a, *first, *second, a)]
     return out
 
 
@@ -614,18 +621,46 @@ def _w1_residuals() -> List[MultiPoly]:
     return residuals
 
 
-def _horner(terms: Sequence[Tuple[Vector, int]]) -> str:
-    """Python source for a nonempty sum of (exponents over a..h, integer
-    coefficient) terms in greedy multivariate Horner form: the variable in the
-    most terms is factored out of them once, and both parts recurse."""
+Term = Tuple[Vector, int]  # (exponents over a..h, integer coefficient)
+
+
+def _horner(terms: Sequence[Term], shared: Dict[Tuple[Term, ...], str],
+            lines: List[str]) -> str:
+    """Python source for a nonempty sum of terms in greedy multivariate
+    Horner form: the variable in the most terms is factored out of them once,
+    and both parts recurse.
+
+    Each part of two or more terms is divided by its content, the gcd of its
+    coefficients with the sign of its first term in descending exponent
+    order.  The primitive part is assigned once to a local _tN, appended to
+    lines, and keyed in shared, so a later part with the same primitive part
+    up to content reads the local instead of recomputing it.
+    """
     counts = [sum(1 for exps, _ in terms if exps[k]) for k in range(8)]
     k = max(range(8), key=counts.__getitem__)
     if not counts[k]:  # only the constant term is left
         return str(terms[0][1])
     inner = [(exps[:k] + (exps[k] - 1,) + exps[k + 1:], c) for exps, c in terms if exps[k]]
     rest = [term for term in terms if not term[0][k]]
-    source = f"{LEFT_VARS[k]}*({_horner(inner)})"
-    return f"{source} + {_horner(rest)}" if rest else source
+    source = f"{LEFT_VARS[k]}*({_shared_part(inner, shared, lines)})"
+    return f"{source} + {_shared_part(rest, shared, lines)}" if rest else source
+
+
+def _shared_part(terms: Sequence[Term], shared: Dict[Tuple[Term, ...], str],
+                 lines: List[str]) -> str:
+    """_horner of one term, or content times the local holding the
+    primitive part of two or more."""
+    if len(terms) == 1:
+        return _horner(terms, shared, lines)
+    terms = sorted(terms, reverse=True)
+    content = gcd(*(c for _, c in terms)) * (1 if terms[0][1] > 0 else -1)
+    key = tuple((exps, c // content) for exps, c in terms)
+    name = shared.get(key)
+    if name is None:
+        body = _horner(key, shared, lines)
+        name = shared[key] = f"_t{len(shared)}"
+        lines.append(f"{name} = {body}")
+    return name if content == 1 else f"{name}*({content})"
 
 
 def w1_coefficient_checker():
@@ -636,14 +671,17 @@ def w1_coefficient_checker():
     the p^2 coefficient equals -128 h^2 times the documented linear form:
     that each of the 8 residual polynomials of _w1_residuals vanishes.  Each
     call compiles them once to one straight-line function of integer Horner
-    expressions, one per nonzero residual, in order; a residual is never
-    simplified by the restriction, so it is evaluated in full whenever the
-    ones before it vanish.  left must hold exactly 8 integers, taken through
+    expressions, one per nonzero residual, in order.  A part shared by
+    several residuals up to content is assigned to a local once, just before
+    the first residual that uses it.  A residual is never simplified by the
+    restriction, so it is evaluated in full whenever the ones before it
+    vanish.  left must hold exactly 8 integers, taken through
     operator.index: a non-integer raises TypeError and a wrong count
     ValueError.
     """
     # the source holds only the residuals' integer coefficients and a..h
     lines = ["def check(left):", f"    {', '.join(LEFT_VARS)} = map(index, left)"]
+    shared: Dict[Tuple[Term, ...], str] = {}
     for poly in _w1_residuals():
         terms = []
         for exps, coeff in poly.terms.items():
@@ -653,7 +691,10 @@ def w1_coefficient_checker():
                 raise RuntimeError("expected integer coefficients")
             terms.append((exps[:8], coeff))
         if terms:
-            lines += [f"    if {_horner(terms)}:", "        return False"]
+            hoisted: List[str] = []
+            source = _horner(terms, shared, hoisted)
+            lines += [f"    {line}" for line in hoisted]
+            lines += [f"    if {source}:", "        return False"]
     lines.append("    return True")
     namespace = {"index": operator.index}
     exec("\n".join(lines), namespace)

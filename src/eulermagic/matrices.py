@@ -224,13 +224,14 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 def rescale_primitive(a: Matrix) -> Matrix:
     """The positive rescaling of a rational matrix to integer entries with gcd 1."""
-    _, ints = clear_denominators([x for r in a.entries for x in r])
-    g = gcd(*ints)
+    rows = a.entries
+    if {type(x) for r in rows for x in r} != {int}:
+        _, ints = clear_denominators([x for r in rows for x in r])
+        rows = [ints[i:i + a.cols] for i in range(0, len(ints), a.cols)]
+    g = gcd(*(x for r in rows for x in r))
     if g == 0:
         raise ValueError("cannot rescale the zero matrix")
-    c = a.cols
-    return Matrix(a.rows, c, tuple(
-        tuple(x // g for x in ints[i:i + c]) for i in range(0, len(ints), c)))
+    return Matrix(a.rows, a.cols, tuple(tuple(x // g for x in r) for r in rows))
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import inf, isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cayley import cayley_integer, skew_from_upper
+from .cayley import _skew_rows, cayley_integer
 from .family8 import (
     IntegerForms,
     entries_distinct,
@@ -200,7 +200,7 @@ def _search5_primitive(params: Sequence[Fraction]) -> Matrix:
     strict upper triangle params, computed in integers only."""
     d, upper = clear_denominators(params)
     # P is a positive multiple of cayley(S), so it has the same primitive matrix
-    scaled, _ = cayley_integer(d, skew_from_upper(5, upper).entries)
+    scaled, _ = cayley_integer(d, _skew_rows(5, upper))
     return rescale_primitive(Matrix(5, 5, scaled))
 
 

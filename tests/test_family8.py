@@ -10,7 +10,9 @@ from math import gcd, isqrt
 
 import pytest
 
+from eulermagic import family8
 from eulermagic.family8 import (
+    BOTH_VARS,
     FAMILY_LEFT,
     _horner,
     _w1_residuals,
@@ -29,7 +31,7 @@ from eulermagic.family8 import (
 )
 from eulermagic.matrices import Matrix, determinant, mat_mul, rescale_primitive
 from eulermagic.octonion import left_matrix, right_matrix
-from eulermagic.poly import parse_poly, quadratic_form_coeffs
+from eulermagic.poly import MultiPoly, parse_poly, quadratic_form_coeffs
 from eulermagic.search import Xorshift64Star
 from eulermagic.verify import verify
 
@@ -201,6 +203,14 @@ def test_enumerate_w1_pinned(a_max):
     assert hashlib.sha256(repr(tuples).encode()).hexdigest() == _W1_SHA256[a_max]
     if a_max < 3:
         assert tuples == _brute_force_w1(a_max)
+
+
+def test_enumerate_w1_above_the_pinned_heights():
+    # a = 4 is above the SHA-256 pins; the a <= 3 prefix is the pinned output
+    tuples, below = enumerate_w1(4), enumerate_w1(3)
+    assert len(tuples) == 350336 and tuples[:len(below)] == below
+    assert all(x < y for x, y in zip(tuples, tuples[1:]))
+    assert all(w1_check(t) and gcd(*t) == 1 for t in tuples)
 
 
 def test_enumerate_w1_counts_and_canonical_order():
@@ -382,8 +392,7 @@ def test_w1_coefficient_checker_matches_residual_eval():
     tuples in [-4, 4]^8."""
     residuals = _w1_residuals()
     assert len(residuals) == 8 and residuals[1].is_zero()
-    sources = [compile(_horner([(exps[:8], c) for exps, c in poly.terms.items()]), "<horner>",
-                       "eval") for poly in residuals if not poly.is_zero()]
+    compiled = [_compile_residual(poly) for poly in residuals if not poly.is_zero()]
     check = w1_coefficient_checker()
     rng = random.Random(2718)
     for _ in range(2000):
@@ -391,8 +400,56 @@ def test_w1_coefficient_checker_matches_residual_eval():
         names = dict(zip("abcdefgh", left))
         values = [poly.eval({**names, **dict.fromkeys(RIGHT_VARS, 0)}) for poly in residuals]
         assert check(left) is not any(values), left
-        assert [eval(source, {}, names) for source in sources] == \
+        assert [_run_residual(code, names) for code in compiled] == \
             [v for v, poly in zip(values, residuals) if not poly.is_zero()], left
+
+
+def _compile_residual(poly):
+    """One residual's own _horner source, with a fresh table of shared parts:
+    its hoisted assignments and the expression that reads them."""
+    lines = []
+    source = _horner([(exps[:8], c) for exps, c in poly.terms.items()], {}, lines)
+    return compile("\n".join(lines), "<hoisted>", "exec"), compile(source, "<horner>", "eval")
+
+
+def _run_residual(code, names):
+    hoisted, source = code
+    scope = dict(names)
+    exec(hoisted, {}, scope)
+    return eval(source, {}, scope)
+
+
+def test_w1_checker_compiles_parts_shared_up_to_content(monkeypatch):
+    """The compiler on synthetic residuals that share Q = a^2 - 2bc + 3d^2 - e
+    up to sign and content: a*Q, -3b*Q, Q + c^2, zero, and a last one."""
+    a, b, c, d, e, f, g, h = MultiPoly.variables_of(BOTH_VARS)[:8]
+    q = a * a - 2 * b * c + 3 * d * d - e
+    residuals = [a * q, -3 * b * q, q + c * c, MultiPoly.zero(BOTH_VARS), -2 * f * q + g * h]
+    terms = [[(exps[:8], coeff) for exps, coeff in poly.terms.items()] for poly in residuals]
+    shared, lines = {}, []
+    assert _horner(terms[0], shared, lines) == "a*(_t2)"  # Q, content 1, is hoisted last
+    assert len(shared) == len(lines) == 3 and lines[-1].startswith("_t2 = ")
+    later = []  # -3b*Q reads Q's local and hoists nothing
+    assert _horner(terms[1], shared, later) == "b*(_t2*(-3))" and later == []
+
+    monkeypatch.setattr(family8, "_w1_residuals", lambda: residuals)
+    check = w1_coefficient_checker()
+    rng = random.Random(1618)
+    answers = []
+    for k in range(3000):
+        left = [rng.randint(-3, 3) for _ in range(8)]
+        if k % 3 == 0:  # c = 0, Q = 0 and g = 0: every residual vanishes
+            left[2], left[4], left[6] = 0, left[0] ** 2 + 3 * left[3] ** 2, 0
+        point = {**dict(zip("abcdefgh", left)), **dict.fromkeys(RIGHT_VARS, 0)}
+        answers.append(check(left))
+        assert answers[-1] is not any(poly.eval(point) for poly in residuals), left
+    assert answers.count(True) >= 1000 and answers.count(False) >= 1000
+    # Q = 0 and c = 0, so only the last residual, g*h = 2, is nonzero
+    only_last = (1, 4, 0, 0, 1, 7, 1, 2)
+    point = {**dict(zip("abcdefgh", only_last)), **dict.fromkeys(RIGHT_VARS, 0)}
+    assert [poly.eval(point) for poly in residuals] == [0, 0, 0, 0, 2]
+    assert check(only_last) is False
+    assert check((1, 4, 0, 0, 1, 7, 0, 2)) is True
 
 
 def _digest(matrix):

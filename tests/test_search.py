@@ -7,6 +7,7 @@ import pytest
 
 from eulermagic import search
 from eulermagic.cayley import (
+    _skew_rows,
     cayley,
     cayley_integer,
     inverse_cayley,
@@ -192,14 +193,15 @@ def test_search5_sampler_matches_public_cayley(monkeypatch, numerator_bound,
 
 
 def test_search5_fills_each_skew_matrix_with_skew_from_upper(monkeypatch):
-    # the parameter order of the skew matrix is written once, in skew_from_upper
+    # the parameter order of the skew matrix is written once, in the row
+    # builder that skew_from_upper wraps
     calls = []
 
-    def counting_skew_from_upper(n, values):
+    def counting_skew_rows(n, values):
         calls.append(n)
-        return skew_from_upper(n, values)
+        return _skew_rows(n, values)
 
-    monkeypatch.setattr(search, "skew_from_upper", counting_skew_from_upper)
+    monkeypatch.setattr(search, "_skew_rows", counting_skew_rows)
     search5_cayley(SearchConfig(seed=3, max_iterations=3))
     assert calls == [5, 5, 5]
 
