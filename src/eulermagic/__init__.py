@@ -20,7 +20,6 @@ from .matrices import (
     mat_inverse,
     mat_mul,
     mat_scale,
-    mat_sub,
     matrix_from_json_dict,
     matrix_to_json_dict,
     parse_matrix_json,

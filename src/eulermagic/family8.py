@@ -79,16 +79,18 @@ _P2_PATTERN: Tuple[Tuple[str, Tuple[int, int, int], Tuple[int, int, int]], ...] 
 )
 
 
-def _require_numeric_left(left: Sequence[object]) -> Tuple[Fraction, ...]:
+def _check_left(left: Sequence[object]) -> Tuple[object, ...]:
+    """The left tuple, checked to hold exactly 8 ints or Fractions."""
     left = tuple(left)
     if len(left) != 8:
         raise ValueError(f"expected 8 left coefficients, got {len(left)}")
-    out = []
-    for x in left:
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError("left coefficients must be exact rationals")
-        out.append(Fraction(x))
-    return tuple(out)
+    if not all(isinstance(x, (int, Fraction)) for x in left):
+        raise TypeError("left coefficients must be exact rationals")
+    return left
+
+
+def _require_numeric_left(left: Sequence[object]) -> Tuple[Fraction, ...]:
+    return tuple(map(Fraction, _check_left(left)))
 
 
 @dataclass(frozen=True)
@@ -209,6 +211,32 @@ def integer_forms(left: Sequence[object]) -> IntegerForms:
     gram_b = tuple(tuple(d + a - 2 * gamma * (k == l) for l, (d, a) in enumerate(zip(*rows)))
                    for k, rows in enumerate(zip(diag, anti)))
     return IntegerForms(scale, tuple(entries), gram_a, gram_b)
+
+
+def _specialised_terms(forms: IntegerForms, right: Sequence[object]):
+    """A and B with some of p..w fixed, times a positive constant, as integer
+    terms (*exponents of the free variables, c) meaning c times that monomial.
+
+    right holds the 8 values of p..w: a rational for each fixed one and None
+    for each free one.  Clearing the fixed values' denominators by their lcm
+    den evaluates x^T G x at den * (p..w), which is A and B times
+    (scale * den)^2.  With no variable free, a form that vanishes has no term.
+    """
+    free = [k for k, x in enumerate(right) if x is None]
+    den, ifixed = clear_denominators([x for x in right if x is not None])
+    fixed = iter(ifixed)
+    # den * (p..w): (integer coefficient, exponents of the free variables)
+    coords = [(den, tuple(int(k == m) for m in free)) if x is None
+              else (next(fixed), (0,) * len(free)) for k, x in enumerate(right)]
+    tables = []
+    for gram in (forms.gram_a, forms.gram_b):
+        terms: Dict[Vector, int] = {}
+        for row, (ck, ek) in zip(gram, coords):
+            for g, (cm, em) in zip(row, coords):
+                exps = tuple(map(operator.add, ek, em))
+                terms[exps] = terms.get(exps, 0) + g * ck * cm
+        tables.append(tuple((*exps, c) for exps, c in terms.items() if c))
+    return tuple(tables)
 
 
 def verified_product(left: Sequence[object],
@@ -368,7 +396,7 @@ def improper_witnesses(left: Sequence[object]) -> WitnessReport:
 def w1_check(left: Sequence[object]) -> bool:
     """h = +-a != 0 and b^2+c^2+d^2+e^2+f^2+g^2 = 6 a^2."""
     # clearing denominators scales every value by one positive integer
-    a, b, c, d, e, f, g, h = clear_denominators(_require_numeric_left(left))[1]
+    a, b, c, d, e, f, g, h = clear_denominators(_check_left(left))[1]
     if a == 0 or (h != a and h != -a):
         return False
     return b * b + c * c + d * d + e * e + f * f + g * g == 6 * a * a
@@ -457,6 +485,11 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
     exactly.  s defaults to 1 when not supplied.  Degenerate specializations
     are reported as failures with the step name; an improper result is a
     normal outcome, visible in the report.
+
+    Under the restriction the p^2 coefficient of F is -128 h^2 times the sum
+    of each of q..v times its _P2_PATTERN pivot (what the w1 checker checks),
+    so step 1 reads the pivots.  Steps 2 and 3 run on _specialised_terms of
+    integer_forms(left) with p and w free.
     """
     left = _require_numeric_left(left)
     if not w1_check(left):
@@ -464,53 +497,55 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
     pivots = {name: s1 * left[i] * left[j] + s2 * left[k] * left[l]
               for name, (i, j, s1), (k, l, s2) in _P2_PATTERN}
     solve_var = next((name for name in ("q", "v") if pivots[name] != 0), None)
-    if solve_var is None:
+
+    def failure(reason: str) -> SolveChainResult:
         return SolveChainResult(
-            ok=False,
-            failure_reason="step 1: both q and v coefficients vanish (b = g = 0)",
-            left=left, solved_for=None, right=None, matrix=None, primitive=None, report=None,
+            ok=False, failure_reason=reason, left=left, solved_for=solve_var,
+            right=None, matrix=None, primitive=None, report=None,
         )
 
-    fixed: Dict[str, Fraction] = {}
+    if solve_var is None:
+        return failure("step 1: both q and v coefficients vanish (b = g = 0)")
+
+    values: Dict[str, Fraction] = {}
     for name, value in free.items():
         if name not in _SOLVABLE:
             raise ValueError(f"cannot fix variable {name!r}; choose among {_SOLVABLE}")
         if name == solve_var:
             raise ValueError(f"variable {name!r} is the one the chain solves for")
-        fixed[name] = Fraction(value)
-    fixed.setdefault("s", Fraction(1))
-    needed = [v for v in _SOLVABLE if v != solve_var]
-    missing = [v for v in needed if v not in fixed]
+        values[name] = Fraction(value)
+    values.setdefault("s", Fraction(1))
+    missing = [v for v in _SOLVABLE if v != solve_var and v not in values]
     if missing:
         raise ValueError(f"missing fixed values for {missing}")
 
-    forms = diag_forms(left)
-    f_poly = eliminate_w(forms)[0]
-    # each step substitutes the values known so far, which leaves a linear
-    # polynomial in one variable: the p^2 coefficient of F (linear in the
-    # solvable variables), then F (the p^2 term is gone), then A (linear in w)
-    values = dict(fixed)
-    steps = ((f_poly.coefficient_of("p", 2), solve_var), (f_poly, "p"), (forms.A, "w"))
-    for step, (poly, var) in enumerate(steps, 1):
-        for name, value in values.items():
-            poly = poly.substitute(name, value)
-        if poly.degree_in(var) > 1:
-            raise RuntimeError(f"internal error: step {step} is not linear in {var}")
-        lead = poly.coefficient_of(var, 1)
-        if lead.is_zero():
-            return SolveChainResult(
-                ok=False, failure_reason=f"step {step}: {var}-coefficient zero",
-                left=left, solved_for=solve_var, right=None, matrix=None, primitive=None,
-                report=None,
-            )
-        values[var] = -Fraction(poly.coefficient_of(var, 0).constant_value(),
-                                lead.constant_value())
-
-    point = {name: values[name] for name in RIGHT_VARS}
-    if forms.A.eval(point) != 0 or forms.B.eval(point) != 0:
+    values[solve_var] = -sum(pivots[name] * values[name] for name in _SOLVABLE
+                             if name != solve_var) / pivots[solve_var]
+    forms = integer_forms(left)
+    fixed = tuple(values[name] for name in _SOLVABLE)
+    # A = a(p) + x(p) w and B = b(p) + y(p) w, as coefficient lists in p
+    (a, x), (b, y) = parts = ([[0] * 3, [0] * 3], [[0] * 3, [0] * 3])
+    for part, terms in zip(parts, _specialised_terms(forms, (None, *fixed, None))):
+        for i, k, c in terms:
+            if k > 1:
+                raise RuntimeError("internal error: w^2 term under the restriction")
+            part[k][i] = c
+    f = [0] * 5  # F = y a - x b
+    for i in range(3):
+        for j in range(3):
+            f[i + j] += y[i] * a[j] - x[i] * b[j]
+    if any(f[2:]):
+        raise RuntimeError("internal error: step 2 is not linear in p")
+    if f[1] == 0:
+        return failure("step 2: p-coefficient zero")
+    p = Fraction(-f[0], f[1])
+    lead = x[0] + x[1] * p  # A is quadratic, so x(p) is at most linear
+    if lead == 0:
+        return failure("step 3: w-coefficient zero")
+    right = (p, *fixed, -(a[0] + a[1] * p + a[2] * p * p) / lead)
+    if any(_specialised_terms(forms, right)):
         raise RuntimeError("internal error: back-check of A = B = 0 failed")
 
-    right = tuple(values[name] for name in RIGHT_VARS)
     # a zero right tuple has no p-term in F and fails at step 2, so L * R != 0
     assert any(right), "solve chain reached a zero right tuple"
     matrix, primitive, report = verified_product(left, right)

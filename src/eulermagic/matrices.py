@@ -23,7 +23,6 @@ __all__ = [
     "identity",
     "mat_mul",
     "mat_add",
-    "mat_sub",
     "mat_scale",
     "transpose",
     "determinant",
@@ -115,14 +114,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("dimension mismatch in addition")
     return Matrix(a.rows, a.cols, tuple(
         tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)
-    ))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("dimension mismatch in subtraction")
-    return Matrix(a.rows, a.cols, tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)
     ))
 
 

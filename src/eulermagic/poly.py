@@ -235,30 +235,6 @@ class MultiPoly:
             return result
         raise TypeError(f"cannot substitute value of type {type(value).__name__}")
 
-    def compose(
-        self, assignment: Mapping[str, "MultiPoly"], variables: Sequence[str]
-    ) -> "MultiPoly":
-        """Map every variable to a polynomial over a new context."""
-        variables = tuple(variables)
-        images = []
-        for v in self.variables:
-            if v not in assignment:
-                raise ValueError(f"missing assignment for variable {v!r}")
-            img = assignment[v]
-            if img.variables != variables:
-                raise ValueError(
-                    f"image of {v!r} lives in context {img.variables}, expected {variables}"
-                )
-            images.append(img)
-        result = MultiPoly.zero(variables)
-        for exps, c in self.terms.items():
-            term = MultiPoly.constant(variables, c)
-            for img, k in zip(images, exps):
-                for _ in range(k):
-                    term = term * img
-            result = result + term
-        return result
-
     def eval(self, point: Mapping[str, Coeff]) -> Coeff:
         """Exact evaluation; every variable must be assigned."""
         values = []
@@ -274,25 +250,6 @@ class MultiPoly:
                     t *= val**k
             total += t
         return _norm_coeff(total if isinstance(total, (int, Fraction)) else Fraction(total))
-
-    def quadratic_coeff_table(self) -> Dict[Tuple[int, int], Coeff]:
-        """Coefficient table {(i, j): c} with i <= j for a quadratic polynomial.
-
-        c[(i, i)] multiplies x_i**2 and c[(i, j)] multiplies x_i*x_j, matching
-        the table produced by quadratic_form_coeffs.
-        """
-        if self.terms and not self.is_homogeneous(2):
-            raise ValueError("polynomial is not a homogeneous quadratic")
-        table: Dict[Tuple[int, int], Coeff] = {}
-        for exps, c in self.terms.items():
-            support = [i for i, e in enumerate(exps) if e]
-            if len(support) == 1:
-                i = support[0]
-                table[(i, i)] = c
-            else:
-                i, j = support
-                table[(i, j)] = c
-        return table
 
     # ------------------------------------------------------------------
     # rendering

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cayley import _skew_rows, cayley_integer
 from .family8 import (
-    IntegerForms,
+    _specialised_terms,
     entries_distinct,
     improper_witnesses,
     integer_forms,
@@ -261,24 +261,6 @@ def _bounded_height_offsets(height: int) -> List[Fraction]:
     return sorted(values, key=lambda x: (abs(x), x))
 
 
-def _uvw_tables(forms: IntegerForms, partial: Sequence[Fraction]):
-    """A and B with (p..t) fixed, times a positive constant, as integer terms
-    (i, j, k, c) meaning c * u^i * v^j * w^k (at most 10 terms each)."""
-    den, ipartial = clear_denominators(partial)
-    # den * (p..w) with p..t fixed: (integer coefficient, exponents of u, v, w)
-    coords = [(x, (0, 0, 0)) for x in ipartial] + [
-        (den, (1, 0, 0)), (den, (0, 1, 0)), (den, (0, 0, 1))]
-    tables = []
-    for gram in (forms.gram_a, forms.gram_b):
-        terms: Dict[Tuple[int, int, int], int] = {}
-        for row, (ck, ek) in zip(gram, coords):
-            for g, (cm, em) in zip(row, coords):
-                exps = (ek[0] + em[0], ek[1] + em[1], ek[2] + em[2])
-                terms[exps] = terms.get(exps, 0) + g * ck * cm
-        tables.append(tuple((*exps, c) for exps, c in terms.items() if c))
-    return tuple(tables)
-
-
 def _w_roots(table, us, vs) -> Optional[List[Fraction]]:
     """Rational roots in w of a (u, v, w) table at u = nu/du, v = nv/dv, given
     us = (du^2, nu*du, nu^2) and likewise vs; None means every w is a root."""
@@ -369,7 +351,8 @@ def search8_seeded(
         raise ValueError("polynomial matrix improper")
     if not entries_distinct(left + partial):
         raise ValueError("polynomial matrix improper after fixing (p, q, r, s, t)")
-    tables = _uvw_tables(integer_forms(left), partial)
+    # A and B as integer terms (i, j, k, c): c * u^i * v^j * w^k, at most 10 each
+    tables = _specialised_terms(integer_forms(left), partial + (None,) * 3)
 
     parts = []
     if supplied is not None:

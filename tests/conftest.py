@@ -34,6 +34,19 @@ def multipoly_product(left=None) -> Matrix:
     return mat_mul(left_matrix(left), right_matrix(symbols[-8:]))
 
 
+def quadratic_coeff_table(poly: MultiPoly):
+    """Coefficient table {(i, j): c} with i <= j of a homogeneous quadratic:
+    c[(i, i)] multiplies x_i**2 and c[(i, j)] multiplies x_i*x_j, the table
+    quadratic_form_coeffs recovers from a blackbox."""
+    if poly.terms and not poly.is_homogeneous(2):
+        raise ValueError("polynomial is not a homogeneous quadratic")
+    table = {}
+    for exps, c in poly.terms.items():
+        support = [i for i, e in enumerate(exps) for _ in range(e)]  # i, i for x_i**2
+        table[tuple(support)] = c
+    return table
+
+
 @pytest.fixture
 def euler4() -> Matrix:
     return load_fixture("euler4.txt")

@@ -45,7 +45,7 @@ from eulermagic.search import (
 )
 from eulermagic.verify import magic_square_of_squares, verify
 
-from conftest import load_fixture
+from conftest import load_fixture, quadratic_coeff_table
 
 
 def test_criterion_01_four_by_four_showcase():
@@ -132,10 +132,7 @@ def test_criterion_06_diag_forms_match_blackbox_oracle():
             def blackbox(values, poly=poly):
                 return poly.eval(dict(zip(RIGHT_VARS, values)))
 
-            symbolic = {
-                (i, j): c for (i, j), c in poly.quadratic_coeff_table().items()
-            }
-            assert quadratic_form_coeffs(blackbox, 8) == symbolic
+            assert quadratic_form_coeffs(blackbox, 8) == quadratic_coeff_table(poly)
         a, h = left[0], left[7]
         assert forms.A.coefficient_of("w", 2).constant_value() == 8 * (h - a) * (h + a)
         w1 = forms.A.coefficient_of("w", 1)

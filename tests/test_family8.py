@@ -35,7 +35,7 @@ from eulermagic.poly import MultiPoly, parse_poly, quadratic_form_coeffs
 from eulermagic.search import Xorshift64Star
 from eulermagic.verify import verify
 
-from conftest import load_fixture, multipoly_product
+from conftest import load_fixture, multipoly_product, quadratic_coeff_table
 
 RIGHT_VARS = ("p", "q", "r", "s", "t", "u", "v", "w")
 FAMILY_RIGHT = tuple(map(Fraction, (-7, -55, -11, 1, -27, -13, -19, 4)))
@@ -75,8 +75,8 @@ def test_diag_forms_cross_check():
     for left in lefts:
         forms = diag_forms(left)
         table_a, table_b, products = _blackbox_tables(left)
-        assert forms.A.quadratic_coeff_table() == table_a
-        assert forms.B.quadratic_coeff_table() == table_b
+        assert quadratic_coeff_table(forms.A) == table_a
+        assert quadratic_coeff_table(forms.B) == table_b
         # 4 homogeneity pairs, 8 unit vectors and 28 pairs of unit vectors
         assert products == 44
     forms = diag_forms(FAMILY_LEFT)
@@ -500,6 +500,70 @@ def test_solve_chain_pinned(left, free, expected):
     assert (res.ok, res.failure_reason, res.solved_for, right, primitive) == expected
     if res.ok:
         assert res.report.is_euler_magic
+
+
+def _reference_chain(left, free):
+    """The solve chain on MultiPoly, from diag_forms and eliminate_w: each step
+    substitutes the values known so far into the p^2 coefficient of F, into F,
+    then into A, and solves the linear remainder; A and B are back-checked by
+    eval.  The solved variable is q when the p^2 coefficient has a q-term,
+    else v.  Returns (failure reason, solved variable, right tuple)."""
+    forms = diag_forms(left)
+    f = eliminate_w(forms)[0]
+    p2 = f.coefficient_of("p", 2)
+    solve_var = next((name for name in ("q", "v")
+                      if not p2.coefficient_of(name, 1).is_zero()), None)
+    if solve_var is None:
+        return "step 1: both q and v coefficients vanish (b = g = 0)", None, None
+    values = {"s": Fraction(1), **{name: Fraction(x) for name, x in free.items()}}
+    for step, (poly, var) in enumerate(((p2, solve_var), (f, "p"), (forms.A, "w")), 1):
+        for name, value in values.items():
+            poly = poly.substitute(name, value)
+        assert poly.degree_in(var) <= 1
+        lead = poly.coefficient_of(var, 1)
+        if lead.is_zero():
+            return f"step {step}: {var}-coefficient zero", solve_var, None
+        values[var] = -Fraction(poly.coefficient_of(var, 0).constant_value(),
+                                lead.constant_value())
+    assert forms.A.eval(values) == 0 and forms.B.eval(values) == 0
+    return None, solve_var, tuple(values[name] for name in RIGHT_VARS)
+
+
+def test_solve_chain_matches_multipoly_chain():
+    rng = random.Random(4468)
+    rational_left = tuple(Fraction(x, 3) for x in FAMILY_LEFT)
+    lefts = enumerate_w1(2) + [FAMILY_LEFT, rational_left]
+    cases = [(left, free) for left, free, _ in _SOLVE_CHAIN_PINS]
+    for k in range(150):
+        left = (FAMILY_LEFT, rational_left)[k % 2] if k % 5 == 0 else rng.choice(lefts)
+        # a*g + b*h = 0 leaves q free and solves for v
+        solved = "v" if left[0] * left[6] + left[1] * left[7] == 0 else "q"
+        names = [name for name in ("q", "r", "s", "t", "u", "v")
+                 if name != solved and (name != "s" or rng.random() < 0.5)]
+        cases.append((left, {name: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                             for name in names}))
+    outcomes = set()
+    for left, free in cases:
+        res = solve_chain(left, free)
+        assert (res.failure_reason, res.solved_for, res.right) == _reference_chain(left, free)
+        assert res.ok is (res.failure_reason is None)
+        outcomes.add((res.failure_reason, res.solved_for, left == rational_left and res.ok))
+    assert {reason for reason, _, _ in outcomes} == {
+        None, "step 1: both q and v coefficients vanish (b = g = 0)",
+        "step 2: p-coefficient zero", "step 3: w-coefficient zero"}
+    assert {(None, "q", False), (None, "v", False), (None, "v", True)} <= outcomes
+
+
+def test_solve_chain_builds_no_multipoly(monkeypatch):
+    built = []
+    post_init = MultiPoly.__post_init__
+    monkeypatch.setattr(MultiPoly, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    for left, free, _ in _SOLVE_CHAIN_PINS:
+        solve_chain(left, free)
+    assert built == []
+    MultiPoly.zero(RIGHT_VARS)  # the count sees every MultiPoly built
+    assert len(built) == 1
 
 
 # the p^2 coefficient of F is -128 h^2 times sign*x_i*x_j + sign*x_k*x_l in

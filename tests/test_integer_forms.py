@@ -19,6 +19,7 @@ from eulermagic import cli, family8
 from eulermagic.family8 import (
     FAMILY_LEFT,
     _linear_factors,
+    _specialised_terms,
     diag_forms,
     entries_distinct,
     improper_witnesses,
@@ -39,7 +40,6 @@ from eulermagic.search import (
     _merge_parts,
     _point_solve,
     _search8_grid_chunk,
-    _uvw_tables,
     _w_roots,
     search5_cayley,
     search8_seeded,
@@ -309,8 +309,13 @@ def _reference_point(left, partial, u, v):
     return common, bool(set(roots_a) | set(roots_b)) and not common, False
 
 
+def _uvw_terms(left, partial):
+    """A and B with p..t fixed, as search8 specialises them."""
+    return _specialised_terms(integer_forms(left), tuple(map(Fraction, partial)) + (None,) * 3)
+
+
 def _integer_point(left, partial, u, v):
-    tables = _uvw_tables(integer_forms(left), [Fraction(x) for x in partial])
+    tables = _uvw_terms(left, partial)
     u, v = Fraction(u), Fraction(v)
     return _point_solve(tables, u.numerator, u.denominator, v.numerator, v.denominator)
 
@@ -333,13 +338,37 @@ def _lefts(draw):
 @example((0,) * 8, (1, 2, 3, 4, 5), 1, 1)  # A and B vanish in w
 def test_w_solve_matches_multipoly_substitution(left, partial, u, v):
     assert _integer_point(left, partial, u, v) == _reference_point(left, partial, u, v)
+    # the terms themselves, with (u, v, w) free as search8 has them and with
+    # (p, w) free as solve_chain has them
+    values = tuple(partial) + (u, v)
+    _assert_terms_match_substitution(left, values + (None,) * 3)
+    _assert_terms_match_substitution(left, (None,) + values[1:] + (None,))
+
+
+def _assert_terms_match_substitution(left, right):
+    """_specialised_terms of left at right is (scale * den)^2 times A and B
+    with the fixed values substituted, scale and den the lcms of the
+    denominators of left and of the fixed values."""
+    free = [k for k, x in enumerate(right) if x is None]
+    fixed = [Fraction(x) for x in right if x is not None]
+    factor = (lcm(*(Fraction(x).denominator for x in left))
+              * lcm(*(x.denominator for x in fixed))) ** 2
+    for terms, poly in zip(_specialised_terms(integer_forms(left), right),
+                           _reference_forms(left)):
+        for name, value in zip(RIGHT_VARS, right):
+            if value is not None:
+                poly = poly.substitute(name, Fraction(value))
+        got = {}
+        for *exps, c in terms:
+            got[tuple(exps[free.index(k)] if k in free else 0 for k in range(8))] = c
+        assert MultiPoly(RIGHT_VARS, got) == factor * poly
 
 
 def test_w_solve_full_line_branches():
     # A = 8(h^2 - a^2) w^2 at p..v = 0, so h = a leaves only B's roots
-    tables = _uvw_tables(integer_forms((1, 0, 0, 0, 0, 0, 0, 1)), [Fraction(0)] * 5)
+    tables = _uvw_terms((1, 0, 0, 0, 0, 0, 0, 1), [0] * 5)
     assert _point_solve(tables, 0, 1, 0, 1) == ([Fraction(0)], False, False)
-    tables = _uvw_tables(integer_forms((0,) * 8), [Fraction(1)] * 5)
+    tables = _uvw_terms((0,) * 8, [1] * 5)
     assert tables == ((), ())
     assert _point_solve(tables, 1, 2, 3, 4) == ([], False, True)
 
@@ -348,7 +377,7 @@ def test_grid_chunk_counts_full_lines():
     # A and B vanish identically in w at every point: each point is a full
     # line, counted as such and as no other outcome
     left, partial = (0,) * 8, (Fraction(1),) * 5
-    tables = _uvw_tables(integer_forms(left), partial)
+    tables = _uvw_terms(left, partial)
     assert tables == ((), ())
     us, vs = [(1, 2), (0, 1), (-5, 3)], [(3, 4)]
     points = range(3)

@@ -16,7 +16,6 @@ from eulermagic.matrices import (
     mat_inverse,
     mat_mul,
     mat_scale,
-    mat_sub,
     matrix_from_json_dict,
     matrix_to_json_dict,
     parse_matrix_json,
@@ -51,7 +50,7 @@ def test_add_sub_scale_transpose():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[5, 6], [7, 8]])
     assert mat_add(a, b) == Matrix.from_rows([[6, 8], [10, 12]])
-    assert mat_sub(b, a) == Matrix.from_rows([[4, 4], [4, 4]])
+    assert mat_add(b, mat_scale(-1, a)) == Matrix.from_rows([[4, 4], [4, 4]])
     assert mat_scale(Fraction(1, 2), a) == Matrix.from_rows(
         [[Fraction(1, 2), 1], [Fraction(3, 2), 2]]
     )
