@@ -5,8 +5,10 @@ subcommand is a thin adapter over the library; no arithmetic lives here.
 
 Exit codes: 0 success (or verified true), 1 verified false (input was read
 fine but the matrix is not Euler magic / an identity failed), 2 usage or
-input errors.  Randomized subcommands require an explicit --seed so runs are
-reproducible by construction.
+input errors.  main is the one place that turns the library's bad-input
+error, ValueError, into exit 2; any other exception, such as the
+RuntimeError of a failed internal check, propagates.  Randomized subcommands
+require an explicit --seed so runs are reproducible by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import argparse
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cayley import certificate_to_json, certificate_to_text, nonexistence_certificate
 from .family8 import (
@@ -119,71 +121,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show(args, payload, text: str) -> None:
+    """Print the payload as canonical JSON under --json, else the text."""
+    print(canonical_json(payload) if args.json else text)
+
+
 def _cmd_verify(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as handle:
-            matrix = parse_matrix_text(handle.read())
+            text = handle.read()
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not matrix.is_square():
-        print("error: matrix is not square", file=sys.stderr)
-        return 2
-    report = verify(matrix)
-    if args.json:
-        print(canonical_json(report_to_json_dict(report)))
-    else:
-        print(report_to_text(report))
+    report = verify(parse_matrix_text(text))
+    _show(args, report_to_json_dict(report), report_to_text(report))
     return 0 if report.is_euler_magic else 1
 
 
 def _cmd_family(args) -> int:
-    try:
-        result = four_parameter_family(args.q, args.r, args.t, args.u)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(canonical_json(family_result_to_json_dict(result)))
-    else:
-        print(f"X: {result.x_value}")
-        print("right:", " ".join(str(v) for v in result.right))
-        print(format_matrix_text(result.primitive))
-        print(report_to_text(result.report))
+    result = four_parameter_family(args.q, args.r, args.t, args.u)
+    _show(args, family_result_to_json_dict(result), "\n".join([
+        f"X: {result.x_value}",
+        "right: " + " ".join(str(v) for v in result.right),
+        format_matrix_text(result.primitive),
+        report_to_text(result.report),
+    ]))
     return 0
 
 
 def _cmd_prove3(args) -> int:
     lines = nonexistence_certificate()
-    if args.json:
-        print(canonical_json(certificate_to_json(lines)))
-    else:
-        print(certificate_to_text(lines))
-    ok = all(line.status in ("PASS", "AXIOM") for line in lines)
-    return 0 if ok else 1
+    _show(args, certificate_to_json(lines), certificate_to_text(lines))
+    return 0 if all(line.status in ("PASS", "AXIOM") for line in lines) else 1
 
 
 def _cmd_perm(args) -> int:
-    try:
-        sigma = construction_permutation(args.n)
-        matrix = improper_construction(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sigma = construction_permutation(args.n)
+    matrix = improper_construction(args.n)
     report = verify(matrix)
-    if args.json:
-        print(canonical_json({
-            "images": list(sigma.images),
-            "matrix": matrix_to_json_dict(matrix),
-            "report": report_to_json_dict(report),
-        }))
-    else:
-        print("images:", " ".join(str(i) for i in sigma.images))
-        print(format_matrix_text(matrix))
-        print(report_to_text(report))
+    _show(args, {
+        "images": list(sigma.images),
+        "matrix": matrix_to_json_dict(matrix),
+        "report": report_to_json_dict(report),
+    }, "\n".join([
+        "images: " + " ".join(str(i) for i in sigma.images),
+        format_matrix_text(matrix),
+        report_to_text(report),
+    ]))
     return 0 if report.is_euler_magic else 1
 
 
@@ -194,60 +178,42 @@ def _emit_search(result) -> None:
 
 
 def _cmd_search5(args) -> int:
-    try:
-        config = SearchConfig(
-            seed=args.seed,
-            numerator_bound=args.numerator_bound,
-            denominator_bound=args.denominator_bound,
-            max_iterations=args.iterations,
-            score_threshold=args.score_threshold,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = SearchConfig(
+        seed=args.seed,
+        numerator_bound=args.numerator_bound,
+        denominator_bound=args.denominator_bound,
+        max_iterations=args.iterations,
+        score_threshold=args.score_threshold,
+    )
     _emit_search(search5_cayley(config, workers=args.workers))
     return 0
 
 
 def _cmd_search8(args) -> int:
-    try:
-        result = search8_seeded(
-            args.left,
-            args.partial,
-            supplied=args.solution,
-            height=args.height,
-            center=tuple(args.center) if args.center else None,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit_search(result)
+    _emit_search(search8_seeded(
+        args.left,
+        args.partial,
+        supplied=args.solution,
+        height=args.height,
+        center=tuple(args.center) if args.center else None,
+        workers=args.workers,
+    ))
     return 0
 
 
 def _cmd_forms(args) -> int:
     forms = diag_forms(args.left)
-    restricted = w1_check(args.left)
-    if args.json:
-        payload = {
-            "left": list(args.left),
-            "A": str(forms.A),
-            "B": str(forms.B),
-            "degree_one_restriction": restricted,
-        }
-        if restricted:
-            f, x, y = eliminate_w(forms)
-            payload.update({"F": str(f), "x": str(x), "y": str(y)})
-        print(canonical_json(payload))
-    else:
-        print(f"A: {forms.A}")
-        print(f"B: {forms.B}")
-        if restricted:
-            f, x, y = eliminate_w(forms)
-            print(f"x: {x}")
-            print(f"y: {y}")
-            print(f"F: {f}")
+    payload = {
+        "left": list(args.left),
+        "A": str(forms.A),
+        "B": str(forms.B),
+        "degree_one_restriction": w1_check(args.left),
+    }
+    if payload["degree_one_restriction"]:
+        f, x, y = eliminate_w(forms)
+        payload.update(x=str(x), y=str(y), F=str(f))
+    _show(args, payload, "\n".join(
+        f"{key}: {payload[key]}" for key in ("A", "B", "x", "y", "F") if key in payload))
     return 0
 
 
@@ -263,9 +229,12 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return _HANDLERS[args.command](args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return _HANDLERS[args.command](args)
+    except ValueError as exc:  # the library's bad-input error; internal faults propagate
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -303,34 +303,31 @@ def _line_key(vec: Sequence[int]) -> Vector:
 
 
 def _linear_factors(gram: Sequence[Vector]) -> Optional[Tuple[Vector, Vector]]:
-    """The line keys of l1, l2 when x^T G x = c * l1(x) * l2(x) over Q, else None.
+    """The line keys of l1 != l2 when x^T G x = c * l1(x) * l2(x) over Q, else None.
 
-    Such a G has rank <= 2: it is proportional to l1 l2^T + l2 l1^T.  At rank
-    2 some principal 2x2 minor det P on rows i, j is nonzero, and then
+    Such a G is proportional to l1 l2^T + l2 l1^T, so some principal 2x2
+    minor det P on rows i, j is nonzero, and then
     det P * x^T G x = a*y1^2 + 2b*y1*y2 + c*y2^2 with y1 = G_i.x, y2 = G_j.x,
     (a, b, c) = (G_jj, -G_ij, G_ii); that binary form splits over Q exactly
-    when -det P is a square s^2.  With every such minor zero, a nonzero G can
-    only be a square c * l^2, with l along any nonzero row.  Either way the
-    candidate lines are kept only if G is proportional to their product.
+    when -det P is a nonzero square s^2.  The candidate lines are kept only
+    if G is proportional to their product.  A square c * l^2 has no nonzero
+    minor and is not reported (see improper_witnesses).
     """
     minors = [(i, j) for i in range(8) for j in range(i + 1, 8)
               if gram[i][i] * gram[j][j] != gram[i][j] ** 2]
-    if minors:
-        i, j = minors[0]
-        a, b, c = gram[j][j], -gram[i][j], gram[i][i]
-        s = isqrt(max(b * b - a * c, 0))
-        if s * s != b * b - a * c:
-            return None
-        ri, rj = gram[i], gram[j]
-        if a:
-            l1 = [a * x + (b - s) * y for x, y in zip(ri, rj)]
-            l2 = [a * x + (b + s) * y for x, y in zip(ri, rj)]
-        else:
-            l1, l2 = rj, [2 * b * x + c * y for x, y in zip(ri, rj)]
+    if not minors:
+        return None
+    i, j = minors[0]
+    a, b, c = gram[j][j], -gram[i][j], gram[i][i]
+    s = isqrt(max(b * b - a * c, 0))
+    if s * s != b * b - a * c:
+        return None
+    ri, rj = gram[i], gram[j]
+    if a:
+        l1 = [a * x + (b - s) * y for x, y in zip(ri, rj)]
+        l2 = [a * x + (b + s) * y for x, y in zip(ri, rj)]
     else:
-        l1 = l2 = next((r for r in gram if any(r)), None)
-        if l1 is None:
-            return None
+        l1, l2 = rj, [2 * b * x + c * y for x, y in zip(ri, rj)]
     product = [[x1 * y2 + x2 * y1 for y1, y2 in zip(l1, l2)] for x1, x2 in zip(l1, l2)]
     k, m = next((k, m) for k in range(8) for m in range(8) if product[k][m])
     if any(g * product[k][m] != p * gram[k][m]
@@ -363,7 +360,9 @@ def improper_witnesses(left: Sequence[object]) -> WitnessReport:
     entries_distinct decides the first layer.  Otherwise A is factored once
     from its Gram matrix, and only when it splits are the 4,032 pair sums and
     differences of integer_forms keyed up to a scalar, to find the first pair
-    on each of its two lines.  A square c * l^2 reports the same pair twice.
+    on each of its two lines.  A is never a nonzero square c * l^2: each
+    entry is a signed permutation of the left tuple over p..w, so the Gram
+    matrix of A has trace 8|left|^2 - 8|left|^2 = 0.
     """
     left = _require_numeric_left(left)
     forms = integer_forms(left)
@@ -382,10 +381,8 @@ def improper_witnesses(left: Sequence[object]) -> WitnessReport:
             if key in lines and key not in first:
                 first[key] = Witness("factor-of-A", pos1, pos2, relation,
                                      _linear_poly(vec, forms.scale))
-        if len(first) == len(set(lines)):
+        if len(first) == 2:
             witnesses = tuple(first.values())
-            if len(witnesses) == 1:  # A = c * l^2
-                witnesses *= 2
     return WitnessReport(left, witnesses, True, bool(witnesses))
 
 

@@ -78,8 +78,6 @@ class MultiPoly:
     @staticmethod
     def constant(variables: Sequence[str], value: Coeff) -> "MultiPoly":
         variables = tuple(variables)
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
         return MultiPoly(variables, {(0,) * len(variables): value})
 
     @staticmethod
@@ -329,10 +327,13 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
     return MultiPoly(variables, terms)
 
 
+# points at which quadratic_form_coeffs spot-checks f(2x) = 4 f(x)
+_HOMOGENEITY_SAMPLES = 4
+
+
 def quadratic_form_coeffs(
     f: Callable[[Sequence[Fraction]], Coeff],
     n: int,
-    homogeneity_samples: int = 4,
 ) -> Dict[Tuple[int, int], Coeff]:
     """Recover the coefficient table of a homogeneous quadratic blackbox.
 
@@ -342,7 +343,7 @@ def quadratic_form_coeffs(
     check is deterministic).
     """
     rng = random.Random(271828)
-    for _ in range(homogeneity_samples):
+    for _ in range(_HOMOGENEITY_SAMPLES):
         x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
         if f([2 * xi for xi in x]) != 4 * f(x):
             raise ValueError("homogeneity check failed: blackbox is not a quadratic form")

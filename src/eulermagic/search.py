@@ -335,13 +335,15 @@ def search8_seeded(
 
     The left tuple must give a proper polynomial matrix (witness scan), and
     the specialization by the partial values must preserve that, else error.
-    A supplied (u,v,w) is verified exactly as sample 0.  With height >= 1 the
-    (u,v) plane is scanned over bounded-height offsets around center
-    (default (0,0)); at each point the two conditions become polynomials of
-    degree <= 2 in w with integer coefficients, solved exactly over the
-    rationals.
+    A supplied (u,v,w) is verified exactly as sample 0.  Height 0 scans no
+    grid; with height >= 1 the (u,v) plane is scanned over bounded-height
+    offsets around center (default (0,0)); at each point the two conditions
+    become polynomials of degree <= 2 in w with integer coefficients, solved
+    exactly over the rationals.  A negative height is an error.
     """
     _check_workers(workers)
+    if height < 0:
+        raise ValueError(f"height must be nonnegative, got {height}")
     left = tuple(Fraction(x) for x in left)
     partial = tuple(Fraction(x) for x in partial)
     if len(partial) != 5:

@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +20,10 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_SEARCH8_WORKED = ["search8", "--left", "0", "1", "1", "1", "1", "1", "-1", "5",
+                   "--partial", "3", "-2", "-4", "5", "6"]
 
 
 def test_verify_proper_fixture(capsys):
@@ -57,6 +64,13 @@ def test_verify_malformed_exits_two(tmp_path, capsys):
     assert "error" in err
 
 
+def test_verify_non_square_exits_two(tmp_path, capsys):
+    wide = tmp_path / "wide.txt"
+    wide.write_text("1 2 3\n4 5 6\n", encoding="utf-8")
+    assert run_cli(capsys, "verify", str(wide)) == (
+        2, "", "error: matrix must be square, got 2x3\n")
+
+
 def test_verify_missing_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "verify", "no-such-file.txt")
     assert code == 2
@@ -90,6 +104,13 @@ def test_family_degenerate_exits_two(capsys):
     code, _, err = run_cli(capsys, "family", "0", "0", "0", "0")
     assert code == 2
     assert "error" in err
+
+
+def test_family_non_rational_argument_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["family", "x", "1", "1", "1"])
+    assert info.value.code == 2
+    assert "not a rational number: 'x'" in capsys.readouterr().err
 
 
 def test_family_accepts_negative_rationals(capsys):
@@ -132,6 +153,16 @@ def test_perm_five(capsys):
     assert "images: 2 1 3 5 4" in out
     assert "gamma: 1" in out
     assert "euler_magic: true" in out
+
+
+def test_perm_json_payload(capsys):
+    code, out, _ = run_cli(capsys, "perm", "6", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"images", "matrix", "report"}
+    assert payload["images"] == [2, 3, 4, 5, 1, 6]
+    assert (payload["matrix"]["rows"], payload["matrix"]["cols"]) == (6, 6)
+    assert payload["report"]["euler_magic"] is True
 
 
 def test_perm_three_exits_two(capsys):
@@ -195,6 +226,11 @@ def test_search5_stdout_is_pinned(capsys, seed, bounds):
     assert hashlib.sha256(out.encode()).hexdigest() == _SEARCH5_500[bounds][seed]
 
 
+def test_search5_zero_bound_exits_two(capsys):
+    assert run_cli(capsys, "search5", "--seed", "0", "--numerator-bound", "0") == (
+        2, "", "error: bounds must be at least 1\n")
+
+
 def test_search5_requires_seed(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["search5", "--iterations", "5"])
@@ -234,6 +270,11 @@ def test_search8_improper_left_exits_two(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_search8_negative_height_exits_two(capsys):
+    assert run_cli(capsys, *_SEARCH8_WORKED, "--height", "-3") == (
+        2, "", "error: height must be nonnegative, got -3\n")
 
 
 def test_forms_all_ones_factorization(capsys):
@@ -284,3 +325,49 @@ def test_cli_determinism_across_workers(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# each subcommand and the library call in cli that does its work
+_LIBRARY_CALLS = {
+    "verify": ("verify", ["verify", str(FIXTURES / "euler4.txt")]),
+    "family": ("four_parameter_family", ["family", "0", "0", "0", "1"]),
+    "prove3": ("nonexistence_certificate", ["prove3"]),
+    "perm": ("construction_permutation", ["perm", "5"]),
+    "search5": ("search5_cayley", ["search5", "--seed", "0", "--iterations", "5"]),
+    "search8": ("search8_seeded", _SEARCH8_WORKED),
+    "forms": ("diag_forms", ["forms", *"11111111"]),
+}
+
+
+@pytest.mark.parametrize("name, argv", list(_LIBRARY_CALLS.values()), ids=list(_LIBRARY_CALLS))
+def test_one_bad_input_boundary(capsys, monkeypatch, name, argv):
+    # main turns the library's ValueError into exit 2 for every subcommand,
+    # and lets anything else, such as an internal RuntimeError, propagate
+    def raising(exc):
+        def call(*args, **kwargs):
+            raise exc
+        return call
+
+    monkeypatch.setattr(cli, name, raising(ValueError("boom")))
+    assert run_cli(capsys, *argv) == (2, "", "error: boom\n")
+    monkeypatch.setattr(cli, name, raising(RuntimeError("internal error: boom")))
+    with pytest.raises(RuntimeError, match="internal error: boom"):
+        cli.main(argv)
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    root = FIXTURES.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 1\n0 1\n", encoding="utf-8")
+    for argv, expected in [
+        (["verify", str(FIXTURES / "euler4.txt")], 0),
+        (["verify", str(bad)], 1),
+        ([*_SEARCH8_WORKED, "--height", "-1"], 2),
+    ]:
+        done = subprocess.run([sys.executable, "-m", "eulermagic.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == expected, done.stderr
+        assert "Traceback" not in done.stderr

@@ -223,8 +223,6 @@ def _product_gram(l1, l2):
 
 
 @pytest.mark.parametrize("l1, l2, keys", [
-    (_pad(1, 2), _pad(1, 2), {_pad(1, 2)}),  # a square: rank 1
-    (_pad(-2, -4), _pad(3, 6), {_pad(1, 2)}),
     (_pad(0, 1), _pad(1), {_pad(0, 1), _pad(1)}),  # zero 2x2 diagonal
     (_pad(1, 1), _pad(1, -1), {_pad(1, 1), _pad(1, -1)}),
     (_pad(-2, 3, 1), _pad(0, 0, 5, -1), {_pad(2, -3, -1), _pad(0, 0, 5, -1)}),
@@ -245,9 +243,21 @@ def _gram(*rows):
     _gram((1,), (0, -2)),  # p^2 - 2q^2
     _gram((1,), (0, 1), (0, 0, -1)),  # rank 3
     _gram((1, 1, 1), (1, 1, -1), (1, -1, 1)),  # rank 3, every principal 2x2 minor zero
+    _product_gram(_pad(-2, -4), _pad(3, 6)),  # a square: rank 1
 ])
 def test_linear_factors_absent(gram):
     assert _linear_factors(gram) is None
+
+
+@settings(max_examples=50)
+@given(st.one_of(_small_left, _unit_left,
+                 st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 8)))
+def test_gram_traces_vanish(left):
+    # each entry is a signed permutation of left over p..w, so both traces are
+    # 8|left|^2 - 8|left|^2 = 0, and A is never a nonzero square c * l^2
+    forms = integer_forms(left)
+    assert sum(forms.gram_a[k][k] for k in range(8)) == 0
+    assert sum(forms.gram_b[k][k] for k in range(8)) == 0
 
 
 def test_witness_scan_reports_factor_witnesses_on_unit_tuples():

@@ -38,6 +38,13 @@ def test_zero_and_constant():
     assert c.total_degree() == 0
 
 
+@pytest.mark.parametrize("value", [0.1, "1/2"])
+def test_constant_rejects_non_rational_coefficients(value):
+    # a float would pass as its binary expansion, 0.1 as 3602879701896397/2**55
+    with pytest.raises(TypeError, match="coefficient must be int or Fraction"):
+        MultiPoly.constant(XY, value)
+
+
 def test_variable_and_arithmetic():
     x, y = MultiPoly.variables_of(XY)
     p = (x + y) * (x - y)

@@ -238,6 +238,12 @@ def test_search8_bad_supplied_solution_rejected():
         search8_seeded(WORKED_LEFT, WORKED_PARTIAL, supplied=(1, 2, 3))
 
 
+def test_search8_rejects_negative_height():
+    # a negative height used to read as "no grid" and scan nothing
+    with pytest.raises(ValueError, match="height must be nonnegative, got -3"):
+        search8_seeded(WORKED_LEFT, WORKED_PARTIAL, height=-3)
+
+
 def test_search8_grid_refinds_solution():
     center = (Fraction(13, 15), Fraction(-14, 15))
     result = search8_seeded(WORKED_LEFT, WORKED_PARTIAL, height=2, center=center)
