@@ -28,8 +28,9 @@ from .family8 import (
     w1_check,
 )
 from .matrices import format_matrix_text, matrix_to_json_dict, parse_matrix_text
-from .permutations import construction_permutation, improper_construction
+from .permutations import MAX_PERM_SIZE, construction_permutation, improper_construction
 from .search import (
+    MAX_HEIGHT,
     SearchConfig,
     candidate_to_json_dict,
     canonical_json,
@@ -89,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "prove3", help="print the 3x3 nonexistence certificate (polynomial identities)")
     p_prove3.add_argument("--json", action="store_true")
 
-    p_perm = sub.add_parser("perm", help="permutation construction for n >= 4")
+    p_perm = sub.add_parser(
+        "perm", help=f"permutation construction for 4 <= n <= {MAX_PERM_SIZE}")
     p_perm.add_argument("n", type=int)
     p_perm.add_argument("--json", action="store_true")
 
@@ -108,7 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_s8.add_argument("--solution", type=_fraction, nargs=3, metavar="S",
                       help="candidate (u, v, w) to verify exactly")
     p_s8.add_argument("--height", type=int, default=0,
-                      help="bounded-height (u, v) grid radius; 0 disables")
+                      help=f"bounded-height (u, v) grid radius, at most {MAX_HEIGHT} "
+                           "(about 1.5 * H^4 grid points); 0 disables")
     p_s8.add_argument("--center", type=_fraction, nargs=2, metavar="C",
                       help="grid center (default 0 0)")
     p_s8.add_argument("--workers", type=_worker_count, default=1)

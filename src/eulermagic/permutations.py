@@ -18,12 +18,19 @@ from typing import Sequence, Tuple
 from .matrices import Matrix
 
 __all__ = [
+    "MAX_PERM_SIZE",
     "Permutation",
     "perm_matrix",
     "construction_permutation",
     "improper_construction",
     "two_by_two_family",
 ]
+
+
+# The construction's matrix is dense, and its verify report lists every pair of
+# equal entry squares: about n^4 / 2 pairs for a permutation matrix (378,015 at
+# n = 30, 7.7 MB of `eulermagic perm` output), so larger sizes are refused.
+MAX_PERM_SIZE = 30
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,8 @@ def construction_permutation(n: int) -> Permutation:
     """
     if n <= 3:
         raise ValueError("construction requires n >= 4 (n = 3 would degenerate to the identity)")
+    if n > MAX_PERM_SIZE:
+        raise ValueError(f"construction supports n <= {MAX_PERM_SIZE}, got {n}")
     images = list(range(2, n + 2))  # provisional i -> i+1
     if n % 2 == 0:
         images[n - 2] = 1  # close the (n-1)-cycle
@@ -82,7 +91,7 @@ def construction_permutation(n: int) -> Permutation:
 
 
 def improper_construction(n: int) -> Matrix:
-    """An integer Euler magic matrix with gamma = 1 for every n >= 4."""
+    """An integer Euler magic matrix with gamma = 1 for 4 <= n <= MAX_PERM_SIZE."""
     return perm_matrix(construction_permutation(n))
 
 

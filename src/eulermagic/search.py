@@ -27,7 +27,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt
+from math import inf, isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cayley import _skew_rows, cayley_integer
@@ -38,7 +38,7 @@ from .family8 import (
     integer_forms,
     verified_product,
 )
-from .matrices import Matrix, clear_denominators, rescale_primitive
+from .matrices import Matrix, rescale_primitive
 from .verify import VerifyReport, verify
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "SearchResult",
     "search5_cayley",
     "search8_seeded",
+    "MAX_HEIGHT",
     "greedy_backtrack_left",
     "candidate_to_json_dict",
     "summary_to_json_dict",
@@ -195,31 +196,30 @@ def _map_chunks(func, args: tuple, items: range, workers: int) -> list:
 # 5x5 random Cayley search
 # ----------------------------------------------------------------------
 
-def _search5_primitive(params: Sequence[Fraction]) -> Matrix:
-    """The primitive integer matrix of cayley(S), for the 5x5 skew S with
-    strict upper triangle params, computed in integers only."""
-    d, upper = clear_denominators(params)
-    # P is a positive multiple of cayley(S), so it has the same primitive matrix
-    scaled, _ = cayley_integer(d, _skew_rows(5, upper))
-    return rescale_primitive(Matrix(5, 5, scaled))
-
-
 def _search5_sample(config: SearchConfig, index: int):
-    """(candidate | None, is_hit, is_near_miss) for one sample index."""
+    """(candidate | None, is_hit, is_near_miss) for one sample index.
+
+    The ten skew parameters are drawn as (numerator, denominator) pairs in the
+    order of Xorshift64Star.rational.  P = cayley_integer(d, d * S) is a
+    positive multiple of cayley(S) for any d > 0 that clears S, so its two
+    diagonal conditions are those of the primitive matrix; only a sample
+    passing both is rescaled and fully verified."""
     rng = Xorshift64Star(stream_seed(config.seed, index))
-    params = tuple(
-        rng.rational(config.numerator_bound, config.denominator_bound)
-        for _ in range(10)
-    )
-    primitive = _search5_primitive(params)
+    pairs = [(rng.uniform_int(-config.numerator_bound, config.numerator_bound),
+              rng.uniform_int(1, config.denominator_bound)) for _ in range(10)]
+    d = lcm(*(den for _, den in pairs))
+    p, _ = cayley_integer(d, _skew_rows(5, [num * (d // den) for num, den in pairs]))
+    gamma = sum(x * x for x in p[0])
+    diagonal = sum(p[i][i] ** 2 for i in range(5)) == gamma
+    antidiagonal = sum(p[i][4 - i] ** 2 for i in range(5)) == gamma
+    if not (diagonal and antidiagonal):
+        return None, False, diagonal != antidiagonal
+    primitive = rescale_primitive(Matrix(5, 5, p))
     report = verify(primitive)
-    if report.is_euler_magic:
-        if report.distinct_square_count >= config.score_threshold:
-            return _make_candidate(index, params, primitive, report), True, False
-        return None, True, False
-    if report.cond_diagonal != report.cond_antidiagonal:
-        return None, False, True
-    return None, False, False
+    if report.is_euler_magic and report.distinct_square_count >= config.score_threshold:
+        params = tuple(Fraction(num, den) for num, den in pairs)
+        return _make_candidate(index, params, primitive, report), True, False
+    return None, report.is_euler_magic, False
 
 
 def _search5_run_indices(config: SearchConfig, indices: Sequence[int]):
@@ -249,6 +249,12 @@ def search5_cayley(config: SearchConfig, workers: int = 1) -> SearchResult:
 # ----------------------------------------------------------------------
 # 8x8 seeded pipeline
 # ----------------------------------------------------------------------
+
+# Height H gives about 1.2 * H^2 offsets and a grid of about 1.5 * H^4 points:
+# at 100 that is 12,175 offsets and 1.5e8 points, tens of minutes of exact
+# solving per worker.  Far larger heights would exhaust memory on the offsets.
+MAX_HEIGHT = 100
+
 
 def _bounded_height_offsets(height: int) -> List[Fraction]:
     """0 and all reduced n/d with 1 <= |n| <= height, 1 <= d <= height,
@@ -339,11 +345,14 @@ def search8_seeded(
     grid; with height >= 1 the (u,v) plane is scanned over bounded-height
     offsets around center (default (0,0)); at each point the two conditions
     become polynomials of degree <= 2 in w with integer coefficients, solved
-    exactly over the rationals.  A negative height is an error.
+    exactly over the rationals.  A height below 0 or above MAX_HEIGHT is
+    an error.
     """
     _check_workers(workers)
     if height < 0:
         raise ValueError(f"height must be nonnegative, got {height}")
+    if height > MAX_HEIGHT:
+        raise ValueError(f"height must be at most {MAX_HEIGHT}, got {height}")
     left = tuple(Fraction(x) for x in left)
     partial = tuple(Fraction(x) for x in partial)
     if len(partial) != 5:

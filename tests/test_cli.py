@@ -9,9 +9,11 @@ import sys
 
 import pytest
 
-from eulermagic import cli, family8
+from eulermagic import cli, family8, permutations, search
 from eulermagic.matrices import parse_matrix_text
+from eulermagic.permutations import MAX_PERM_SIZE
 from eulermagic.poly import parse_poly
+from eulermagic.search import MAX_HEIGHT
 
 from conftest import FIXTURES
 
@@ -226,6 +228,20 @@ def test_search5_stdout_is_pinned(capsys, seed, bounds):
     assert hashlib.sha256(out.encode()).hexdigest() == _SEARCH5_500[bounds][seed]
 
 
+def test_search5_replays_the_benchmark_digests(capsys):
+    # the benchmark's search5 output gate, read only: every tiny input and one
+    # full-size input (2,000 samples) print the recorded stdout byte for byte
+    path = FIXTURES.parent / "perfbench" / "digests.json"
+    digests = json.loads(path.read_text(encoding="utf-8"))
+    keys = [key for key in digests if key.startswith("search5 ") and " --iterations 20 " in key]
+    assert keys
+    keys.append("search5 --seed 0 --iterations 2000 --workers 1")
+    for key in keys:
+        code, out, _ = run_cli(capsys, *key.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
+
+
 def test_search5_zero_bound_exits_two(capsys):
     assert run_cli(capsys, "search5", "--seed", "0", "--numerator-bound", "0") == (
         2, "", "error: bounds must be at least 1\n")
@@ -275,6 +291,18 @@ def test_search8_improper_left_exits_two(capsys):
 def test_search8_negative_height_exits_two(capsys):
     assert run_cli(capsys, *_SEARCH8_WORKED, "--height", "-3") == (
         2, "", "error: height must be nonnegative, got -3\n")
+
+
+def test_oversized_inputs_exit_two_before_allocating(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("built before the size was checked")
+
+    monkeypatch.setattr(permutations, "perm_matrix", never)
+    monkeypatch.setattr(search, "_bounded_height_offsets", never)
+    assert run_cli(capsys, "perm", str(MAX_PERM_SIZE + 1)) == (
+        2, "", f"error: construction supports n <= {MAX_PERM_SIZE}, got {MAX_PERM_SIZE + 1}\n")
+    assert run_cli(capsys, *_SEARCH8_WORKED, "--height", str(MAX_HEIGHT + 1)) == (
+        2, "", f"error: height must be at most {MAX_HEIGHT}, got {MAX_HEIGHT + 1}\n")
 
 
 def test_forms_all_ones_factorization(capsys):
@@ -366,6 +394,8 @@ def test_module_entry_point_exit_codes(tmp_path):
         (["verify", str(FIXTURES / "euler4.txt")], 0),
         (["verify", str(bad)], 1),
         ([*_SEARCH8_WORKED, "--height", "-1"], 2),
+        ([*_SEARCH8_WORKED, "--height", str(MAX_HEIGHT + 1)], 2),
+        (["perm", str(MAX_PERM_SIZE + 1)], 2),
     ]:
         done = subprocess.run([sys.executable, "-m", "eulermagic.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)

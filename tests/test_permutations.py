@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from eulermagic import permutations
 from eulermagic.matrices import mat_mul, transpose
 from eulermagic.permutations import (
+    MAX_PERM_SIZE,
     Permutation,
     construction_permutation,
     improper_construction,
@@ -76,6 +78,17 @@ def test_small_sizes_rejected():
             construction_permutation(n)
     with pytest.raises(ValueError):
         improper_construction(3)
+
+
+def test_sizes_above_the_bound_rejected_before_the_dense_matrix(monkeypatch):
+    def no_dense_matrix(sigma):
+        raise AssertionError("dense matrix built before the size was checked")
+
+    monkeypatch.setattr(permutations, "perm_matrix", no_dense_matrix)
+    assert construction_permutation(MAX_PERM_SIZE).n == MAX_PERM_SIZE
+    for build in (construction_permutation, improper_construction):
+        with pytest.raises(ValueError, match=f"n <= {MAX_PERM_SIZE}, got 31"):
+            build(MAX_PERM_SIZE + 1)
 
 
 def test_two_by_two_family():

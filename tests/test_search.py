@@ -17,6 +17,7 @@ from eulermagic.cayley import (
 from eulermagic.matrices import Matrix, mat_mul, mat_scale, rescale_primitive
 from eulermagic.octonion import left_matrix, right_matrix
 from eulermagic.search import (
+    MAX_HEIGHT,
     SearchConfig,
     Xorshift64Star,
     _bounded_height_offsets,
@@ -135,61 +136,144 @@ def test_search5_known_near_miss():
     assert result.best_score == 0
 
 
-def test_search5_verifies_every_sample_at_unit_bounds(monkeypatch):
+def _recording_cayley_integer(monkeypatch):
+    """Record (d, S_int, P) for every call of the sampler's integer Cayley core."""
+    calls = []
+
+    def recording(d, s_int):
+        p, det = cayley_integer(d, s_int)
+        calls.append((d, s_int, p))
+        return p, det
+
+    monkeypatch.setattr(search, "cayley_integer", recording)
+    return calls
+
+
+def test_search5_transforms_every_sample_at_unit_bounds(monkeypatch):
     # bounds 1/1 draw every skew entry from {-1, 0, 1}, the all-zero S among
     # them; its Cayley transform is I, and no sample may be dropped
     scaled, det = cayley_integer(1, skew_from_upper(5, [0] * 10).entries)
     assert det == 1
     assert rescale_primitive(Matrix(5, 5, scaled)) == Matrix.from_rows(
         [[int(i == j) for j in range(5)] for i in range(5)])
-    verified = []
-
-    def counting_verify(m):
-        verified.append(m)
-        return verify(m)
-
-    monkeypatch.setattr(search, "verify", counting_verify)
+    calls = _recording_cayley_integer(monkeypatch)
     config = SearchConfig(seed=5, numerator_bound=1, denominator_bound=1,
                           max_iterations=300)
     result = search5_cayley(config)
-    assert result.iterations == len(verified) == 300
-    assert all(m.is_integer() and any(x != 0 for r in m.entries for x in r)
-               for m in verified)
+    assert result.iterations == len(calls) == 300
+    assert all(d == 1 and any(x != 0 for r in p for x in r) for d, _, p in calls)
+
+
+class _ScriptedDraws:
+    """Stands in for Xorshift64Star: uniform_int hands out fixed values in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def uniform_int(self, lo, hi):
+        return next(self._values)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
-def test_search5_integer_core_reaches_the_fixtures(k):
+def test_search5_integer_core_reaches_the_fixtures(monkeypatch, k):
     # the hit path: skew parameters whose Cayley transform is a known 5x5
-    # Euler magic matrix, pushed through the sampler's integer core
+    # Euler magic matrix, drawn as (numerator, denominator) pairs and pushed
+    # through the sampler from its integer core to its candidate
     m = load_fixture(f"five5_{k}.txt")
     negated = tuple(tuple(-x for x in row) for row in m.entries)
     for sign in (1, -1):
         _, orthogonal = ortho_reduce(mat_scale(sign, m))
         s = inverse_cayley(orthogonal)
         params = [s.entry(i, j) for i in range(5) for j in range(i + 1, 5)]
-        primitive = search._search5_primitive(params)
-        assert primitive.entries in (m.entries, negated)
-        assert verify(primitive).is_euler_magic
+        draws = [v for x in params for v in (x.numerator, x.denominator)]
+        monkeypatch.setattr(search, "Xorshift64Star", lambda seed: _ScriptedDraws(draws))
+        candidate, is_hit, is_near = search._search5_sample(SearchConfig(seed=0), 0)
+        assert (is_hit, is_near) == (True, False)
+        assert candidate.matrix.entries in (m.entries, negated)
+        assert candidate.source_params == tuple(params)
+        assert verify(candidate.matrix).is_euler_magic
 
 
 @pytest.mark.parametrize("numerator_bound, denominator_bound", [(120, 8), (3, 2), (1, 1)])
 def test_search5_sampler_matches_public_cayley(monkeypatch, numerator_bound,
                                                denominator_bound):
+    calls = _recording_cayley_integer(monkeypatch)
+    config = SearchConfig(seed=17, numerator_bound=numerator_bound,
+                          denominator_bound=denominator_bound, max_iterations=300)
+    search5_cayley(config)
+    assert len(calls) == 300
+    for index, (d, s_int, p) in enumerate(calls):
+        rng = Xorshift64Star(stream_seed(config.seed, index))
+        params = [rng.rational(numerator_bound, denominator_bound) for _ in range(10)]
+        skew = skew_from_upper(5, params)
+        assert Matrix(5, 5, s_int) == mat_scale(d, skew)
+        assert rescale_primitive(Matrix(5, 5, p)) == rescale_primitive(cayley(skew))
+
+
+def _reference_search5(config):
+    """search5_cayley as a plain loop that runs the public Cayley map and a
+    full verify on every sample: (hits, near misses, candidate JSON lines,
+    the primitive matrices whose two diagonal conditions hold)."""
+    hits = near = 0
+    found, both_hold = [], []
+    for index in range(config.max_iterations):
+        rng = Xorshift64Star(stream_seed(config.seed, index))
+        params = [rng.rational(config.numerator_bound, config.denominator_bound)
+                  for _ in range(10)]
+        primitive = rescale_primitive(cayley(skew_from_upper(5, params)))
+        report = verify(primitive)
+        hits += report.is_euler_magic
+        near += report.cond_diagonal != report.cond_antidiagonal
+        if report.cond_diagonal and report.cond_antidiagonal:
+            both_hold.append(primitive)
+        if report.is_euler_magic and report.distinct_square_count >= config.score_threshold:
+            negated = tuple(tuple(-x for x in row) for row in primitive.entries)
+            found.append((-report.distinct_square_count, index,
+                          min(primitive.entries, negated), params, report))
+    lines, seen = [], set()
+    for minus_score, index, matrix, params, report in sorted(found, key=lambda f: f[:2]):
+        if matrix not in seen:
+            seen.add(matrix)
+            lines.append(canonical_json({
+                "sample_index": index,
+                "source_params": [str(x) for x in params],
+                "matrix": [[str(x) for x in row] for row in matrix],
+                "gamma": str(report.gamma),
+                "score": -minus_score,
+                "duplicates": [[list(p), list(q)] for p, q in report.duplicate_pairs],
+            }))
+    return hits, near, lines, both_hold
+
+
+@pytest.mark.parametrize("numerator_bound, denominator_bound, score_threshold",
+                         [(1, 1, 1), (1, 1, 3), (2, 1, 1), (3, 2, 1), (120, 8, 1)])
+def test_search5_matches_a_full_verify_of_every_sample(numerator_bound, denominator_bound,
+                                                       score_threshold):
+    config = SearchConfig(seed=4, numerator_bound=numerator_bound,
+                          denominator_bound=denominator_bound, max_iterations=1000,
+                          score_threshold=score_threshold)
+    hits, near, lines, _ = _reference_search5(config)
+    result = search5_cayley(config)
+    assert (result.hits, result.near_misses) == (hits, near)
+    assert [canonical_json(candidate_to_json_dict(c)) for c in result.candidates] == lines
+    if numerator_bound == 1:
+        # hits at bounds 1/1 score 2: emitted at threshold 1, counted only at 3
+        assert hits and bool(lines) == (score_threshold == 1)
+
+
+def test_search5_verifies_exactly_the_samples_on_both_diagonals(monkeypatch):
     verified = []
 
     def recording_verify(m):
         verified.append(m)
         return verify(m)
 
+    config = SearchConfig(seed=5, numerator_bound=1, denominator_bound=1,
+                          max_iterations=1000)
+    *_, both_hold = _reference_search5(config)
     monkeypatch.setattr(search, "verify", recording_verify)
-    config = SearchConfig(seed=17, numerator_bound=numerator_bound,
-                          denominator_bound=denominator_bound, max_iterations=300)
     search5_cayley(config)
-    assert len(verified) == 300
-    for index, m in enumerate(verified):
-        rng = Xorshift64Star(stream_seed(config.seed, index))
-        params = [rng.rational(numerator_bound, denominator_bound) for _ in range(10)]
-        assert m == rescale_primitive(cayley(skew_from_upper(5, params)))
+    assert both_hold and verified == both_hold
 
 
 def test_search5_fills_each_skew_matrix_with_skew_from_upper(monkeypatch):
@@ -242,6 +326,15 @@ def test_search8_rejects_negative_height():
     # a negative height used to read as "no grid" and scan nothing
     with pytest.raises(ValueError, match="height must be nonnegative, got -3"):
         search8_seeded(WORKED_LEFT, WORKED_PARTIAL, height=-3)
+
+
+def test_search8_rejects_height_above_the_bound_before_any_offset(monkeypatch):
+    def no_offsets(height):
+        raise AssertionError("offsets built before the height was checked")
+
+    monkeypatch.setattr(search, "_bounded_height_offsets", no_offsets)
+    with pytest.raises(ValueError, match=f"height must be at most {MAX_HEIGHT}, got 101"):
+        search8_seeded(WORKED_LEFT, WORKED_PARTIAL, height=MAX_HEIGHT + 1)
 
 
 def test_search8_grid_refinds_solution():
