@@ -24,6 +24,7 @@ from .matrices import (
     matrix_to_json_dict,
     parse_matrix_json,
     parse_matrix_text,
+    parse_rational,
     rescale_primitive,
     transpose,
 )

@@ -27,7 +27,13 @@ from .family8 import (
     four_parameter_family,
     w1_check,
 )
-from .matrices import format_matrix_text, matrix_to_json_dict, parse_matrix_text
+from .matrices import (
+    _UNSIGNED_RATIONAL,
+    format_matrix_text,
+    matrix_to_json_dict,
+    parse_matrix_text,
+    parse_rational,
+)
 from .permutations import MAX_PERM_SIZE, construction_permutation, improper_construction
 from .search import (
     MAX_HEIGHT,
@@ -45,7 +51,7 @@ __all__ = ["main"]
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
@@ -61,7 +67,7 @@ def _worker_count(text: str) -> int:
 
 
 # lets negative rationals like -14/15 pass as argument values, not options
-_NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+_NEGATIVE_RATIONAL = re.compile(rf"^-(?:{_UNSIGNED_RATIONAL})$")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -102,10 +102,12 @@ class DiagForms:
 
 def diag_forms(left: Sequence[object]) -> DiagForms:
     """The quadratic forms A and B in (p..w) for a fixed numeric left tuple,
-    read off the Gram matrices of integer_forms."""
+    read off _specialised_terms with all of p..w free."""
     left = _require_numeric_left(left)
     forms = integer_forms(left)
-    a_form, b_form = (_quadratic_poly(g, forms.scale) for g in (forms.gram_a, forms.gram_b))
+    square = forms.scale ** 2
+    a_form, b_form = (MultiPoly(RIGHT_VARS, {t[:-1]: Fraction(t[-1], square) for t in table})
+                      for table in _specialised_terms(forms, (None,) * 8))
     return DiagForms(A=a_form, B=b_form, fixed_left=left)
 
 
@@ -254,15 +256,6 @@ def verified_product(left: Sequence[object],
     matrix = Matrix(8, 8, tuple(tuple(Fraction(x, den) for x in row) for row in product.entries))
     primitive = rescale_primitive(product)
     return matrix, primitive, verify(primitive)
-
-
-def _quadratic_poly(gram: Sequence[Vector], scale: int) -> MultiPoly:
-    """x^T gram x / scale^2 over (p..w)."""
-    return MultiPoly(RIGHT_VARS, {
-        tuple((m == k) + (m == l) for m in range(8)):
-            Fraction(gram[k][l] * (1 if k == l else 2), scale * scale)
-        for k in range(8) for l in range(k, 8)
-    })
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,15 @@ multiply matrices of other exact ring elements.  Nothing here ever rounds.
 
 The plain-text interchange format is one row per line with whitespace
 separated entries written as "p/q" or "p"; the JSON form is
-{"rows": n, "cols": n, "entries": [["p/q", ...], ...]}.
+{"rows": n, "cols": n, "entries": [["p/q", ...], ...]}.  Both read each
+entry through parse_rational, which also takes decimals such as "-.5" but
+no exponent notation.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -30,6 +33,7 @@ __all__ = [
     "mat_inverse",
     "rescale_primitive",
     "clear_denominators",
+    "parse_rational",
     "parse_matrix_text",
     "format_matrix_text",
     "matrix_to_json_dict",
@@ -73,13 +77,6 @@ class Matrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_integer(self) -> bool:
-        return all(
-            isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1)
-            for r in self.entries
-            for e in r
-        )
 
     def __str__(self) -> str:
         return format_matrix_text(self)
@@ -215,19 +212,31 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 def rescale_primitive(a: Matrix) -> Matrix:
     """The positive rescaling of a rational matrix to integer entries with gcd 1."""
-    rows = a.entries
-    if {type(x) for r in rows for x in r} != {int}:
-        _, ints = clear_denominators([x for r in rows for x in r])
-        rows = [ints[i:i + a.cols] for i in range(0, len(ints), a.cols)]
-    g = gcd(*(x for r in rows for x in r))
+    _, ints = clear_denominators([x for r in a.entries for x in r])
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("cannot rescale the zero matrix")
-    return Matrix(a.rows, a.cols, tuple(tuple(x // g for x in r) for r in rows))
+    return Matrix(a.rows, a.cols, tuple(tuple(x // g for x in ints[i:i + a.cols])
+                                        for i in range(0, len(ints), a.cols)))
 
 
 # ----------------------------------------------------------------------
 # interchange formats
 # ----------------------------------------------------------------------
+
+# an optional sign, then an integer, a fraction p/q or a decimal such as .5
+_UNSIGNED_RATIONAL = r"\d+(?:/\d+)?|\d*\.\d+"
+_RATIONAL = re.compile(rf"[+-]?(?:{_UNSIGNED_RATIONAL})")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational written as text.  Anything else, exponent notation
+    included, is a ValueError before Fraction sees it: Fraction("1e100000000")
+    would build 10^100000000.  A zero denominator is a ZeroDivisionError."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational number: {text!r}")
+    return Fraction(text)
+
 
 def _format_entry(x) -> str:
     return str(Fraction(x))
@@ -250,7 +259,7 @@ def parse_matrix_text(text: str) -> Matrix:
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            row = [Fraction(tok) for tok in stripped.split()]
+            row = [parse_rational(tok) for tok in stripped.split()]
         except (ValueError, ZeroDivisionError) as ex:
             raise ValueError(f"line {lineno}: cannot parse matrix entry ({ex})") from None
         rows.append(row)
@@ -274,7 +283,7 @@ def matrix_from_json_dict(d: dict) -> Matrix:
     try:
         rows = int(d["rows"])
         cols = int(d["cols"])
-        entries = [[Fraction(s) for s in r] for r in d["entries"]]
+        entries = [[parse_rational(s) for s in r] for r in d["entries"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as ex:
         raise ValueError(f"malformed matrix JSON ({ex})") from None
     m = Matrix.from_rows(entries)

@@ -28,8 +28,8 @@ __all__ = [
 
 
 # The construction's matrix is dense, and its verify report lists every pair of
-# equal entry squares: about n^4 / 2 pairs for a permutation matrix (378,015 at
-# n = 30, 7.7 MB of `eulermagic perm` output), so larger sizes are refused.
+# equal entry squares: about n^4 / 2 pairs for a permutation matrix (378,450 at
+# n = 30, 7.9 MB of `eulermagic perm` output), so larger sizes are refused.
 MAX_PERM_SIZE = 30
 
 

@@ -96,28 +96,6 @@ class MultiPoly:
     # ------------------------------------------------------------------
     # basic structure
     # ------------------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        """Maximum term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self, degree: int) -> bool:
-        return all(sum(e) == degree for e in self.terms)
-
-    def constant_value(self) -> Coeff:
-        """The value of a constant polynomial."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1:
-            (exps, c), = self.terms.items()
-            if not any(exps):
-                return c
-        raise ValueError(f"polynomial is not constant: {self}")
-
     def _index(self, name: str) -> int:
         try:
             return self.variables.index(name)

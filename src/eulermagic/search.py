@@ -39,7 +39,7 @@ from .family8 import (
     verified_product,
 )
 from .matrices import Matrix, rescale_primitive
-from .verify import VerifyReport, verify
+from .verify import VerifyReport, _diagonal_conditions, verify
 
 __all__ = [
     "Xorshift64Star",
@@ -201,17 +201,15 @@ def _search5_sample(config: SearchConfig, index: int):
 
     The ten skew parameters are drawn as (numerator, denominator) pairs in the
     order of Xorshift64Star.rational.  P = cayley_integer(d, d * S) is a
-    positive multiple of cayley(S) for any d > 0 that clears S, so its two
-    diagonal conditions are those of the primitive matrix; only a sample
-    passing both is rescaled and fully verified."""
+    positive multiple of cayley(S) for any d > 0 that clears S, so verify's
+    own diagonal conditions on P are those of the primitive matrix; only a
+    sample passing both is rescaled and fully verified."""
     rng = Xorshift64Star(stream_seed(config.seed, index))
     pairs = [(rng.uniform_int(-config.numerator_bound, config.numerator_bound),
               rng.uniform_int(1, config.denominator_bound)) for _ in range(10)]
     d = lcm(*(den for _, den in pairs))
     p, _ = cayley_integer(d, _skew_rows(5, [num * (d // den) for num, den in pairs]))
-    gamma = sum(x * x for x in p[0])
-    diagonal = sum(p[i][i] ** 2 for i in range(5)) == gamma
-    antidiagonal = sum(p[i][4 - i] ** 2 for i in range(5)) == gamma
+    _, diagonal, antidiagonal = _diagonal_conditions(p)
     if not (diagonal and antidiagonal):
         return None, False, diagonal != antidiagonal
     primitive = rescale_primitive(Matrix(5, 5, p))
@@ -341,12 +339,12 @@ def search8_seeded(
 
     The left tuple must give a proper polynomial matrix (witness scan), and
     the specialization by the partial values must preserve that, else error.
-    A supplied (u,v,w) is verified exactly as sample 0.  Height 0 scans no
-    grid; with height >= 1 the (u,v) plane is scanned over bounded-height
-    offsets around center (default (0,0)); at each point the two conditions
-    become polynomials of degree <= 2 in w with integer coefficients, solved
-    exactly over the rationals.  A height below 0 or above MAX_HEIGHT is
-    an error.
+    A supplied (u,v,w) is sample 0 if verify finds its matrix Euler magic,
+    and an error otherwise.  Height 0 scans no grid; with height >= 1 the
+    (u,v) plane is scanned over bounded-height offsets around center
+    (default (0,0)); at each point the two conditions become polynomials of
+    degree <= 2 in w with integer coefficients, solved exactly over the
+    rationals.  A height below 0 or above MAX_HEIGHT is an error.
     """
     _check_workers(workers)
     if height < 0:
@@ -362,24 +360,21 @@ def search8_seeded(
         raise ValueError("polynomial matrix improper")
     if not entries_distinct(left + partial):
         raise ValueError("polynomial matrix improper after fixing (p, q, r, s, t)")
-    # A and B as integer terms (i, j, k, c): c * u^i * v^j * w^k, at most 10 each
-    tables = _specialised_terms(integer_forms(left), partial + (None,) * 3)
 
     parts = []
     if supplied is not None:
-        u, v, w = (Fraction(x) for x in supplied)
-        got, _, near, _ = _search8_grid_chunk(
-            left, partial, tables, [(u.numerator, u.denominator)],
-            [(v.numerator, v.denominator)], 0, range(1))
-        kept = [c for c in got if c.source_params[7] == w]
-        if not kept:
+        right = partial + tuple(Fraction(x) for x in supplied)
+        _, primitive, report = verified_product(left, right)
+        if not report.is_euler_magic:
             raise ValueError("supplied solution does not satisfy the diagonal conditions")
-        parts.append((kept, len(kept), near, 0))
+        parts.append(([_make_candidate(0, right, primitive, report)], 1, 0, 0))
     first = len(parts)  # the grid's first sample index
     points = range(0)
     if height > 0:
         cu, cv = (Fraction(0), Fraction(0)) if center is None else (
             Fraction(center[0]), Fraction(center[1]))
+        # A and B as integer terms (i, j, k, c): c * u^i * v^j * w^k, at most 10 each
+        tables = _specialised_terms(integer_forms(left), partial + (None,) * 3)
         offsets = _bounded_height_offsets(height)
         us, vs = ([(y.numerator, y.denominator) for y in (c + x for x in offsets)]
                   for c in (cu, cv))

@@ -38,7 +38,7 @@ def quadratic_coeff_table(poly: MultiPoly):
     """Coefficient table {(i, j): c} with i <= j of a homogeneous quadratic:
     c[(i, i)] multiplies x_i**2 and c[(i, j)] multiplies x_i*x_j, the table
     quadratic_form_coeffs recovers from a blackbox."""
-    if poly.terms and not poly.is_homogeneous(2):
+    if any(sum(exps) != 2 for exps in poly.terms):
         raise ValueError("polynomial is not a homogeneous quadratic")
     table = {}
     for exps, c in poly.terms.items():

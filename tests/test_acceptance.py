@@ -33,7 +33,7 @@ from eulermagic.matrices import (
 )
 from eulermagic.octonion import RIGHT_VARS, left_matrix, right_matrix
 from eulermagic.permutations import improper_construction, two_by_two_family
-from eulermagic.poly import quadratic_form_coeffs
+from eulermagic.poly import MultiPoly, quadratic_form_coeffs
 from eulermagic.search import (
     SearchConfig,
     Xorshift64Star,
@@ -134,9 +134,10 @@ def test_criterion_06_diag_forms_match_blackbox_oracle():
 
             assert quadratic_form_coeffs(blackbox, 8) == quadratic_coeff_table(poly)
         a, h = left[0], left[7]
-        assert forms.A.coefficient_of("w", 2).constant_value() == 8 * (h - a) * (h + a)
+        assert forms.A.coefficient_of("w", 2) == MultiPoly.constant(
+            RIGHT_VARS, 8 * (h - a) * (h + a))
         w1 = forms.A.coefficient_of("w", 1)
-        assert w1.coefficient_of("p", 1).constant_value() == 16 * a * h
+        assert w1.coefficient_of("p", 1) == MultiPoly.constant(RIGHT_VARS, 16 * a * h)
 
 
 def test_criterion_07_eliminated_cubic_structure_over_all_small_tuples():

@@ -74,6 +74,13 @@ def test_inverse_cayley_rejects_eigenvalue_minus_one():
         inverse_cayley(m)
 
 
+@pytest.mark.parametrize("rows", [[[2, 0], [0, 2]], [[1, 1], [0, 1]]])
+def test_inverse_cayley_rejects_non_orthogonal_input(rows):
+    # without the check, 2 * I maps to -1/3 * I, which is not skew
+    with pytest.raises(ValueError, match="input is not orthogonal"):
+        inverse_cayley(Matrix.from_rows(rows))
+
+
 def test_sign_diagonal_fixes_excluded_orthogonals():
     rng = random.Random(159)
     samples = [mat_scale(-1, identity(3))]
@@ -91,8 +98,8 @@ def test_sign_diagonal_fixes_excluded_orthogonals():
 def test_cayley3_forms_shape():
     d, e = cayley3_forms()
     assert d.variables == ("a", "b", "c")
-    assert d.total_degree() == 4
-    assert e.total_degree() == 4
+    assert max(map(sum, d.terms)) == 4
+    assert max(map(sum, e.terms)) == 4
     # no rational point makes both vanish; spot check one is nonzero somewhere
     assert d.eval({"a": 1, "b": 0, "c": 0}) != 0 or e.eval({"a": 1, "b": 0, "c": 0}) != 0
 
@@ -193,3 +200,9 @@ def test_ortho_reduce_rejects_even_or_non_scalar():
         ortho_reduce(identity(4))
     with pytest.raises(ValueError):
         ortho_reduce(Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def test_ortho_reduce_rejects_zero_gamma():
+    # the zero matrix has the scalar product 0 * I, but no lambda to divide by
+    with pytest.raises(ValueError, match="gamma is zero"):
+        ortho_reduce(Matrix.from_rows([[0] * 3] * 3))

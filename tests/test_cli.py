@@ -121,6 +121,27 @@ def test_family_accepts_negative_rationals(capsys):
     assert "euler_magic: true" in out
 
 
+@pytest.mark.parametrize("value", ["3", "-14/15", ".5", "-.5"])
+def test_arguments_take_integers_fractions_and_decimals(capsys, value):
+    code, out, _ = run_cli(capsys, "family", "1/2", "3", value, "7")
+    assert code == 0
+    assert "euler_magic: true" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "1e100000000", "1", "1", "1"],
+    [*_SEARCH8_WORKED[:-1], "1e100000000"],
+    [*_SEARCH8_WORKED, "--solution", "1", "1", "1e100000000"],
+    [*_SEARCH8_WORKED, "--height", "1", "--center", "1e100000000", "0"],
+])
+def test_exponent_notation_argument_is_a_usage_error(capsys, argv):
+    # Fraction would accept the token and build 10^100000000
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert "not a rational number" in capsys.readouterr().err
+
+
 def test_prove3_text(capsys):
     code, out, _ = run_cli(capsys, "prove3")
     assert code == 0
@@ -268,15 +289,29 @@ def test_search8_supplied_solution(capsys):
 
 
 def test_search8_internal_error_is_not_a_usage_error(monkeypatch):
-    # a solved point that fails its exact re-verification is a bug, which must
-    # surface as such instead of exiting 2 like bad input
+    # a solved grid point that fails its exact re-verification is a bug, which
+    # must surface as such instead of exiting 2 like bad input
     real_verify = family8.verify
     monkeypatch.setattr(family8, "verify",
                         lambda m: dataclasses.replace(real_verify(m), is_euler_magic=False))
     with pytest.raises(RuntimeError, match="internal error: solved point failed verification"):
-        cli.main(["search8", "--left", "0", "1", "1", "1", "1", "1", "-1", "5",
-                  "--partial", "3", "-2", "-4", "5", "6",
-                  "--solution", "13/15", "-14/15", "-23/5"])
+        cli.main([*_SEARCH8_WORKED, "--height", "1", "--center", "13/15", "-14/15"])
+
+
+def test_search8_supplied_point_matches_the_grid_candidate(capsys):
+    # verify's verdict on the supplied point gives the candidate the grid's
+    # w-solve finds at the same (u, v), apart from its sample index
+    code, out, _ = run_cli(capsys, *_SEARCH8_WORKED, "--solution", "13/15", "-14/15", "-23/5")
+    assert code == 0
+    supplied, summary = map(json.loads, out.splitlines())
+    assert (summary["hits"], summary["near_misses"], summary["iterations"]) == (1, 0, 1)
+    code, out, _ = run_cli(capsys, *_SEARCH8_WORKED, "--height", "1",
+                           "--center", "13/15", "-14/15")
+    assert code == 0
+    grid = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert supplied["sample_index"] == 0
+    assert [dict(c, sample_index=0) for c in grid
+            if c["source_params"] == supplied["source_params"]] == [supplied]
 
 
 def test_search8_improper_left_exits_two(capsys):
@@ -390,14 +425,22 @@ def test_module_entry_point_exit_codes(tmp_path):
                                                       env.get("PYTHONPATH")]))
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1\n0 1\n", encoding="utf-8")
+    exponent = tmp_path / "exponent.txt"
+    exponent.write_text("1e100000000 0\n0 1\n", encoding="utf-8")
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text(("0 " * 80 + "\n") * 80, encoding="utf-8")
+    # a hang or a traceback on hostile input fails here instead of stalling
     for argv, expected in [
         (["verify", str(FIXTURES / "euler4.txt")], 0),
         (["verify", str(bad)], 1),
+        (["verify", str(exponent)], 2),
+        (["verify", str(zeros)], 2),
+        (["family", "1e100000000", "1", "1", "1"], 2),
         ([*_SEARCH8_WORKED, "--height", "-1"], 2),
         ([*_SEARCH8_WORKED, "--height", str(MAX_HEIGHT + 1)], 2),
         (["perm", str(MAX_PERM_SIZE + 1)], 2),
     ]:
         done = subprocess.run([sys.executable, "-m", "eulermagic.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=30)
         assert done.returncode == expected, done.stderr
         assert "Traceback" not in done.stderr

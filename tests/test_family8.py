@@ -82,8 +82,8 @@ def test_diag_forms_cross_check():
     forms = diag_forms(FAMILY_LEFT)
     assert forms.A.degree_in("w") == 1
     assert forms.B.degree_in("w") == 1
-    assert forms.A.is_homogeneous(2)
-    assert forms.B.is_homogeneous(2)
+    assert all(sum(exps) == 2 for exps in forms.A.terms)
+    assert all(sum(exps) == 2 for exps in forms.B.terms)
 
 
 def test_diag_forms_vanish_exactly_on_magic_points():
@@ -102,11 +102,9 @@ def test_w_coefficient_identities():
         a, h = left[0], left[7]
         forms = diag_forms(left)
         w2 = forms.A.coefficient_of("w", 2)
-        assert w2.total_degree() <= 0
-        assert w2.constant_value() == 8 * (h - a) * (h + a)
+        assert w2 == MultiPoly.constant(RIGHT_VARS, 8 * (h - a) * (h + a))
         wp = forms.A.coefficient_of("w", 1).coefficient_of("p", 1)
-        assert wp.total_degree() <= 0
-        assert wp.constant_value() == 16 * a * h
+        assert wp == MultiPoly.constant(RIGHT_VARS, 16 * a * h)
 
 
 def test_symbolic_diag_forms_specialize():
@@ -149,7 +147,7 @@ def test_zero_entries_force_identical_squares():
     assert rep.polynomial_matrix_proper is False
     assert rep.properness_obstructed is True
     assert rep.witnesses[0].kind == "identical-squares"
-    assert rep.witnesses[0].form.is_zero()
+    assert not rep.witnesses[0].form.terms
 
 
 def test_family_left_unobstructed():
@@ -164,7 +162,7 @@ def test_generic_witness_collapses_when_a_h_vanish():
     m = multipoly_product()
     form = m.entry(0, 7) - m.entry(7, 0)
     assert str(form) == "-2*a*w - 2*h*p"
-    assert form.substitute("a", 0).substitute("h", 0).is_zero()
+    assert not form.substitute("a", 0).substitute("h", 0).terms
     rep = improper_witnesses((0, 1, 2, 3, 5, 7, 11, 0))
     assert ("identical-squares", (1, 8), (8, 1), "difference") in [
         (w.kind, w.first, w.second, w.relation) for w in rep.witnesses]
@@ -391,8 +389,8 @@ def test_w1_coefficient_checker_matches_residual_eval():
     each residual's Horner source against its own value, on 2,000 seeded
     tuples in [-4, 4]^8."""
     residuals = _w1_residuals()
-    assert len(residuals) == 8 and residuals[1].is_zero()
-    compiled = [_compile_residual(poly) for poly in residuals if not poly.is_zero()]
+    assert len(residuals) == 8 and not residuals[1].terms
+    compiled = [_compile_residual(poly) for poly in residuals if poly.terms]
     check = w1_coefficient_checker()
     rng = random.Random(2718)
     for _ in range(2000):
@@ -401,7 +399,7 @@ def test_w1_coefficient_checker_matches_residual_eval():
         values = [poly.eval({**names, **dict.fromkeys(RIGHT_VARS, 0)}) for poly in residuals]
         assert check(left) is not any(values), left
         assert [_run_residual(code, names) for code in compiled] == \
-            [v for v, poly in zip(values, residuals) if not poly.is_zero()], left
+            [v for v, poly in zip(values, residuals) if poly.terms], left
 
 
 def _compile_residual(poly):
@@ -502,6 +500,13 @@ def test_solve_chain_pinned(left, free, expected):
         assert res.report.is_euler_magic
 
 
+def _constant(poly):
+    """The value of a polynomial with no term but the constant."""
+    zero = (0,) * len(poly.variables)
+    assert set(poly.terms) <= {zero}, poly
+    return poly.terms.get(zero, 0)
+
+
 def _reference_chain(left, free):
     """The solve chain on MultiPoly, from diag_forms and eliminate_w: each step
     substitutes the values known so far into the p^2 coefficient of F, into F,
@@ -512,7 +517,7 @@ def _reference_chain(left, free):
     f = eliminate_w(forms)[0]
     p2 = f.coefficient_of("p", 2)
     solve_var = next((name for name in ("q", "v")
-                      if not p2.coefficient_of(name, 1).is_zero()), None)
+                      if p2.coefficient_of(name, 1).terms), None)
     if solve_var is None:
         return "step 1: both q and v coefficients vanish (b = g = 0)", None, None
     values = {"s": Fraction(1), **{name: Fraction(x) for name, x in free.items()}}
@@ -521,10 +526,9 @@ def _reference_chain(left, free):
             poly = poly.substitute(name, value)
         assert poly.degree_in(var) <= 1
         lead = poly.coefficient_of(var, 1)
-        if lead.is_zero():
+        if not lead.terms:
             return f"step {step}: {var}-coefficient zero", solve_var, None
-        values[var] = -Fraction(poly.coefficient_of(var, 0).constant_value(),
-                                lead.constant_value())
+        values[var] = -Fraction(_constant(poly.coefficient_of(var, 0)), _constant(lead))
     assert forms.A.eval(values) == 0 and forms.B.eval(values) == 0
     return None, solve_var, tuple(values[name] for name in RIGHT_VARS)
 

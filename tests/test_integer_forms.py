@@ -161,7 +161,7 @@ def _divides(quadratic: MultiPoly, linear: MultiPoly) -> bool:
     exps, c = max(linear.terms.items())
     name = RIGHT_VARS[exps.index(1)]
     rest = (MultiPoly.variable(RIGHT_VARS, name) * c - linear) * Fraction(1, c)
-    return quadratic.substitute(name, rest).is_zero()
+    return not quadratic.substitute(name, rest).terms
 
 
 def _reference_scan(left):
@@ -184,7 +184,7 @@ def _reference_scan(left):
     a_form = _reference_forms(left)[0]
     probe, divisors = _hyperplane_probe(entries), []
     for *rec, vec in table.values():
-        if not a_form.is_zero() and probe(vec):
+        if a_form.terms and probe(vec):
             form = _linear(vec, scale)
             if _divides(a_form, form):
                 divisors.append((*rec, form))
@@ -288,9 +288,12 @@ def test_witness_scan_keys_pair_lines_only_when_a_splits(monkeypatch):
 # ----------------------------------------------------------------------
 
 def _reference_w_roots(poly: MultiPoly):
-    if poly.is_zero():
+    if not poly.terms:
         return None
-    c2, c1, c0 = (Fraction(poly.coefficient_of("w", k).constant_value()) for k in (2, 1, 0))
+    constant = (0,) * len(poly.variables)
+    coefficients = [poly.coefficient_of("w", k).terms for k in (2, 1, 0)]
+    assert all(set(terms) <= {constant} for terms in coefficients)
+    c2, c1, c0 = (Fraction(terms.get(constant, 0)) for terms in coefficients)
     if c2 == 0:
         return [] if c1 == 0 else [-c0 / c1]
     disc = c1 * c1 - 4 * c2 * c0
@@ -505,7 +508,7 @@ def test_zero_partial_collides_for_every_left():
     first, second = m.entry(0, 3), m.entry(4, 7)
     for name in "pqrst":
         first, second = first.substitute(name, 0), second.substitute(name, 0)
-    assert not first.is_zero() and (first + second).is_zero()
+    assert first.terms and not (first + second).terms
 
 
 @settings(max_examples=5)

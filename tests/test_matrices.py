@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from eulermagic import matrices
 from eulermagic.matrices import (
     Matrix,
     SingularMatrixError,
@@ -20,6 +21,7 @@ from eulermagic.matrices import (
     matrix_to_json_dict,
     parse_matrix_json,
     parse_matrix_text,
+    parse_rational,
     rescale_primitive,
     transpose,
 )
@@ -29,7 +31,7 @@ def test_construction_checks():
     m = Matrix.from_rows([[1, 2], [3, 4]])
     assert m.rows == m.cols == 2
     assert m.entry(1, 0) == 3
-    assert m.is_square() and m.is_integer()
+    assert m.is_square()
     with pytest.raises(ValueError):
         Matrix(2, 2, ((1, 2), (3,)))
     with pytest.raises(ValueError):
@@ -141,3 +143,34 @@ def test_json_roundtrip():
     assert parse_matrix_json(json.dumps(d)) == m
     with pytest.raises(ValueError):
         matrix_from_json_dict({"rows": 1, "cols": 1})
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), ("-14/15", Fraction(-14, 15)), ("+4/6", Fraction(2, 3)),
+    (".5", Fraction(1, 2)), ("-.5", Fraction(-1, 2)), ("12.25", Fraction(49, 4)),
+])
+def test_parse_rational_reads_the_documented_forms(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e100000000", "1E5", "2.5e-3", "1_000", "inf", "nan", "1/2/3", "1/.5", "3.",
+    " 3", "+", "", "--1",
+])
+def test_parse_rational_refuses_other_forms_before_fraction(monkeypatch, text):
+    # Fraction("1e100000000") would build 10^100000000; the refusal comes first
+    def never(*args):
+        raise AssertionError("Fraction called on a refused token")
+
+    monkeypatch.setattr(matrices, "Fraction", never)
+    with pytest.raises(ValueError, match="not a rational number"):
+        parse_rational(text)
+
+
+def test_matrix_readers_refuse_exponent_notation():
+    with pytest.raises(ValueError, match="line 2: cannot parse matrix entry"):
+        parse_matrix_text("1 0\n0 1e100000000\n")
+    with pytest.raises(ValueError, match="malformed matrix JSON"):
+        matrix_from_json_dict({"rows": 1, "cols": 1, "entries": [["1e100000000"]]})
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")

@@ -1,6 +1,8 @@
 """Unit tests for Euler-magic verification and the induced square of squares."""
 
+import importlib
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +17,9 @@ from eulermagic.matrices import (
     rescale_primitive,
     transpose,
 )
-from eulermagic.permutations import improper_construction
+from eulermagic.permutations import MAX_PERM_SIZE, improper_construction
 from eulermagic.verify import (
+    MAX_DUPLICATE_PAIRS,
     VerifyReport,
     magic_square_of_squares,
     report_to_json_dict,
@@ -91,6 +94,23 @@ def test_duplicate_pair_positions_are_one_based():
     assert rep.duplicate_pairs == (((3, 2), (5, 3)),)
     (p, q), = rep.duplicate_pairs
     assert m.entry(p[0] - 1, p[1] - 1) ** 2 == m.entry(q[0] - 1, q[1] - 1) ** 2
+
+
+def test_duplicate_pair_bound_admits_the_largest_construction():
+    # perm n has n^2 - n zeros and n entries of square 1 (closed form, no report built)
+    n = MAX_PERM_SIZE
+    assert comb(n * n - n, 2) + comb(n, 2) == 378_450 <= MAX_DUPLICATE_PAIRS
+    assert comb(80 * 80, 2) > MAX_DUPLICATE_PAIRS
+
+
+def test_too_many_duplicate_pairs_refused_before_listing(monkeypatch):
+    def never(*args):
+        raise AssertionError("pairs listed before they were counted")
+
+    # the package's verify function shadows the module of the same name
+    monkeypatch.setattr(importlib.import_module("eulermagic.verify"), "combinations", never)
+    with pytest.raises(ValueError, match="20476800 pairs of equal entry squares"):
+        verify(Matrix.from_rows([[0] * 80] * 80))
 
 
 def test_magic_square_of_squares(euler4):
