@@ -7,6 +7,11 @@ det(M + D) != 0 extends the parametrization to all orthogonal matrices, and
 for odd n any M with M * M^t = gamma * I is a scalar multiple of an
 orthogonal matrix (ortho_reduce).
 
+cayley_integer is the one exact kernel of the map: integer P = det * cayley(S)
+from one Bareiss adjugate.  For 5x5 skew S, cayley5_diagonals reads the main
+diagonal and anti-diagonal of that P from Cayley-Hamilton closed forms instead,
+which is all the two diagonal conditions need.
+
 For n = 3 the two diagonal conditions become two polynomial equations
 D = E = 0 in the three skew parameters.  nonexistence_certificate() checks,
 as exact polynomial identities, the algebra showing that D = E = 0 has no
@@ -41,6 +46,7 @@ __all__ = [
     "is_skew",
     "cayley",
     "cayley_integer",
+    "cayley5_diagonals",
     "inverse_cayley",
     "sign_diagonal",
     "cayley3_forms",
@@ -96,6 +102,54 @@ def cayley_integer(d: int, s_int: Sequence[Sequence[int]]) -> Tuple[List[List[in
     d2 = 2 * d
     return [[d2 * x - det if i == j else d2 * x for j, x in enumerate(r)]
             for i, r in enumerate(adj)], det
+
+
+def cayley5_diagonals(d: int, rows: Sequence[Sequence[int]]) -> Tuple[int, List[int], List[int]]:
+    """(det, [P[i][i]], [P[i][4 - i]]) for (P, det) = cayley_integer(d, rows), where
+    rows is a 5 x 5 integer skew matrix S, without forming adj A.
+
+    The characteristic polynomial of S is x^5 + sigma2 x^3 + sigma4 x, with
+    sigma2 the sum of the squared upper entries and sigma4 = sum_k Pf_k^2,
+    Pf_k the Pfaffian of S with row and column k deleted.  For A = dI + S,
+    Cayley-Hamilton gives det A = d c0 and
+        adj A = S^4 - d S^3 + c2 S^2 - d c2 S + c0 I,
+    with c2 = d^2 + sigma2 and c0 = d^4 + sigma2 d^2 + sigma4.  In terms of
+    the Gram matrix G = S S^t = -S^2 of the rows,
+        adj A[k][k] = d^4 + d^2 (sigma2 - G_kk) + Pf_k^2,
+        adj A[i][j], adj A[j][i] = E + O, E - O,
+    where E = (G^2)_ij - c2 G_ij and O = d ((S G)_ij - c2 s_ij); only (0, 4)
+    and (1, 3) are needed.  P = 2d adj A - det I, as in cayley_integer.
+    """
+    (_, s01, s02, s03, s04), (_, _, s12, s13, s14), (_, _, _, s23, s24), (*_, s34), _ = rows
+    g = [s01 * s01 + s02 * s02 + s03 * s03 + s04 * s04,  # G_kk
+         s01 * s01 + s12 * s12 + s13 * s13 + s14 * s14,
+         s02 * s02 + s12 * s12 + s23 * s23 + s24 * s24,
+         s03 * s03 + s13 * s13 + s23 * s23 + s34 * s34,
+         s04 * s04 + s14 * s14 + s24 * s24 + s34 * s34]
+    g01 = s02 * s12 + s03 * s13 + s04 * s14
+    g02 = s03 * s23 + s04 * s24 - s01 * s12
+    g03 = s04 * s34 - s01 * s13 - s02 * s23
+    g04 = -s01 * s14 - s02 * s24 - s03 * s34
+    g12 = s01 * s02 + s13 * s23 + s14 * s24
+    g13 = s01 * s03 + s14 * s34 - s12 * s23
+    g14 = s01 * s04 - s12 * s24 - s13 * s34
+    g23 = s02 * s03 + s12 * s13 + s24 * s34
+    g24 = s02 * s04 + s12 * s14 - s23 * s34
+    g34 = s03 * s04 + s13 * s14 + s23 * s24
+    pf = (s12 * s34 - s13 * s24 + s14 * s23, s02 * s34 - s03 * s24 + s04 * s23,
+          s01 * s34 - s03 * s14 + s04 * s13, s01 * s24 - s02 * s14 + s04 * s12,
+          s01 * s23 - s02 * s13 + s03 * s12)
+    d2 = d * d
+    c2 = d2 + sum(g) // 2
+    det = d * (d2 * c2 + sum(x * x for x in pf))
+    d1 = 2 * d
+    diagonal = [d1 * (d2 * (c2 - gkk) + x * x) - det for gkk, x in zip(g, pf)]
+    e04 = g[0] * g04 + g01 * g14 + g02 * g24 + g03 * g34 + g04 * g[4] - c2 * g04
+    o04 = d * (s01 * g14 + s02 * g24 + s03 * g34 + s04 * g[4] - c2 * s04)
+    e13 = g01 * g03 + g[1] * g13 + g12 * g23 + g13 * g[3] + g14 * g34 - c2 * g13
+    o13 = d * (s12 * g23 + s13 * g[3] + s14 * g34 - s01 * g03 - c2 * s13)
+    return det, diagonal, [d1 * (e04 + o04), d1 * (e13 + o13), diagonal[2],
+                           d1 * (e13 - o13), d1 * (e04 - o04)]
 
 
 def _cayley_map(m: Matrix) -> Matrix:

@@ -13,9 +13,12 @@ through parse_poly.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple, Union
+
+from .matrices import parse_rational
 
 Coeff = Union[int, Fraction]
 Exponents = Tuple[int, ...]
@@ -264,8 +267,14 @@ class MultiPoly:
         return f"MultiPoly({','.join(self.variables)}: {self})"
 
 
+_POWER = re.compile(r"\d+")
+
+
 def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
-    """Parse the rendering produced by str(MultiPoly) back into a polynomial."""
+    """Parse the rendering produced by str(MultiPoly) back into a polynomial.
+
+    Numbers are read by matrices.parse_rational, so exponent notation is a
+    ValueError, and a power must be a nonnegative decimal integer."""
     variables = tuple(variables)
     s = text.strip()
     if not s:
@@ -294,12 +303,14 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
             if not factor:
                 raise ValueError(f"malformed term in {text!r}")
             if factor[0].isdigit():
-                coeff = coeff * Fraction(factor)
+                coeff = coeff * parse_rational(factor)
             else:
-                name, _, power = factor.partition("^")
+                name, caret, power = factor.partition("^")
                 if name not in variables:
                     raise ValueError(f"unknown variable {name!r} in {text!r}")
-                exps[variables.index(name)] += int(power) if power else 1
+                if caret and not _POWER.fullmatch(power):
+                    raise ValueError(f"malformed power {factor!r} in {text!r}")
+                exps[variables.index(name)] += int(power) if caret else 1
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
     return MultiPoly(variables, terms)

@@ -3,8 +3,10 @@
 Two search styles share this module:
 
 * a random 5x5 search that samples rational skew-symmetric parameters,
-  applies the Cayley transform, and keeps exact hits of the two diagonal
-  conditions (near misses - exactly one condition holding - are counted);
+  tests the two diagonal conditions on the diagonals of their Cayley
+  transform (read from closed forms, without the full transform), and keeps
+  exact hits, fully transformed and verified (near misses - exactly one
+  condition holding - are counted);
 * a deterministic 8x8 pipeline that fixes a left tuple and five of the right
   coefficients, then solves the remaining two quadratic conditions for w over
   a bounded-height grid of (u, v) values, optionally verifying a supplied
@@ -30,7 +32,7 @@ from fractions import Fraction
 from math import inf, isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cayley import _skew_rows, cayley_integer
+from .cayley import _skew_rows, cayley5_diagonals, cayley_integer
 from .family8 import (
     _specialised_terms,
     entries_distinct,
@@ -39,7 +41,7 @@ from .family8 import (
     verified_product,
 )
 from .matrices import Matrix, rescale_primitive
-from .verify import VerifyReport, _diagonal_conditions, verify
+from .verify import VerifyReport, _squares_sum_to, verify
 
 __all__ = [
     "Xorshift64Star",
@@ -201,17 +203,21 @@ def _search5_sample(config: SearchConfig, index: int):
 
     The ten skew parameters are drawn as (numerator, denominator) pairs in the
     order of Xorshift64Star.rational.  P = cayley_integer(d, d * S) is a
-    positive multiple of cayley(S) for any d > 0 that clears S, so verify's
-    own diagonal conditions on P are those of the primitive matrix; only a
-    sample passing both is rescaled and fully verified."""
+    positive multiple of cayley(S) for any d > 0 that clears S, and
+    P * P^t = det^2 * I, so verify's diagonal conditions on the primitive
+    matrix are those of P's diagonals against gamma = det^2.  Both diagonals
+    come from cayley5_diagonals' closed forms; only a sample passing both
+    conditions forms P in full, and is rescaled and fully verified."""
     rng = Xorshift64Star(stream_seed(config.seed, index))
     pairs = [(rng.uniform_int(-config.numerator_bound, config.numerator_bound),
               rng.uniform_int(1, config.denominator_bound)) for _ in range(10)]
     d = lcm(*(den for _, den in pairs))
-    p, _ = cayley_integer(d, _skew_rows(5, [num * (d // den) for num, den in pairs]))
-    _, diagonal, antidiagonal = _diagonal_conditions(p)
-    if not (diagonal and antidiagonal):
-        return None, False, diagonal != antidiagonal
+    rows = _skew_rows(5, [num * (d // den) for num, den in pairs])
+    det, diagonal, antidiagonal = cayley5_diagonals(d, rows)
+    on_diagonal, on_antidiagonal = _squares_sum_to(det * det, diagonal, antidiagonal)
+    if not (on_diagonal and on_antidiagonal):
+        return None, False, on_diagonal != on_antidiagonal
+    p, _ = cayley_integer(d, rows)
     primitive = rescale_primitive(Matrix(5, 5, p))
     report = verify(primitive)
     if report.is_euler_magic and report.distinct_square_count >= config.score_threshold:

@@ -73,16 +73,14 @@ class MagicSquareReport:
         )
 
 
-def _diagonal_conditions(rows: Sequence[Sequence[object]]) -> Tuple[object, bool, bool]:
-    """(gamma, diagonal, antidiagonal) for the rows of a square matrix: gamma
-    is the squared norm of row 1, and each flag says whether the squares on
-    that diagonal sum to gamma.  Any nonzero multiple of the matrix gives the
-    same flags."""
-    n = len(rows)
-    gamma = sum(x * x for x in rows[0])
-    diagonal = sum(rows[i][i] ** 2 for i in range(n)) == gamma
-    antidiagonal = sum(rows[i][n - 1 - i] ** 2 for i in range(n)) == gamma
-    return gamma, diagonal, antidiagonal
+def _squares_sum_to(gamma: object, diagonal: Sequence[object],
+                    antidiagonal: Sequence[object]) -> Tuple[bool, bool]:
+    """The two diagonal conditions: whether the squares of the diagonal
+    entries, and of the anti-diagonal entries, each sum to gamma.  Entries of
+    any nonzero multiple c * M of a matrix, with gamma * c^2, give the same
+    flags."""
+    return (sum(x * x for x in diagonal) == gamma,
+            sum(x * x for x in antidiagonal) == gamma)
 
 
 def verify(m: Matrix) -> VerifyReport:
@@ -94,7 +92,9 @@ def verify(m: Matrix) -> VerifyReport:
         raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
     n = m.rows
     rows = m.entries
-    gamma, cond_diagonal, cond_antidiagonal = _diagonal_conditions(rows)
+    gamma = sum(x * x for x in rows[0])
+    cond_diagonal, cond_antidiagonal = _squares_sum_to(
+        gamma, [rows[i][i] for i in range(n)], [rows[i][n - 1 - i] for i in range(n)])
     squares = tuple(tuple(x * x for x in row) for row in rows)
     # M * M^t = gamma * I: every row norm is gamma, distinct rows are orthogonal
     cond_orthogonal = all(sum(row) == gamma for row in squares) and all(

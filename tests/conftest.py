@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from eulermagic.cayley import cayley_integer
 from eulermagic.matrices import Matrix, mat_mul, parse_matrix_text
 from eulermagic.octonion import LEFT_VARS, RIGHT_VARS, left_matrix, right_matrix
 from eulermagic.poly import MultiPoly
@@ -19,6 +20,13 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 def load_fixture(name: str) -> Matrix:
     return parse_matrix_text((FIXTURES / name).read_text(encoding="utf-8"))
+
+
+def cayley5_diagonals_by_bareiss(d, rows):
+    """(det, diagonal, antidiagonal) of (P, det) = cayley_integer(d, rows): the
+    Bareiss reference for cayley5_diagonals."""
+    p, det = cayley_integer(d, rows)
+    return det, [p[i][i] for i in range(5)], [p[i][4 - i] for i in range(5)]
 
 
 def multipoly_product(left=None) -> Matrix:

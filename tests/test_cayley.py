@@ -5,10 +5,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eulermagic.cayley import (
+    _skew_rows,
     cayley,
     cayley3_forms,
+    cayley5_diagonals,
     certificate_to_json,
     certificate_to_text,
     inverse_cayley,
@@ -21,6 +25,7 @@ from eulermagic.cayley import (
 )
 from eulermagic.matrices import (
     Matrix,
+    clear_denominators,
     determinant,
     identity,
     mat_add,
@@ -28,8 +33,9 @@ from eulermagic.matrices import (
     mat_scale,
     transpose,
 )
+from eulermagic.verify import _squares_sum_to
 
-from conftest import load_fixture
+from conftest import cayley5_diagonals_by_bareiss, load_fixture
 
 
 def _random_skew(rng, n):
@@ -56,6 +62,29 @@ def test_cayley_orthogonal_and_roundtrip():
             m = cayley(s)
             assert mat_mul(m, transpose(m)) == identity(n)
             assert inverse_cayley(m) == s
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=10, max_size=10), st.integers(1, 840))
+@example([0] * 10, 1)
+@example([0] * 10, 840)
+@settings(max_examples=200)
+def test_cayley5_diagonals_match_cayley_integer(values, d):
+    rows = _skew_rows(5, values)
+    assert cayley5_diagonals(d, rows) == cayley5_diagonals_by_bareiss(d, rows)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_cayley5_diagonals_on_the_fixtures(k, sign):
+    # skew parameters whose Cayley transforms are known 5x5 Euler magic
+    # matrices, so both diagonal conditions hold
+    _, orthogonal = ortho_reduce(mat_scale(sign, load_fixture(f"five5_{k}.txt")))
+    s = inverse_cayley(orthogonal)
+    d, flat = clear_denominators([s.entry(i, j) for i in range(5) for j in range(i + 1, 5)])
+    rows = _skew_rows(5, flat)
+    det, diagonal, antidiagonal = cayley5_diagonals(d, rows)
+    assert (det, diagonal, antidiagonal) == cayley5_diagonals_by_bareiss(d, rows)
+    assert _squares_sum_to(det * det, diagonal, antidiagonal) == (True, True)
 
 
 def test_cayley_rejects_non_skew():

@@ -250,13 +250,12 @@ def test_search5_stdout_is_pinned(capsys, seed, bounds):
 
 
 def test_search5_replays_the_benchmark_digests(capsys):
-    # the benchmark's search5 output gate, read only: every tiny input and one
-    # full-size input (2,000 samples) print the recorded stdout byte for byte
+    # the benchmark's search5 output gate, read only: every recorded input, tiny
+    # and full-size (2,000 samples) alike, prints the recorded stdout byte for byte
     path = FIXTURES.parent / "perfbench" / "digests.json"
     digests = json.loads(path.read_text(encoding="utf-8"))
-    keys = [key for key in digests if key.startswith("search5 ") and " --iterations 20 " in key]
-    assert keys
-    keys.append("search5 --seed 0 --iterations 2000 --workers 1")
+    keys = [key for key in digests if key.startswith("search5 ")]
+    assert sum(" --iterations 2000 " in key for key in keys) == 16
     for key in keys:
         code, out, _ = run_cli(capsys, *key.split())
         assert code == 0

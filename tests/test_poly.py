@@ -120,6 +120,14 @@ def test_parse_poly_errors():
         parse_poly("x + q", XY)
 
 
+@pytest.mark.parametrize("text", ["1e5*x", "3*x^-1 + x", "x^", "2*x^ 2", "x^1_0"])
+def test_parse_poly_rejects_malformed_numbers_and_powers(text):
+    # each was once read as a polynomial: 100000*x, x + 3*x^-1 (printed
+    # "x + 3"), x, 2*x + 2 and x^10
+    with pytest.raises(ValueError):
+        parse_poly(text, XY)
+
+
 def test_random_ring_identities():
     """Seeded random polynomials satisfy ring identities exactly."""
     rng = random.Random(20240)

@@ -9,6 +9,7 @@ from eulermagic import search
 from eulermagic.cayley import (
     _skew_rows,
     cayley,
+    cayley5_diagonals,
     cayley_integer,
     inverse_cayley,
     ortho_reduce,
@@ -31,7 +32,7 @@ from eulermagic.search import (
 )
 from eulermagic.verify import verify
 
-from conftest import load_fixture
+from conftest import cayley5_diagonals_by_bareiss, load_fixture
 
 WORKED_LEFT = (0, 1, 1, 1, 1, 1, -1, 5)
 WORKED_PARTIAL = (3, -2, -4, 5, 6)
@@ -136,32 +137,37 @@ def test_search5_known_near_miss():
     assert result.best_score == 0
 
 
-def _recording_cayley_integer(monkeypatch):
-    """Record (d, S_int, P) for every call of the sampler's integer Cayley core."""
+def _recording_cayley5_diagonals(monkeypatch):
+    """Record (d, S_int, (det, diagonal, antidiagonal)) for every call of the
+    sampler's integer Cayley kernel."""
     calls = []
 
     def recording(d, s_int):
-        p, det = cayley_integer(d, s_int)
-        calls.append((d, s_int, p))
-        return p, det
+        result = cayley5_diagonals(d, s_int)
+        calls.append((d, s_int, result))
+        return result
 
-    monkeypatch.setattr(search, "cayley_integer", recording)
+    monkeypatch.setattr(search, "cayley5_diagonals", recording)
     return calls
 
 
 def test_search5_transforms_every_sample_at_unit_bounds(monkeypatch):
     # bounds 1/1 draw every skew entry from {-1, 0, 1}, the all-zero S among
     # them; its Cayley transform is I, and no sample may be dropped
-    scaled, det = cayley_integer(1, skew_from_upper(5, [0] * 10).entries)
+    zero = skew_from_upper(5, [0] * 10).entries
+    scaled, det = cayley_integer(1, zero)
     assert det == 1
     assert rescale_primitive(Matrix(5, 5, scaled)) == Matrix.from_rows(
         [[int(i == j) for j in range(5)] for i in range(5)])
-    calls = _recording_cayley_integer(monkeypatch)
+    assert cayley5_diagonals(1, zero) == (1, [1] * 5, [0, 0, 1, 0, 0])
+    calls = _recording_cayley5_diagonals(monkeypatch)
     config = SearchConfig(seed=5, numerator_bound=1, denominator_bound=1,
                           max_iterations=300)
     result = search5_cayley(config)
     assert result.iterations == len(calls) == 300
-    assert all(d == 1 and any(x != 0 for r in p for x in r) for d, _, p in calls)
+    # P * P^t = det^2 * I, so det > 0 means a nonzero transform
+    assert all(d == 1 and diagonals == cayley5_diagonals_by_bareiss(d, s_int)
+               and diagonals[0] > 0 for d, s_int, diagonals in calls)
 
 
 class _ScriptedDraws:
@@ -197,16 +203,18 @@ def test_search5_integer_core_reaches_the_fixtures(monkeypatch, k):
 @pytest.mark.parametrize("numerator_bound, denominator_bound", [(120, 8), (3, 2), (1, 1)])
 def test_search5_sampler_matches_public_cayley(monkeypatch, numerator_bound,
                                                denominator_bound):
-    calls = _recording_cayley_integer(monkeypatch)
+    calls = _recording_cayley5_diagonals(monkeypatch)
     config = SearchConfig(seed=17, numerator_bound=numerator_bound,
                           denominator_bound=denominator_bound, max_iterations=300)
     search5_cayley(config)
     assert len(calls) == 300
-    for index, (d, s_int, p) in enumerate(calls):
+    for index, (d, s_int, diagonals) in enumerate(calls):
         rng = Xorshift64Star(stream_seed(config.seed, index))
         params = [rng.rational(numerator_bound, denominator_bound) for _ in range(10)]
         skew = skew_from_upper(5, params)
         assert Matrix(5, 5, s_int) == mat_scale(d, skew)
+        assert diagonals == cayley5_diagonals_by_bareiss(d, s_int)
+        p, _ = cayley_integer(d, s_int)
         assert rescale_primitive(Matrix(5, 5, p)) == rescale_primitive(cayley(skew))
 
 
