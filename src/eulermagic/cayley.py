@@ -21,10 +21,9 @@ sqrt 3) is recorded as an explicit axiom line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .matrices import (
     Matrix,
@@ -251,8 +250,7 @@ def cayley3_forms() -> Tuple[MultiPoly, MultiPoly]:
     return d, e
 
 
-@dataclass(frozen=True)
-class CertificateLine:
+class CertificateLine(NamedTuple):
     name: str
     status: str  # "PASS", "FAIL", or "AXIOM"
     lhs_minus_rhs_term_count: Optional[int]
@@ -322,14 +320,7 @@ def nonexistence_certificate() -> List[CertificateLine]:
 
 
 def certificate_to_json(lines: Sequence[CertificateLine]) -> list:
-    return [
-        {
-            "name": ln.name,
-            "status": ln.status,
-            "lhs_minus_rhs_term_count": ln.lhs_minus_rhs_term_count,
-        }
-        for ln in lines
-    ]
+    return [line._asdict() for line in lines]
 
 
 def certificate_to_text(lines: Sequence[CertificateLine]) -> str:

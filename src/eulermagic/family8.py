@@ -19,12 +19,11 @@ matrices; properness is reported, never assumed.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd, isqrt
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .matrices import Matrix, clear_denominators, mat_mul, rescale_primitive
 from .octonion import (
@@ -93,8 +92,7 @@ def _require_numeric_left(left: Sequence[object]) -> Tuple[Fraction, ...]:
     return tuple(map(Fraction, _check_left(left)))
 
 
-@dataclass(frozen=True)
-class DiagForms:
+class DiagForms(NamedTuple):
     A: MultiPoly
     B: MultiPoly
     fixed_left: Optional[Tuple[Fraction, ...]]
@@ -143,8 +141,7 @@ def _sign_key(vec: Sequence[int]) -> Vector:
     return tuple(vec)
 
 
-@dataclass(frozen=True)
-class IntegerForms:
+class IntegerForms(NamedTuple):
     """M = L(left) * R(p..w) for a numeric left tuple, over the integers.
 
     scale is the least common denominator of the left tuple.  entries[8*i + j]
@@ -265,8 +262,7 @@ def verified_product(left: Sequence[object],
 Position = Tuple[int, int]  # 1-based
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     kind: str  # "identical-squares" or "factor-of-A"
     first: Position
     second: Position
@@ -274,8 +270,7 @@ class Witness:
     form: MultiPoly
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     left: Tuple[Fraction, ...]
     witnesses: Tuple[Witness, ...]
     polynomial_matrix_proper: bool
@@ -455,16 +450,15 @@ def eliminate_w(forms: DiagForms) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
 _SOLVABLE = ("q", "r", "s", "t", "u", "v")
 
 
-@dataclass(frozen=True)
-class SolveChainResult:
+class SolveChainResult(NamedTuple):
     ok: bool
-    failure_reason: Optional[str]
     left: Tuple[Fraction, ...]
-    solved_for: Optional[str]
-    right: Optional[Tuple[Fraction, ...]]
-    matrix: Optional[Matrix]
-    primitive: Optional[Matrix]
-    report: Optional[VerifyReport]
+    failure_reason: Optional[str] = None
+    solved_for: Optional[str] = None
+    right: Optional[Tuple[Fraction, ...]] = None
+    matrix: Optional[Matrix] = None
+    primitive: Optional[Matrix] = None
+    report: Optional[VerifyReport] = None
 
 
 def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChainResult:
@@ -489,10 +483,7 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
     solve_var = next((name for name in ("q", "v") if pivots[name] != 0), None)
 
     def failure(reason: str) -> SolveChainResult:
-        return SolveChainResult(
-            ok=False, failure_reason=reason, left=left, solved_for=solve_var,
-            right=None, matrix=None, primitive=None, report=None,
-        )
+        return SolveChainResult(ok=False, left=left, failure_reason=reason, solved_for=solve_var)
 
     if solve_var is None:
         return failure("step 1: both q and v coefficients vanish (b = g = 0)")
@@ -539,10 +530,8 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
     # a zero right tuple has no p-term in F and fails at step 2, so L * R != 0
     assert any(right), "solve chain reached a zero right tuple"
     matrix, primitive, report = verified_product(left, right)
-    return SolveChainResult(
-        ok=True, failure_reason=None, left=left, solved_for=solve_var,
-        right=right, matrix=matrix, primitive=primitive, report=report,
-    )
+    return SolveChainResult(ok=True, left=left, solved_for=solve_var, right=right,
+                            matrix=matrix, primitive=primitive, report=report)
 
 
 # ----------------------------------------------------------------------
@@ -565,8 +554,7 @@ def family_x_poly() -> MultiPoly:
 _family_x = cache(family_x_poly)  # built on the first family point, not at import
 
 
-@dataclass(frozen=True)
-class FamilyResult:
+class FamilyResult(NamedTuple):
     q: Fraction
     r: Fraction
     t: Fraction

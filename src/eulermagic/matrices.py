@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import List, Sequence, Tuple
@@ -46,20 +45,38 @@ class SingularMatrixError(ValueError):
     """Raised when inverting a singular matrix."""
 
 
-@dataclass(frozen=True, eq=True)
-class Matrix:
+class _SlotRecord:
+    """Equality, hashing and a field-by-field repr over __slots__, for the
+    classes that check their fields and so cannot be NamedTuples."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Matrix(_SlotRecord):
     """An immutable rows x cols matrix stored as a tuple of row tuples."""
 
-    rows: int
-    cols: int
-    entries: Tuple[Tuple[object, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[object]]):
+        if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entries do not match declared dimensions")
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
+        self.rows, self.cols = rows, cols
+        self.entries = tuple(tuple(r) for r in entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[object]]) -> "Matrix":

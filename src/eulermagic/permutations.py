@@ -11,11 +11,10 @@ completeness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .matrices import Matrix
+from .matrices import Matrix, _SlotRecord
 
 __all__ = [
     "MAX_PERM_SIZE",
@@ -33,18 +32,18 @@ __all__ = [
 MAX_PERM_SIZE = 30
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_SlotRecord):
     """A permutation of {1, ..., n} stored as images[i-1] = sigma(i)."""
 
-    images: Tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
+    def __init__(self, images: Tuple[int, ...]):
+        n = len(images)
         if n == 0:
             raise ValueError("permutation must act on a nonempty set")
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection on 1..{n}: {self.images}")
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection on 1..{n}: {images}")
+        self.images = images
 
     @property
     def n(self) -> int:

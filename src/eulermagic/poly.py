@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple, Union
 
-from .matrices import parse_rational
+from .matrices import _SlotRecord, parse_rational
 
 Coeff = Union[int, Fraction]
 Exponents = Tuple[int, ...]
@@ -46,12 +45,14 @@ def _grlex_key(exponents: Exponents):
     return (-sum(exponents), tuple(-e for e in exponents))
 
 
-@dataclass(frozen=True, eq=True)
-class MultiPoly:
+class MultiPoly(_SlotRecord):
     """A sparse polynomial over an ordered tuple of named variables."""
 
-    variables: Tuple[str, ...]
-    terms: Dict[Exponents, Coeff] = field(default_factory=dict)
+    __slots__ = ("variables", "terms")
+
+    def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Coeff] = {}):
+        self.variables, self.terms = variables, terms
+        self.__post_init__()
 
     def __post_init__(self):
         # the one normalisation point: every operation hands its raw sums
@@ -68,8 +69,9 @@ class MultiPoly:
             c = _norm_coeff(c)
             if c:
                 cleaned[tuple(exps)] = c
-        object.__setattr__(self, "variables", names)
-        object.__setattr__(self, "terms", cleaned)
+        self.variables, self.terms = names, cleaned
+
+    __hash__ = None  # the term dict is mutable
 
     # ------------------------------------------------------------------
     # constructors

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cayley import _skew_rows, cayley5_diagonals, cayley_integer
 from .family8 import (
@@ -40,7 +39,7 @@ from .family8 import (
     integer_forms,
     verified_product,
 )
-from .matrices import Matrix, rescale_primitive
+from .matrices import Matrix, _SlotRecord, rescale_primitive
 from .verify import VerifyReport, _squares_sum_to, verify
 
 __all__ = [
@@ -97,23 +96,24 @@ def stream_seed(seed: int, index: int) -> int:
     return (seed + (index + 1) * _STREAM_STEP) & _MASK64
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    seed: int
-    numerator_bound: int = 120
-    denominator_bound: int = 8
-    max_iterations: int = 1000
-    score_threshold: int = 1
+class SearchConfig(_SlotRecord):
+    __slots__ = ("seed", "numerator_bound", "denominator_bound", "max_iterations",
+                 "score_threshold")
 
-    def __post_init__(self):
-        if self.numerator_bound < 1 or self.denominator_bound < 1:
+    def __init__(self, seed: int, numerator_bound: int = 120, denominator_bound: int = 8,
+                 max_iterations: int = 1000, score_threshold: int = 1):
+        if numerator_bound < 1 or denominator_bound < 1:
             raise ValueError("bounds must be at least 1")
-        if self.max_iterations < 0:
+        if max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
+        self.seed = seed
+        self.numerator_bound = numerator_bound
+        self.denominator_bound = denominator_bound
+        self.max_iterations = max_iterations
+        self.score_threshold = score_threshold
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     sample_index: int
     source_params: Tuple[Fraction, ...]
     matrix: Matrix
@@ -122,8 +122,7 @@ class Candidate:
     gamma: Fraction
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     candidates: Tuple[Candidate, ...]
     iterations: int
     hits: int
@@ -362,7 +361,7 @@ def search8_seeded(
     if len(partial) != 5:
         raise ValueError("expected exactly five fixed values (p, q, r, s, t)")
     scan = improper_witnesses(left)
-    if not scan.polynomial_matrix_proper or scan.properness_obstructed:
+    if scan.properness_obstructed:
         raise ValueError("polynomial matrix improper")
     if not entries_distinct(left + partial):
         raise ValueError("polynomial matrix improper after fixing (p, q, r, s, t)")

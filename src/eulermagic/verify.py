@@ -15,11 +15,10 @@ row-major order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .matrices import Matrix
 
@@ -41,8 +40,7 @@ Position = Tuple[int, int]  # 1-based (row, col)
 MAX_DUPLICATE_PAIRS = 500_000
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     n: int
     gamma: object
     cond_orthogonal: bool
@@ -55,8 +53,7 @@ class VerifyReport:
     squares_matrix: Matrix
 
 
-@dataclass(frozen=True)
-class MagicSquareReport:
+class MagicSquareReport(NamedTuple):
     gamma: object
     squares: Matrix
     row_sums: Tuple[object, ...]
@@ -87,20 +84,12 @@ def verify(m: Matrix) -> VerifyReport:
     """Full Euler-magic and properness report for a square rational matrix.
 
     A matrix with more than MAX_DUPLICATE_PAIRS pairs of equal entry squares
-    is a ValueError, raised before any pair is listed."""
+    is a ValueError, raised before any row check or pair listing."""
     if not m.is_square():
         raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
     n = m.rows
     rows = m.entries
-    gamma = sum(x * x for x in rows[0])
-    cond_diagonal, cond_antidiagonal = _squares_sum_to(
-        gamma, [rows[i][i] for i in range(n)], [rows[i][n - 1 - i] for i in range(n)])
     squares = tuple(tuple(x * x for x in row) for row in rows)
-    # M * M^t = gamma * I: every row norm is gamma, distinct rows are orthogonal
-    cond_orthogonal = all(sum(row) == gamma for row in squares) and all(
-        sum(map(mul, rows[i], rows[j])) == 0 for i in range(n) for j in range(i + 1, n))
-    is_euler_magic = cond_orthogonal and cond_diagonal and cond_antidiagonal and gamma != 0
-
     # Fraction(k) and k hash and compare equal, so int and Fraction squares share keys
     by_value: Dict[object, List[Position]] = {}
     for i, row in enumerate(squares, 1):
@@ -110,6 +99,14 @@ def verify(m: Matrix) -> VerifyReport:
     if count > MAX_DUPLICATE_PAIRS:
         raise ValueError(f"{count} pairs of equal entry squares; "
                          f"a report lists at most {MAX_DUPLICATE_PAIRS}")
+
+    gamma = sum(x * x for x in rows[0])
+    cond_diagonal, cond_antidiagonal = _squares_sum_to(
+        gamma, [rows[i][i] for i in range(n)], [rows[i][n - 1 - i] for i in range(n)])
+    # M * M^t = gamma * I: every row norm is gamma, distinct rows are orthogonal
+    cond_orthogonal = all(sum(row) == gamma for row in squares) and all(
+        sum(map(mul, rows[i], rows[j])) == 0 for i in range(n) for j in range(i + 1, n))
+    is_euler_magic = cond_orthogonal and cond_diagonal and cond_antidiagonal and gamma != 0
     pairs = sorted(pair for positions in by_value.values()
                    for pair in combinations(positions, 2))
     distinct = len(by_value)

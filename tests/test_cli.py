@@ -1,6 +1,5 @@
 """End-to-end tests for the command line interface."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -292,7 +291,7 @@ def test_search8_internal_error_is_not_a_usage_error(monkeypatch):
     # must surface as such instead of exiting 2 like bad input
     real_verify = family8.verify
     monkeypatch.setattr(family8, "verify",
-                        lambda m: dataclasses.replace(real_verify(m), is_euler_magic=False))
+                        lambda m: real_verify(m)._replace(is_euler_magic=False))
     with pytest.raises(RuntimeError, match="internal error: solved point failed verification"):
         cli.main([*_SEARCH8_WORKED, "--height", "1", "--center", "13/15", "-14/15"])
 
@@ -428,12 +427,17 @@ def test_module_entry_point_exit_codes(tmp_path):
     exponent.write_text("1e100000000 0\n0 1\n", encoding="utf-8")
     zeros = tmp_path / "zeros.txt"
     zeros.write_text(("0 " * 80 + "\n") * 80, encoding="utf-8")
+    # orthogonal, so the pair limit must refuse it before the O(n^3) row checks
+    identity = tmp_path / "identity.txt"
+    identity.write_text("".join(" ".join("1" if i == j else "0" for j in range(300)) + "\n"
+                                for i in range(300)), encoding="utf-8")
     # a hang or a traceback on hostile input fails here instead of stalling
     for argv, expected in [
         (["verify", str(FIXTURES / "euler4.txt")], 0),
         (["verify", str(bad)], 1),
         (["verify", str(exponent)], 2),
         (["verify", str(zeros)], 2),
+        (["verify", str(identity)], 2),
         (["family", "1e100000000", "1", "1", "1"], 2),
         ([*_SEARCH8_WORKED, "--height", "-1"], 2),
         ([*_SEARCH8_WORKED, "--height", str(MAX_HEIGHT + 1)], 2),

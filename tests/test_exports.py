@@ -3,10 +3,14 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import eulermagic
+from eulermagic.poly import MultiPoly
 
 
 def test_advertised_names_resolve():
@@ -23,7 +27,7 @@ def test_advertised_names_resolve():
     assert [name for name in names if not hasattr(eulermagic, name)] == []
 
 
-def test_benchmark_tracer_names_resolve():
+def test_benchmark_tracer_names_resolve(monkeypatch):
     # perfbench/tracer.py wraps these by name in traced benchmark runs;
     # loading it is enough, install() would patch the modules
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -44,3 +48,23 @@ def test_benchmark_tracer_names_resolve():
         if not callable(value):
             missing.append((module, attr))
     assert missing == []
+
+    # poly.new.count: install() wraps MultiPoly.__post_init__ on the class,
+    # which every MultiPoly construction must call
+    counts = tracer.Tracer()
+    monkeypatch.setattr(MultiPoly, "__post_init__",
+                        counts.counted("poly.new", MultiPoly.__post_init__))
+    x, y = MultiPoly.variables_of(("x", "y"))
+    x * y
+    assert counts.summary()["counts"]["poly.new"] == 3
+
+
+def test_package_import_loads_no_dataclasses():
+    # records are NamedTuples or plain classes, so no code is generated at import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, eulermagic.cli; print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
