@@ -5,7 +5,8 @@ matrices bijectively onto orthogonal matrices without eigenvalue -1; I + S is
 always invertible for skew S over the rationals.  A sign diagonal D with
 det(M + D) != 0 extends the parametrization to all orthogonal matrices, and
 for odd n any M with M * M^t = gamma * I is a scalar multiple of an
-orthogonal matrix (ortho_reduce).
+orthogonal matrix (ortho_reduce).  Both inverse_cayley and ortho_reduce
+decide M * M^t = gamma * I with verify's _row_condition.
 
 cayley_integer is the one exact kernel of the map: integer P = det * cayley(S)
 from one Bareiss adjugate.  For 5x5 skew S, cayley5_diagonals reads the main
@@ -31,13 +32,11 @@ from .matrices import (
     bareiss_adjugate,
     clear_denominators,
     determinant,
-    identity,
     mat_add,
-    mat_mul,
     mat_scale,
-    transpose,
 )
 from .poly import MultiPoly
+from .verify import _row_condition
 
 __all__ = [
     "skew_from_upper",
@@ -180,7 +179,7 @@ def inverse_cayley(m: Matrix) -> Matrix:
     the Cayley map is an involution, so S = (I - m)(I + m)^(-1)."""
     if not m.is_square():
         raise ValueError("input must be square")
-    if mat_mul(m, transpose(m)) != identity(m.rows):
+    if _row_condition(m.entries) != (1, True):
         raise ValueError("input is not orthogonal")
     try:
         return _cayley_map(m)
@@ -345,15 +344,13 @@ def ortho_reduce(m: Matrix):
     n = m.rows
     if n % 2 == 0:
         raise ValueError("orthogonal reduction needs odd size")
-    product = mat_mul(m, transpose(m))
-    gamma = product.entry(0, 0)
+    gamma, holds = _row_condition(m.entries)
     if gamma == 0:
         raise ValueError("gamma is zero")
-    if product != mat_scale(gamma, identity(n)):
+    if not holds:
         raise ValueError("M * M^t is not a scalar matrix")
     k = (n - 1) // 2
     lam = Fraction(determinant(m)) / Fraction(gamma) ** k
     if lam * lam != gamma:
         raise RuntimeError("internal error: lambda^2 != gamma")
-    scaled = mat_scale(1 / lam, m)
-    return lam, scaled
+    return lam, mat_scale(1 / lam, m)

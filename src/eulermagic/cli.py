@@ -34,7 +34,7 @@ from .matrices import (
     parse_matrix_text,
     parse_rational,
 )
-from .permutations import MAX_PERM_SIZE, construction_permutation, improper_construction
+from .permutations import MAX_PERM_SIZE, construction_permutation, perm_matrix
 from .search import (
     MAX_HEIGHT,
     SearchConfig,
@@ -140,8 +140,7 @@ def _cmd_verify(args) -> int:
         with open(args.path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read {args.path}: {exc}") from None
     report = verify(parse_matrix_text(text))
     _show(args, report_to_json_dict(report), report_to_text(report))
     return 0 if report.is_euler_magic else 1
@@ -166,7 +165,7 @@ def _cmd_prove3(args) -> int:
 
 def _cmd_perm(args) -> int:
     sigma = construction_permutation(args.n)
-    matrix = improper_construction(args.n)
+    matrix = perm_matrix(sigma)
     report = verify(matrix)
     _show(args, {
         "images": list(sigma.images),

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import gcd, isqrt
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -31,8 +30,10 @@ from .octonion import (
     LEFT_VARS,
     RIGHT_SIGN_TABLE,
     RIGHT_VARS,
+    gamma_product,
     left_matrix,
     right_matrix,
+    sum_of_squares,
 )
 from .poly import MultiPoly
 from .verify import VerifyReport, report_to_json_dict, verify
@@ -120,7 +121,7 @@ def symbolic_diag_forms() -> DiagForms:
                for vec in _entry_vectors((), ())]
     zero = MultiPoly.zero(BOTH_VARS)
     symbols = MultiPoly.variables_of(BOTH_VARS)
-    gamma = sum((v * v for v in symbols[:8]), zero) * sum((v * v for v in symbols[8:]), zero)
+    gamma = gamma_product(symbols[:8], symbols[8:])
     diag = sum((m * m for m in entries[::9]), zero)
     anti = sum((m * m for m in entries[7:57:7]), zero)
     return DiagForms(A=diag - anti, B=diag + anti - 2 * gamma, fixed_left=None)
@@ -205,7 +206,7 @@ def integer_forms(left: Sequence[object]) -> IntegerForms:
         return [[sum(v[k] * v[l] for v in vectors) for l in range(8)] for k in range(8)]
 
     diag, anti = squares(entries[::9]), squares(entries[7:57:7])
-    gamma = sum(x * x for x in ileft)
+    gamma = sum_of_squares(ileft)
     gram_a = tuple(tuple(d - a for d, a in zip(*rows)) for rows in zip(diag, anti))
     gram_b = tuple(tuple(d + a - 2 * gamma * (k == l) for l, (d, a) in enumerate(zip(*rows)))
                    for k, rows in enumerate(zip(diag, anti)))
@@ -538,20 +539,16 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
 # the four-parameter family
 # ----------------------------------------------------------------------
 
-_FAMILY_VARS = ("q", "r", "t", "u")
+def _family_x(q, r, t, u):
+    """The four-parameter family's denominator-control polynomial X, in any
+    ring with +, - and * that the integers act on: Fractions or MultiPolys."""
+    return (7 * q * q + 7 * r * r + 21 * q * t - 7 * r * t + 34 * t * t
+            - 7 * q * u - 21 * t * u + 4 * u * u + 7 * q + 21 * r - 7 * u + 34)
 
 
 def family_x_poly() -> MultiPoly:
-    """The denominator-control polynomial X of the four-parameter family."""
-    q, r, t, u = MultiPoly.variables_of(_FAMILY_VARS)
-    one = MultiPoly.constant(_FAMILY_VARS, 1)
-    return (
-        7 * q * q + 7 * r * r + 21 * q * t - 7 * r * t + 34 * t * t
-        - 7 * q * u - 21 * t * u + 4 * u * u + 7 * q + 21 * r - 7 * u + 34 * one
-    )
-
-
-_family_x = cache(family_x_poly)  # built on the first family point, not at import
+    """X as a polynomial in (q, r, t, u)."""
+    return _family_x(*MultiPoly.variables_of(("q", "r", "t", "u")))
 
 
 class FamilyResult(NamedTuple):
@@ -575,7 +572,7 @@ def four_parameter_family(q, r, t, u) -> FamilyResult:
     and the report says whether the point keeps properness.
     """
     q, r, t, u = (Fraction(v) for v in (q, r, t, u))
-    x_value = _family_x().eval({"q": q, "r": r, "t": t, "u": u})
+    x_value = _family_x(q, r, t, u)
     assert x_value > 0, "X is positive definite"
     if u == 0:
         raise ValueError("degenerate parameter: u = 0")

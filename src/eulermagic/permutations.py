@@ -43,7 +43,7 @@ class Permutation(_SlotRecord):
             raise ValueError("permutation must act on a nonempty set")
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection on 1..{n}: {images}")
-        self.images = images
+        self.images = tuple(images)
 
     @property
     def n(self) -> int:

@@ -6,10 +6,10 @@ gamma.  It is proper when all n^2 entry squares are pairwise distinct; the
 entrywise squares of a proper Euler magic matrix form a magic square of
 squares.
 
-gamma is never supplied by the caller: it is read off as the squared norm of
-row 1, the (1,1) entry of M * M^t, which removes a redundant input.  Reports
-list duplicate entry positions 1-based, with all colliding unordered pairs in
-row-major order.
+gamma is never supplied by the caller: _row_condition reads it off as the
+squared norm of row 1 and decides M * M^t = gamma * I, for verify and for
+cayley's inverse_cayley and ortho_reduce.  Reports list duplicate entry
+positions 1-based, with all colliding unordered pairs in row-major order.
 """
 
 from __future__ import annotations
@@ -80,6 +80,15 @@ def _squares_sum_to(gamma: object, diagonal: Sequence[object],
             sum(x * x for x in antidiagonal) == gamma)
 
 
+def _row_condition(rows: Sequence[Sequence[object]]) -> Tuple[object, bool]:
+    """(gamma, holds) for M * M^t = gamma * I on the rows of a square M: gamma
+    is the squared norm of row 1, and holds says that every row norm is gamma
+    and that distinct rows are orthogonal."""
+    gamma = sum(x * x for x in rows[0])
+    return gamma, all(sum(x * x for x in row) == gamma for row in rows) and all(
+        sum(map(mul, u, v)) == 0 for u, v in combinations(rows, 2))
+
+
 def verify(m: Matrix) -> VerifyReport:
     """Full Euler-magic and properness report for a square rational matrix.
 
@@ -100,12 +109,9 @@ def verify(m: Matrix) -> VerifyReport:
         raise ValueError(f"{count} pairs of equal entry squares; "
                          f"a report lists at most {MAX_DUPLICATE_PAIRS}")
 
-    gamma = sum(x * x for x in rows[0])
+    gamma, cond_orthogonal = _row_condition(rows)
     cond_diagonal, cond_antidiagonal = _squares_sum_to(
         gamma, [rows[i][i] for i in range(n)], [rows[i][n - 1 - i] for i in range(n)])
-    # M * M^t = gamma * I: every row norm is gamma, distinct rows are orthogonal
-    cond_orthogonal = all(sum(row) == gamma for row in squares) and all(
-        sum(map(mul, rows[i], rows[j])) == 0 for i in range(n) for j in range(i + 1, n))
     is_euler_magic = cond_orthogonal and cond_diagonal and cond_antidiagonal and gamma != 0
     pairs = sorted(pair for positions in by_value.values()
                    for pair in combinations(positions, 2))

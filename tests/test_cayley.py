@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from eulermagic.cayley import (
     _skew_rows,
     cayley,
+    cayley_integer,
     cayley3_forms,
     cayley5_diagonals,
     certificate_to_json,
@@ -33,7 +34,7 @@ from eulermagic.matrices import (
     mat_scale,
     transpose,
 )
-from eulermagic.verify import _squares_sum_to
+from eulermagic.verify import _squares_sum_to, verify
 
 from conftest import cayley5_diagonals_by_bareiss, load_fixture
 
@@ -229,6 +230,54 @@ def test_ortho_reduce_rejects_even_or_non_scalar():
         ortho_reduce(identity(4))
     with pytest.raises(ValueError):
         ortho_reduce(Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+@st.composite
+def _near_scalar_products(draw):
+    """A small odd-size integer matrix with M * M^t = gamma * I (a signed
+    permutation matrix, or det * cayley(S) for an integer skew S), then
+    perhaps one row scaled, two rows swapped or one entry perturbed."""
+    n = draw(st.sampled_from((3, 5)))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        rows = [[draw(st.sampled_from((1, -1))) if j == perm[i] else 0 for j in range(n)]
+                for i in range(n)]
+    else:
+        k = n * (n - 1) // 2
+        rows = cayley_integer(1, _skew_rows(n, draw(st.lists(
+            st.integers(-3, 3), min_size=k, max_size=k))))[0]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    change = draw(st.sampled_from(("none", "scale", "swap", "perturb")))
+    if change == "scale":
+        rows[i] = [draw(st.integers(-2, 2)) * x for x in rows[i]]
+    elif change == "swap":
+        rows[i], rows[j] = rows[j], rows[i]
+    elif change == "perturb":
+        rows[i][j] += draw(st.sampled_from((-2, -1, 1, 2)))
+    return Matrix.from_rows(rows)
+
+
+def _value_error(function, m):
+    try:
+        function(m)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(_near_scalar_products())
+@settings(max_examples=300)
+def test_cayley_callers_agree_with_verify_on_the_row_condition(m):
+    report = verify(m)
+    gamma, holds = report.gamma, report.cond_orthogonal
+    reduce_error = _value_error(ortho_reduce, m)
+    assert (reduce_error == "gamma is zero") == (gamma == 0)
+    assert (reduce_error == "M * M^t is not a scalar matrix") == (gamma != 0 and not holds)
+    if reduce_error is None:
+        lam, scaled = ortho_reduce(m)
+        assert lam * lam == gamma and verify(scaled).cond_orthogonal
+    inverse_error = _value_error(inverse_cayley, m)
+    assert (inverse_error == "input is not orthogonal") == (not (holds and gamma == 1))
 
 
 def test_ortho_reduce_rejects_zero_gamma():

@@ -73,9 +73,9 @@ def test_verify_non_square_exits_two(tmp_path, capsys):
 
 
 def test_verify_missing_file_exits_two(capsys):
-    code, _, err = run_cli(capsys, "verify", "no-such-file.txt")
-    assert code == 2
-    assert "error" in err
+    assert run_cli(capsys, "verify", "no-such-file.txt") == (
+        2, "", "error: cannot read no-such-file.txt: "
+               "[Errno 2] No such file or directory: 'no-such-file.txt'\n")
 
 
 def test_family_showcase_point(capsys):

@@ -59,6 +59,22 @@ def test_benchmark_tracer_names_resolve(monkeypatch):
     assert counts.summary()["counts"]["poly.new"] == 3
 
 
+def test_only_cli_main_reports_bad_input():
+    # cli.main alone turns a ValueError into "error: ..." on stderr and exit 2
+    tree = ast.parse((Path(eulermagic.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    offenders = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            writes_stderr = isinstance(node, ast.Attribute) and node.attr == "stderr"
+            returns_two = isinstance(node, ast.Return) and node.value is not None and any(
+                isinstance(n, ast.Constant) and n.value == 2 for n in ast.walk(node.value))
+            if writes_stderr or returns_two:
+                offenders.append((func.name, node.lineno))
+    assert offenders == []
+
+
 def test_package_import_loads_no_dataclasses():
     # records are NamedTuples or plain classes, so no code is generated at import
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -277,6 +277,19 @@ def test_four_parameter_family_showcase_point(family8):
     assert fam.primitive.entries in (family8.entries, neg)
 
 
+def test_four_parameter_family_builds_and_evaluates_no_multipoly(monkeypatch):
+    def refuse(self, point):
+        raise AssertionError("MultiPoly.eval called")
+
+    built = []
+    post_init = MultiPoly.__post_init__
+    monkeypatch.setattr(MultiPoly, "eval", refuse)
+    monkeypatch.setattr(MultiPoly, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    assert four_parameter_family(-55, -11, -27, -148).x_value == 23088
+    assert built == []
+
+
 def test_four_parameter_family_generic_point():
     fam = four_parameter_family(0, 0, 0, 1)
     assert fam.x_value == 31

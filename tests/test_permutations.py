@@ -27,6 +27,13 @@ def test_permutation_dataclass():
         Permutation((0, 1, 2))
 
 
+def test_permutation_from_a_list_equals_one_from_a_tuple():
+    from_list, from_tuple = Permutation([2, 1, 3]), Permutation((2, 1, 3))
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    assert repr(from_list) == repr(from_tuple) == "Permutation(images=(2, 1, 3))"
+
+
 def test_perm_matrix_entries():
     sigma = Permutation((2, 3, 1))
     m = perm_matrix(sigma)
