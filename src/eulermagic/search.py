@@ -158,13 +158,10 @@ def _rank(candidates: Iterable[Candidate]) -> Tuple[Candidate, ...]:
         candidates,
         key=lambda c: (-c.score, c.sample_index, c.matrix.entries, c.source_params),
     )
-    seen = set()
-    out = []
+    first: Dict[Tuple, Candidate] = {}  # canonical matrix -> its first candidate
     for c in ordered:
-        if c.matrix.entries not in seen:
-            seen.add(c.matrix.entries)
-            out.append(c)
-    return tuple(out)
+        first.setdefault(c.matrix.entries, c)
+    return tuple(first.values())
 
 
 def _merge_parts(parts, iterations: int) -> SearchResult:
@@ -183,8 +180,9 @@ def _check_workers(workers: int) -> None:
 
 def _map_chunks(func, args: tuple, items: range, workers: int) -> list:
     """[func(*args, chunk)] over strided slices of the range items, one per process
-    of a pool of min(workers, CPU count, len(items)); no pool for a single chunk."""
-    size = min(workers, os.cpu_count() or 1, len(items))
+    of a pool of min(workers, usable CPUs, len(items)); no pool for a single chunk."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    size = min(workers, cpus or 1, len(items))
     if size <= 1:
         return [func(*args, items)]
     from multiprocessing import Pool
@@ -254,8 +252,8 @@ def search5_cayley(config: SearchConfig, workers: int = 1) -> SearchResult:
 # ----------------------------------------------------------------------
 
 # Height H gives about 1.2 * H^2 offsets and a grid of about 1.5 * H^4 points:
-# at 100 that is 12,175 offsets and 1.5e8 points, tens of minutes of exact
-# solving per worker.  Far larger heights would exhaust memory on the offsets.
+# at 100 that is 12,175 offsets and 1.5e8 points, about 8 minutes for one worker
+# (README.md).  Far larger heights would exhaust memory on the offsets.
 MAX_HEIGHT = 100
 
 
@@ -270,59 +268,74 @@ def _bounded_height_offsets(height: int) -> List[Fraction]:
     return sorted(values, key=lambda x: (abs(x), x))
 
 
-def _w_roots(table, us, vs) -> Optional[List[Fraction]]:
-    """Rational roots in w of a (u, v, w) table at u = nu/du, v = nv/dv, given
-    us = (du^2, nu*du, nu^2) and likewise vs; None means every w is a root."""
-    c = [0, 0, 0]
-    for i, j, k, coeff in table:
-        c[k] += coeff * us[i] * vs[j]  # times du^2 * dv^2
-    c0, c1, c2 = c
+def _w_roots(c2: int, c1: int, c0: int) -> Optional[List[Fraction]]:
+    """Rational roots of c2*w^2 + c1*w + c0; None means every w is a root."""
     if c2 == 0:
         if c1 == 0:
             return None if c0 == 0 else []
         return [Fraction(-c0, c1)]
     disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
-        return []
-    root = isqrt(disc)
+    root = isqrt(disc) if disc >= 0 else -1
     if root * root != disc:
         return []
-    if root == 0:
-        return [Fraction(-c1, 2 * c2)]
-    return sorted([Fraction(-c1 + root, 2 * c2), Fraction(-c1 - root, 2 * c2)])
+    return sorted({Fraction(-c1 + root, 2 * c2), Fraction(-c1 - root, 2 * c2)})
 
 
-def _point_solve(tables, nu: int, du: int, nv: int, dv: int):
-    """Solve for w at u = nu/du, v = nv/dv: (list of w hits, near_miss flag,
-    full_line flag); a full line is a point where A and B both vanish
-    identically in w, so every w solves both."""
-    us = (du * du, nu * du, nu * nu)
-    vs = (dv * dv, nv * dv, nv * nv)
-    roots_a, roots_b = (_w_roots(table, us, vs) for table in tables)
+def _point_solve(coeffs_a, coeffs_b):
+    """(list of w hits, near_miss flag, full_line flag) at a grid point where A
+    and B have the w-coefficients (c2, c1, c0); a full line is a point where A
+    and B both vanish identically in w, so every w solves both."""
+    roots_a, roots_b = _w_roots(*coeffs_a), _w_roots(*coeffs_b)
     if roots_a is None:
         return roots_b or [], False, roots_b is None
     if roots_b is None:
         return roots_a, False, False
     common = sorted(set(roots_a) & set(roots_b))
-    near = bool((roots_a or roots_b) and not common)
-    return common, near, False
+    return common, bool((roots_a or roots_b) and not common), False
+
+
+def _row_coefficients(table, nu: int, du: int):
+    """The rows (r[2], r[1], r[0]) of a (u, v, w) table at u = nu/du, with
+    r[k][j] the sum of c * us[i] over its terms (i, j, k, c), us = (du^2, nu*du,
+    nu^2): at v = nv/dv, r[k] dotted with (dv^2, nv*dv, nv^2) is du^2 * dv^2
+    times the coefficient of w^k."""
+    us = (du * du, nu * du, nu * nu)
+    r = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    for i, j, k, c in table:
+        r[2 - k][j] += c * us[i]
+    return r
 
 
 def _search8_grid_chunk(left, partial, tables, us, vs, first, indices):
     """Grid point n of indices is u = nu/du = us[n // len(vs)] and v = nv/dv =
     vs[n % len(vs)], given as integer (numerator, denominator) pairs, with
-    sample index first + n.  Returns (candidates, hits, near misses, full
-    lines)."""
+    sample index first + n.  A point where neither A nor B has a square
+    discriminant in w has no rational root of either, so it is a miss; every
+    other point goes through _point_solve.  Returns (candidates, hits, near
+    misses, full lines)."""
     candidates: List[Candidate] = []
     hits = near_misses = full_lines = 0
+    vss = [(dv * dv, nv * dv, nv * nv) for nv, dv in vs]
+    row = None
     for n in indices:
         i, j = divmod(n, len(vs))
-        (nu, du), (nv, dv) = us[i], vs[j]
-        ws, near, full = _point_solve(tables, nu, du, nv, dv)
+        if i != row:  # indices ascend, so a chunk builds each of its u-rows once
+            row = i
+            (a20, a21, a22), (a10, a11, a12), (a00, a01, a02) = _row_coefficients(tables[0], *us[i])
+            (b20, b21, b22), (b10, b11, b12), (b00, b01, b02) = _row_coefficients(tables[1], *us[i])
+        x, y, z = vss[j]
+        a2, b2 = a20 * x + a21 * y + a22 * z, b20 * x + b21 * y + b22 * z
+        a1, b1 = a10 * x + a11 * y + a12 * z, b10 * x + b11 * y + b12 * z
+        a0, b0 = a00 * x + a01 * y + a02 * z, b00 * x + b01 * y + b02 * z
+        # neither form has a rational root (c2 = 0 gives the square discriminant c1^2)
+        da, db = a1 * a1 - 4 * a2 * a0, b1 * b1 - 4 * b2 * b0
+        if (da < 0 or isqrt(da) ** 2 != da) and (db < 0 or isqrt(db) ** 2 != db):
+            continue
+        ws, near, full = _point_solve((a2, a1, a0), (b2, b1, b0))
         near_misses += near
         full_lines += full
         for w in ws:
-            right = tuple(partial) + (Fraction(nu, du), Fraction(nv, dv), w)
+            right = tuple(partial) + (Fraction(*us[i]), Fraction(*vs[j]), w)
             # never the zero matrix: that needs p..t = 0, which the properness gate rejects
             _, primitive, report = verified_product(left, right)
             if not report.is_euler_magic:

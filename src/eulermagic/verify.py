@@ -62,12 +62,8 @@ class MagicSquareReport(NamedTuple):
     antidiagonal_sum: object
 
     def all_sums_equal_gamma(self) -> bool:
-        return (
-            all(s == self.gamma for s in self.row_sums)
-            and all(s == self.gamma for s in self.col_sums)
-            and self.diagonal_sum == self.gamma
-            and self.antidiagonal_sum == self.gamma
-        )
+        sums = (*self.row_sums, *self.col_sums, self.diagonal_sum, self.antidiagonal_sum)
+        return all(s == self.gamma for s in sums)
 
 
 def _squares_sum_to(gamma: object, diagonal: Sequence[object],
@@ -170,21 +166,10 @@ def report_to_json_dict(report: VerifyReport) -> dict:
 
 
 def report_to_text(report: VerifyReport) -> str:
+    """The JSON report's fields in order, one "key: value" line each, with
+    booleans as true/false and the duplicates as JSON."""
     d = report_to_json_dict(report)
-    lines = []
-    for key in (
-        "n",
-        "gamma",
-        "orthogonal",
-        "diagonal",
-        "antidiagonal",
-        "euler_magic",
-        "proper",
-        "distinct_squares",
-    ):
-        value = d[key]
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key}: {value}")
-    lines.append(f"duplicates: {json.dumps(d['duplicates'])}")
-    return "\n".join(lines)
+    duplicates = d.pop("duplicates")
+    lines = [f"{key}: {str(value).lower() if isinstance(value, bool) else value}"
+             for key, value in d.items()]
+    return "\n".join(lines + [f"duplicates: {json.dumps(duplicates)}"])

@@ -261,6 +261,19 @@ def test_search5_replays_the_benchmark_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
 
 
+def test_search8_replays_the_benchmark_digests(capsys):
+    # the benchmark's search8 output gate, read only: the worked example's
+    # supplied solution plus a grid around each recorded center, at both sizes
+    path = FIXTURES.parent / "perfbench" / "digests.json"
+    digests = json.loads(path.read_text(encoding="utf-8"))
+    keys = [key for key in digests if key.startswith("search8 ")]
+    assert len(keys) == 24 and sum(" --height 10 " in key for key in keys) == 15
+    for key in keys:
+        code, out, _ = run_cli(capsys, *key.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
+
+
 def test_search5_zero_bound_exits_two(capsys):
     assert run_cli(capsys, "search5", "--seed", "0", "--numerator-bound", "0") == (
         2, "", "error: bounds must be at least 1\n")

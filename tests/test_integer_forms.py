@@ -39,6 +39,7 @@ from eulermagic.search import (
     SearchConfig,
     _merge_parts,
     _point_solve,
+    _row_coefficients,
     _search8_grid_chunk,
     _w_roots,
     search5_cayley,
@@ -306,10 +307,12 @@ def _reference_w_roots(poly: MultiPoly):
     return sorted({(-c1 + root) / (2 * c2), (-c1 - root) / (2 * c2)})
 
 
-def _reference_point(left, partial, u, v):
+def _reference_point(left, partial, u, v, forms=None):
+    """(w hits, near miss, full line) at (u, v) by MultiPoly substitution into
+    forms, default _reference_forms(left)."""
     values = dict(zip(RIGHT_VARS, tuple(partial) + (u, v)))
     roots = []
-    for poly in _reference_forms(left):
+    for poly in forms or _reference_forms(left):
         for name, value in values.items():
             poly = poly.substitute(name, value)
         roots.append(_reference_w_roots(poly))
@@ -327,10 +330,18 @@ def _uvw_terms(left, partial):
     return _specialised_terms(integer_forms(left), tuple(map(Fraction, partial)) + (None,) * 3)
 
 
-def _integer_point(left, partial, u, v):
-    tables = _uvw_terms(left, partial)
+def _kernel_coefficients(tables, u, v):
+    """((c2, c1, c0) of A, of B) at (u, v) as the grid chunk forms them: the
+    u-row's _row_coefficients dotted with (dv^2, nv*dv, nv^2)."""
     u, v = Fraction(u), Fraction(v)
-    return _point_solve(tables, u.numerator, u.denominator, v.numerator, v.denominator)
+    vs = (v.denominator ** 2, v.numerator * v.denominator, v.numerator ** 2)
+    return tuple(tuple(sum(r * x for r, x in zip(rk, vs))
+                       for rk in _row_coefficients(table, u.numerator, u.denominator))
+                 for table in tables)
+
+
+def _integer_point(left, partial, u, v):
+    return _point_solve(*_kernel_coefficients(_uvw_terms(left, partial), u, v))
 
 
 _rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -379,11 +390,16 @@ def _assert_terms_match_substitution(left, right):
 
 def test_w_solve_full_line_branches():
     # A = 8(h^2 - a^2) w^2 at p..v = 0, so h = a leaves only B's roots
-    tables = _uvw_terms((1, 0, 0, 0, 0, 0, 0, 1), [0] * 5)
-    assert _point_solve(tables, 0, 1, 0, 1) == ([Fraction(0)], False, False)
-    tables = _uvw_terms((0,) * 8, [1] * 5)
-    assert tables == ((), ())
-    assert _point_solve(tables, 1, 2, 3, 4) == ([], False, True)
+    left = (1, 0, 0, 0, 0, 0, 0, 1)
+    assert _kernel_coefficients(_uvw_terms(left, [0] * 5), 0, 0)[0] == (0, 0, 0)
+    assert _integer_point(left, [0] * 5, 0, 0) == ([Fraction(0)], False, False)
+    assert _uvw_terms((0,) * 8, [1] * 5) == ((), ())
+    assert _integer_point((0,) * 8, [1] * 5, Fraction(1, 2), Fraction(3, 4)) == ([], False, True)
+    # one form vanishing identically leaves the other's roots, and no near miss
+    assert _point_solve((0, 0, 0), (1, 0, -4)) == ([Fraction(-2), Fraction(2)], False, False)
+    assert _point_solve((1, 0, -4), (0, 0, 0)) == ([Fraction(-2), Fraction(2)], False, False)
+    assert _point_solve((1, 0, -4), (0, 0, 1)) == ([], True, False)
+    assert _point_solve((0, 0, 0), (0, 0, 1)) == ([], False, False)
 
 
 def test_grid_chunk_counts_full_lines():
@@ -404,19 +420,73 @@ def test_grid_chunk_counts_full_lines():
         "summary": True, "iterations": 3, "hits": 0, "near_misses": 0, "best_score": 0}
 
 
-def _roots(c2, c1, c0):
-    """_w_roots of c2*w^2 + c1*w + c0 (at u = v = 0)."""
-    return _w_roots(((0, 0, 2, c2), (0, 0, 1, c1), (0, 0, 0, c0)), (1, 0, 0), (1, 0, 0))
-
-
 def test_w_roots_cases():
-    assert _roots(0, 0, 0) is None
-    assert _roots(0, 0, 5) == []
-    assert _roots(0, 3, 2) == [Fraction(-2, 3)]
-    assert _roots(1, 0, 1) == []
-    assert _roots(1, 0, -2) == []
-    assert _roots(1, -2, 1) == [Fraction(1)]
-    assert _roots(4, 0, -1) == [Fraction(-1, 2), Fraction(1, 2)]
+    assert _w_roots(0, 0, 0) is None
+    assert _w_roots(0, 0, 5) == []
+    assert _w_roots(0, 3, 2) == [Fraction(-2, 3)]
+    assert _w_roots(1, 0, 1) == []
+    assert _w_roots(1, 0, -2) == []
+    assert _w_roots(1, -2, 1) == [Fraction(1)]
+    assert _w_roots(4, 0, -1) == [Fraction(-1, 2), Fraction(1, 2)]
+    assert _w_roots(-2, 2, 12) == [Fraction(-2), Fraction(3)]
+
+
+def _positive_multiple(xs, ys):
+    """Whether xs = lam * ys for some rational lam > 0; two zero vectors count."""
+    pivot = next((k for k, y in enumerate(ys) if y), None)
+    if pivot is None:
+        return not any(xs)
+    lam = Fraction(xs[pivot], ys[pivot])
+    return lam > 0 and all(x == lam * y for x, y in zip(xs, ys))
+
+
+@settings(max_examples=200)
+@given(_lefts(), st.tuples(*[_rational] * 5), _rational, _rational)
+@example(WORKED_LEFT, WORKED_PARTIAL, Fraction(13, 15), Fraction(-14, 15))
+@example((0,) * 8, (1, 2, 3, 4, 5), Fraction(1, 2), 1)
+def test_row_coefficients_are_the_forms_at_each_point(left, partial, u, v):
+    # the chunk's (c2, c1, c0) at (u, v), built from its u-row, against the
+    # forms specialised at (p..t, u, v) with only w free
+    kernel = _kernel_coefficients(_uvw_terms(left, partial), u, v)
+    right = tuple(map(Fraction, partial)) + (Fraction(u), Fraction(v), None)
+    for coeffs, terms in zip(kernel, _specialised_terms(integer_forms(left), right)):
+        direct = [0, 0, 0]
+        for k, c in terms:
+            direct[2 - k] += c
+        assert _positive_multiple(coeffs, direct)
+
+
+_offsets = st.lists(_rational, min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lefts(), st.tuples(*[_rational] * 5).filter(any), _offsets, _offsets,
+       st.integers(2, 4))
+@example((1, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1), [0, 1], [0, Fraction(-1, 2)], 2)
+@example((0,) * 8, (1, 2, 3, 4, 5), [Fraction(1, 2), 0], [1, -3], 3)  # every point a full line
+@example(WORKED_LEFT, WORKED_PARTIAL, [Fraction(13, 15), 0], [Fraction(-14, 15), 1], 2)
+def test_grid_chunk_matches_the_reference_point_by_point(left, partial, u_values, v_values,
+                                                         size):
+    partial = tuple(map(Fraction, partial))
+    tables = _uvw_terms(left, partial)
+    us, vs = ([(x.numerator, x.denominator) for x in map(Fraction, values)]
+              for values in (u_values, v_values))
+    points = range(len(us) * len(vs))
+    forms = _reference_forms(left)
+    hits, near_misses, full_lines = [], 0, 0
+    for n in points:
+        u, v = Fraction(*us[n // len(vs)]), Fraction(*vs[n % len(vs)])
+        ws, near, full = _reference_point(left, partial, u, v, forms)
+        hits += [(7 + n, partial + (u, v, w)) for w in ws]
+        near_misses += near
+        full_lines += full
+    whole = _search8_grid_chunk(left, partial, tables, us, vs, 7, points)
+    candidates, *counts = whole
+    assert [(c.sample_index, c.source_params) for c in candidates] == hits
+    assert counts == [len(hits), near_misses, full_lines]
+    parts = [_search8_grid_chunk(left, partial, tables, us, vs, 7, points[k::size])
+             for k in range(size)]
+    assert _merge_parts(parts, len(points)) == _merge_parts([whole], len(points))
 
 
 def test_worked_solution_is_a_root_of_both_forms():
@@ -595,20 +665,38 @@ def recording_pool(monkeypatch):
     return _RecordingPool.sizes
 
 
+def _usable_cpus(monkeypatch, count):
+    """os.sched_getaffinity reports count CPUs for this process."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def test_search5_pool_clamped_to_cpus_and_items(recording_pool, monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    _usable_cpus(monkeypatch, 64)
     config = SearchConfig(seed=3, numerator_bound=9, denominator_bound=4, max_iterations=5)
     serial = search5_cayley(config)
     assert search5_cayley(config, workers=10**6) == serial
-    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    _usable_cpus(monkeypatch, 3)
+    assert search5_cayley(config, workers=10**6) == serial
+    # without sched_getaffinity the pool falls back on os.cpu_count
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     assert search5_cayley(config, workers=10**6) == serial
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert search5_cayley(config, workers=10**6) == serial
-    assert recording_pool == [5, 3]
+    assert recording_pool == [5, 3, 2]
+
+
+def test_pool_sized_by_the_cpus_this_process_may_run_on(recording_pool, monkeypatch):
+    # a machine of 64 CPUs of which this process may use 2 gets a pool of 2
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    _usable_cpus(monkeypatch, 2)
+    config = SearchConfig(seed=3, numerator_bound=9, denominator_bound=4, max_iterations=5)
+    assert search5_cayley(config, workers=8) == search5_cayley(config)
+    assert recording_pool == [2]
 
 
 def test_search8_pool_clamped_to_cpus_and_items(recording_pool, monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    _usable_cpus(monkeypatch, 4)
     center = (Fraction(13, 15), Fraction(-14, 15))
     serial = search8_seeded(WORKED_LEFT, WORKED_PARTIAL, height=1, center=center)
     parallel = search8_seeded(WORKED_LEFT, WORKED_PARTIAL, height=1, center=center,
