@@ -79,6 +79,13 @@ _P2_PATTERN: Tuple[Tuple[str, Tuple[int, int, int], Tuple[int, int, int]], ...] 
 )
 
 
+def _pivot_forms(x) -> Dict[str, object]:
+    """Each _P2_PATTERN name's pivot form s1*x_i*x_j + s2*x_k*x_l at
+    x = (a..h), in any ring the integers act on: ints, Fractions or MultiPolys."""
+    return {name: s1 * x[i] * x[j] + s2 * x[k] * x[l]
+            for name, (i, j, s1), (k, l, s2) in _P2_PATTERN}
+
+
 def _check_left(left: Sequence[object]) -> Tuple[object, ...]:
     """The left tuple, checked to hold exactly 8 ints or Fractions."""
     left = tuple(left)
@@ -471,16 +478,16 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
     are reported as failures with the step name; an improper result is a
     normal outcome, visible in the report.
 
-    Under the restriction the p^2 coefficient of F is -128 h^2 times the sum
-    of each of q..v times its _P2_PATTERN pivot (what the w1 checker checks),
-    so step 1 reads the pivots.  Steps 2 and 3 run on _specialised_terms of
-    integer_forms(left) with p and w free.
+    Each q..v part of the p^2 coefficient of F is (16 (N - 8a^2) - 128 h^2)
+    times its _P2_PATTERN pivot, N = a^2 + ... + h^2, an identity the w1
+    checker proves; N = 8a^2 under the restriction, so step 1 reads the
+    pivots.  Steps 2 and 3 run on _specialised_terms of integer_forms(left)
+    with p and w free.
     """
     left = _require_numeric_left(left)
     if not w1_check(left):
         raise ValueError("left tuple does not satisfy the degree-one restriction")
-    pivots = {name: s1 * left[i] * left[j] + s2 * left[k] * left[l]
-              for name, (i, j, s1), (k, l, s2) in _P2_PATTERN}
+    pivots = _pivot_forms(left)
     solve_var = next((name for name in ("q", "v") if pivots[name] != 0), None)
 
     def failure(reason: str) -> SolveChainResult:
@@ -612,65 +619,32 @@ def family_result_to_json_dict(result: FamilyResult) -> dict:
 # fast bulk verification of the elimination coefficients
 # ----------------------------------------------------------------------
 
+def _w1_factors(x):
+    """(a*h*(N - 4a^2 - 4h^2), N - 8a^2) at x = (a..h), for
+    N = a^2 + ... + h^2, in any ring the integers act on; exactly 8 values."""
+    a, b, c, d, e, f, g, h = x
+    norm = a * a + b * b + c * c + d * d + e * e + f * f + g * g + h * h
+    return a * h * (norm - 4 * a * a - 4 * h * h), norm - 8 * a * a
+
+
 def _w1_residuals() -> List[MultiPoly]:
     """The 8 polynomials in a..h, over the context (a..h, p..w), that vanish
     exactly when the two elimination coefficient facts hold: the p^3
     coefficient of F, the w-part of its p^2 coefficient, and each q..v part of
     it plus 128 h^2 times its _P2_PATTERN form.  All come from the fully
-    symbolic F."""
+    symbolic F.
+
+    With N = a^2 + ... + h^2 they factor as 32*a*h*(N - 4a^2 - 4h^2), 0, and
+    16 times each pivot form times N - 8a^2 (see _w1_factors)."""
     forms = symbolic_diag_forms()
     x = forms.A.coefficient_of("w", 1)
     y = forms.B.coefficient_of("w", 1)
     f = y * forms.A - x * forms.B
     p2 = f.coefficient_of("p", 2)
-    lv = MultiPoly.variables_of(BOTH_VARS)
-    residuals = [f.coefficient_of("p", 3), p2.coefficient_of("w", 1)]
-    for name, (i, j, s1), (k, l, s2) in _P2_PATTERN:
-        residuals.append(p2.coefficient_of(name, 1)
-                         + 128 * lv[7] * lv[7] * (s1 * lv[i] * lv[j] + s2 * lv[k] * lv[l]))
-    return residuals
-
-
-Term = Tuple[Vector, int]  # (exponents over a..h, integer coefficient)
-
-
-def _horner(terms: Sequence[Term], shared: Dict[Tuple[Term, ...], str],
-            lines: List[str]) -> str:
-    """Python source for a nonempty sum of terms in greedy multivariate
-    Horner form: the variable in the most terms is factored out of them once,
-    and both parts recurse.
-
-    Each part of two or more terms is divided by its content, the gcd of its
-    coefficients with the sign of its first term in descending exponent
-    order.  The primitive part is assigned once to a local _tN, appended to
-    lines, and keyed in shared, so a later part with the same primitive part
-    up to content reads the local instead of recomputing it.
-    """
-    counts = [sum(1 for exps, _ in terms if exps[k]) for k in range(8)]
-    k = max(range(8), key=counts.__getitem__)
-    if not counts[k]:  # only the constant term is left
-        return str(terms[0][1])
-    inner = [(exps[:k] + (exps[k] - 1,) + exps[k + 1:], c) for exps, c in terms if exps[k]]
-    rest = [term for term in terms if not term[0][k]]
-    source = f"{LEFT_VARS[k]}*({_shared_part(inner, shared, lines)})"
-    return f"{source} + {_shared_part(rest, shared, lines)}" if rest else source
-
-
-def _shared_part(terms: Sequence[Term], shared: Dict[Tuple[Term, ...], str],
-                 lines: List[str]) -> str:
-    """_horner of one term, or content times the local holding the
-    primitive part of two or more."""
-    if len(terms) == 1:
-        return _horner(terms, shared, lines)
-    terms = sorted(terms, reverse=True)
-    content = gcd(*(c for _, c in terms)) * (1 if terms[0][1] > 0 else -1)
-    key = tuple((exps, c // content) for exps, c in terms)
-    name = shared.get(key)
-    if name is None:
-        body = _horner(key, shared, lines)
-        name = shared[key] = f"_t{len(shared)}"
-        lines.append(f"{name} = {body}")
-    return name if content == 1 else f"{name}*({content})"
+    symbols = MultiPoly.variables_of(BOTH_VARS)
+    return [f.coefficient_of("p", 3), p2.coefficient_of("w", 1)] + [
+        p2.coefficient_of(name, 1) + 128 * symbols[7] * symbols[7] * pivot
+        for name, pivot in _pivot_forms(symbols).items()]
 
 
 def w1_coefficient_checker():
@@ -680,32 +654,24 @@ def w1_coefficient_checker():
     degree-one restriction, that the p^3 coefficient of F vanishes and that
     the p^2 coefficient equals -128 h^2 times the documented linear form:
     that each of the 8 residual polynomials of _w1_residuals vanishes.  Each
-    call compiles them once to one straight-line function of integer Horner
-    expressions, one per nonzero residual, in order.  A part shared by
-    several residuals up to content is assigned to a local once, just before
-    the first residual that uses it.  A residual is never simplified by the
-    restriction, so it is evaluated in full whenever the ones before it
-    vanish.  left must hold exactly 8 integers, taken through
+    call derives the residuals from the symbolic F and proves, by MultiPoly
+    equality, that they equal their factorisations (a RuntimeError if not);
+    check then evaluates the factors of _w1_factors and _pivot_forms, so it
+    gives the same answer as the residuals on every integer tuple, restricted
+    or not.  left must hold exactly 8 integers, taken through
     operator.index: a non-integer raises TypeError and a wrong count
     ValueError.
     """
-    # the source holds only the residuals' integer coefficients and a..h
-    lines = ["def check(left):", f"    {', '.join(LEFT_VARS)} = map(index, left)"]
-    shared: Dict[Tuple[Term, ...], str] = {}
-    for poly in _w1_residuals():
-        terms = []
-        for exps, coeff in poly.terms.items():
-            if any(exps[8:]):
-                raise RuntimeError("residual has right-block variables")
-            if not isinstance(coeff, int):
-                raise RuntimeError("expected integer coefficients")
-            terms.append((exps[:8], coeff))
-        if terms:
-            hoisted: List[str] = []
-            source = _horner(terms, shared, hoisted)
-            lines += [f"    {line}" for line in hoisted]
-            lines += [f"    if {source}:", "        return False"]
-    lines.append("    return True")
-    namespace = {"index": operator.index}
-    exec("\n".join(lines), namespace)
-    return namespace["check"]
+    symbols = MultiPoly.variables_of(BOTH_VARS)
+    cubic, gap = _w1_factors(symbols[:8])
+    factored = [32 * cubic, MultiPoly.zero(BOTH_VARS)] + [
+        16 * pivot * gap for pivot in _pivot_forms(symbols).values()]
+    if _w1_residuals() != factored:
+        raise RuntimeError("internal error: a w1 residual differs from its factorisation")
+
+    def check(left) -> bool:
+        x = tuple(map(operator.index, left))
+        cubic, gap = _w1_factors(x)
+        return not cubic and (not gap or not any(_pivot_forms(x).values()))
+
+    return check

@@ -79,7 +79,10 @@ def _squares_sum_to(gamma: object, diagonal: Sequence[object],
 def _row_condition(rows: Sequence[Sequence[object]]) -> Tuple[object, bool]:
     """(gamma, holds) for M * M^t = gamma * I on the rows of a square M: gamma
     is the squared norm of row 1, and holds says that every row norm is gamma
-    and that distinct rows are orthogonal."""
+    and that distinct rows are orthogonal.  Floats would decide it inexactly,
+    so an entry that is not an int or Fraction is a TypeError."""
+    if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+        raise TypeError("matrix entries must be exact rationals")
     gamma = sum(x * x for x in rows[0])
     return gamma, all(sum(x * x for x in row) == gamma for row in rows) and all(
         sum(map(mul, u, v)) == 0 for u, v in combinations(rows, 2))

@@ -75,6 +75,17 @@ def test_only_cli_main_reports_bad_input():
     assert offenders == []
 
 
+def test_package_runs_no_generated_code():
+    # no builtin exec, eval or compile call anywhere in the package
+    calls = []
+    for path in sorted(Path(eulermagic.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("exec", "eval", "compile")):
+                calls.append((path.name, node.lineno, node.func.id))
+    assert calls == []
+
+
 def test_package_import_loads_no_dataclasses():
     # records are NamedTuples or plain classes, so no code is generated at import
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eulermagic.cayley import cayley, skew_from_upper
+from eulermagic.cayley import cayley, inverse_cayley, ortho_reduce, skew_from_upper
+from eulermagic.family8 import four_parameter_family
 from eulermagic.matrices import (
     Matrix,
     identity,
@@ -28,6 +29,21 @@ from eulermagic.verify import (
 )
 
 from conftest import load_fixture
+
+
+def test_row_condition_refuses_float_entries():
+    # every entry is an integer below 2^53, so the float copy holds the same
+    # values, but their squares are not, and float rounding read it as not magic
+    exact = four_parameter_family(41, -60, -33, -50).primitive
+    assert max(abs(x) for row in exact.entries for x in row) < 2 ** 53
+    report = verify(exact)
+    assert report.is_euler_magic and report.is_proper
+    odd = Matrix(3, 3, [[2, -1, 2], [2, 2, -1], [-1, 2, 2]])
+    assert ortho_reduce(odd)[0] == 3 and inverse_cayley(identity(3)) == Matrix(3, 3, [[0] * 3] * 3)
+    for check, m in ((verify, exact), (ortho_reduce, odd), (inverse_cayley, identity(3))):
+        floats = Matrix(m.rows, m.cols, [[float(x) for x in row] for row in m.entries])
+        with pytest.raises(TypeError, match="must be exact rationals"):
+            check(floats)
 
 
 def test_identity_is_orthogonal_but_not_magic():
