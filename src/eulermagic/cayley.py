@@ -32,6 +32,7 @@ from .matrices import (
     bareiss_adjugate,
     clear_denominators,
     determinant,
+    exact_rationals,
     mat_add,
     mat_scale,
 )
@@ -168,7 +169,9 @@ def _cayley_map(m: Matrix) -> Matrix:
 
 
 def cayley(s: Matrix) -> Matrix:
-    """(I - S)(I + S)^(-1); exact, orthogonal for every rational skew S."""
+    """(I - S)(I + S)^(-1); exact, orthogonal for every rational skew S.
+    Entries that are not exact_rationals are a TypeError."""
+    exact_rationals((x for row in s.entries for x in row), "matrix entries")
     if not is_skew(s):
         raise ValueError("input is not skew-symmetric")
     return _cayley_map(s)

@@ -24,7 +24,7 @@ from itertools import combinations
 from math import gcd, isqrt
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .matrices import Matrix, clear_denominators, mat_mul, rescale_primitive
+from .matrices import Matrix, clear_denominators, exact_rationals, mat_mul, rescale_primitive
 from .octonion import (
     LEFT_SIGN_TABLE,
     LEFT_VARS,
@@ -91,9 +91,7 @@ def _check_left(left: Sequence[object]) -> Tuple[object, ...]:
     left = tuple(left)
     if len(left) != 8:
         raise ValueError(f"expected 8 left coefficients, got {len(left)}")
-    if not all(isinstance(x, (int, Fraction)) for x in left):
-        raise TypeError("left coefficients must be exact rationals")
-    return left
+    return exact_rationals(left, "left coefficients")
 
 
 def _require_numeric_left(left: Sequence[object]) -> Tuple[Fraction, ...]:
@@ -578,7 +576,7 @@ def four_parameter_family(q, r, t, u) -> FamilyResult:
     a positive definite Gram matrix.  Every specialization is Euler magic,
     and the report says whether the point keeps properness.
     """
-    q, r, t, u = (Fraction(v) for v in (q, r, t, u))
+    q, r, t, u = map(Fraction, exact_rationals((q, r, t, u), "family parameters"))
     x_value = _family_x(q, r, t, u)
     assert x_value > 0, "X is positive definite"
     if u == 0:

@@ -17,7 +17,7 @@ import json
 import re
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 __all__ = [
     "Matrix",
@@ -32,6 +32,7 @@ __all__ = [
     "mat_inverse",
     "rescale_primitive",
     "clear_denominators",
+    "exact_rationals",
     "parse_rational",
     "parse_matrix_text",
     "format_matrix_text",
@@ -139,9 +140,23 @@ def transpose(a: Matrix) -> Matrix:
     return Matrix(a.cols, a.rows, tuple(zip(*a.entries)))
 
 
-def clear_denominators(values: Sequence[object]) -> Tuple[int, List[int]]:
-    """(den, ints): the lcm of the denominators of some rationals (ints or
-    Fractions), and the rationals times it as integers."""
+def exact_rationals(values: Iterable[object], what: str = "values") -> tuple:
+    """The values as a tuple, each checked to be an exact rational: an int or
+    a Fraction.  Anything else is a TypeError: a float, Decimal or complex
+    would decide an exact question inexactly, and a str is no number.  bool
+    passes, as an int whose values are exactly 0 and 1."""
+    values = tuple(values)
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"{what} must be exact rationals (int or Fraction), "
+                            f"got {type(x).__name__} {x!r}")
+    return values
+
+
+def clear_denominators(values: Iterable[object]) -> Tuple[int, List[int]]:
+    """(den, ints): the lcm of the denominators of some exact_rationals, and
+    the rationals times it as integers."""
+    values = exact_rationals(values)
     den = lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
 

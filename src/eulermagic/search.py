@@ -39,7 +39,7 @@ from .family8 import (
     integer_forms,
     verified_product,
 )
-from .matrices import Matrix, _SlotRecord, rescale_primitive
+from .matrices import Matrix, _SlotRecord, exact_rationals, rescale_primitive
 from .verify import VerifyReport, _squares_sum_to, verify
 
 __all__ = [
@@ -252,7 +252,7 @@ def search5_cayley(config: SearchConfig, workers: int = 1) -> SearchResult:
 # ----------------------------------------------------------------------
 
 # Height H gives about 1.2 * H^2 offsets and a grid of about 1.5 * H^4 points:
-# at 100 that is 12,175 offsets and 1.5e8 points, about 8 minutes for one worker
+# at 100 that is 12,175 offsets and 1.5e8 points, 2 to 3 minutes for one worker
 # (README.md).  Far larger heights would exhaust memory on the offsets.
 MAX_HEIGHT = 100
 
@@ -306,13 +306,39 @@ def _row_coefficients(table, nu: int, du: int):
     return r
 
 
+def _row_form(table, nu: int, du: int):
+    """(r20, r10, r11, r00, r01, r02) and the binary form (alpha, beta, gamma)
+    of a (u, v, w) table on the u-row u = nu/du.
+
+    A and B are quadratic in p..w, so every term (i, j, k, c) has i + j + k <=
+    2 and _row_coefficients has r[2][1] = r[2][2] = r[1][2] = 0.  With x, y, z
+    = dv^2, nv*dv, nv^2 the w-coefficients are c2 = r20*x, c1 = r10*x + r11*y
+    and c0 = r00*x + r01*y + r02*z, and as y^2 = x*z,
+    c1^2 - 4*c2*c0 = x * (alpha*x + beta*y + gamma*z)
+    with alpha = r10^2 - 4*r20*r00, beta = 2*r10*r11 - 4*r20*r01 and gamma =
+    r11^2 - 4*r20*r02.  When r20 = 0 the form is (r10*dv + r11*nv)^2."""
+    (r20, r21, r22), (r10, r11, r12), (r00, r01, r02) = _row_coefficients(table, nu, du)
+    if r21 or r22 or r12:
+        raise RuntimeError("internal error: a w-coefficient of A or B has degree above 2 - k")
+    return ((r20, r10, r11, r00, r01, r02),
+            (r10 * r10 - 4 * r20 * r00, 2 * r10 * r11 - 4 * r20 * r01, r11 * r11 - 4 * r20 * r02))
+
+
+def _w_coefficients(row, x: int, y: int, z: int):
+    """(c2, c1, c0) at the point (x, y, z) = (dv^2, nv*dv, nv^2) of a _row_form row."""
+    r20, r10, r11, r00, r01, r02 = row
+    return r20 * x, r10 * x + r11 * y, r00 * x + r01 * y + r02 * z
+
+
 def _search8_grid_chunk(left, partial, tables, us, vs, first, indices):
     """Grid point n of indices is u = nu/du = us[n // len(vs)] and v = nv/dv =
     vs[n % len(vs)], given as integer (numerator, denominator) pairs, with
-    sample index first + n.  A point where neither A nor B has a square
-    discriminant in w has no rational root of either, so it is a miss; every
-    other point goes through _point_solve.  Returns (candidates, hits, near
-    misses, full lines)."""
+    sample index first + n.  Each u-row's _row_form gives A's and B's
+    discriminants in w as dv^2 times a binary form in (dv, nv); a point where
+    neither form is a square has no rational root of A or B, so it is a miss
+    decided with 3 products per form.  Every other point forms its
+    w-coefficients and goes through _point_solve.  Returns (candidates, hits,
+    near misses, full lines)."""
     candidates: List[Candidate] = []
     hits = near_misses = full_lines = 0
     vss = [(dv * dv, nv * dv, nv * nv) for nv, dv in vs]
@@ -321,17 +347,14 @@ def _search8_grid_chunk(left, partial, tables, us, vs, first, indices):
         i, j = divmod(n, len(vs))
         if i != row:  # indices ascend, so a chunk builds each of its u-rows once
             row = i
-            (a20, a21, a22), (a10, a11, a12), (a00, a01, a02) = _row_coefficients(tables[0], *us[i])
-            (b20, b21, b22), (b10, b11, b12), (b00, b01, b02) = _row_coefficients(tables[1], *us[i])
+            row_a, (fa0, fa1, fa2) = _row_form(tables[0], *us[i])
+            row_b, (fb0, fb1, fb2) = _row_form(tables[1], *us[i])
         x, y, z = vss[j]
-        a2, b2 = a20 * x + a21 * y + a22 * z, b20 * x + b21 * y + b22 * z
-        a1, b1 = a10 * x + a11 * y + a12 * z, b10 * x + b11 * y + b12 * z
-        a0, b0 = a00 * x + a01 * y + a02 * z, b00 * x + b01 * y + b02 * z
-        # neither form has a rational root (c2 = 0 gives the square discriminant c1^2)
-        da, db = a1 * a1 - 4 * a2 * a0, b1 * b1 - 4 * b2 * b0
-        if (da < 0 or isqrt(da) ** 2 != da) and (db < 0 or isqrt(db) ** 2 != db):
+        fa, fb = fa0 * x + fa1 * y + fa2 * z, fb0 * x + fb1 * y + fb2 * z
+        if (fa < 0 or isqrt(fa) ** 2 != fa) and (fb < 0 or isqrt(fb) ** 2 != fb):
             continue
-        ws, near, full = _point_solve((a2, a1, a0), (b2, b1, b0))
+        ws, near, full = _point_solve(_w_coefficients(row_a, x, y, z),
+                                      _w_coefficients(row_b, x, y, z))
         near_misses += near
         full_lines += full
         for w in ws:
@@ -369,8 +392,8 @@ def search8_seeded(
         raise ValueError(f"height must be nonnegative, got {height}")
     if height > MAX_HEIGHT:
         raise ValueError(f"height must be at most {MAX_HEIGHT}, got {height}")
-    left = tuple(Fraction(x) for x in left)
-    partial = tuple(Fraction(x) for x in partial)
+    left = tuple(map(Fraction, exact_rationals(left, "left coefficients")))
+    partial = tuple(map(Fraction, exact_rationals(partial, "fixed values (p, q, r, s, t)")))
     if len(partial) != 5:
         raise ValueError("expected exactly five fixed values (p, q, r, s, t)")
     scan = improper_witnesses(left)
@@ -381,7 +404,7 @@ def search8_seeded(
 
     parts = []
     if supplied is not None:
-        right = partial + tuple(Fraction(x) for x in supplied)
+        right = partial + tuple(map(Fraction, exact_rationals(supplied, "supplied values")))
         _, primitive, report = verified_product(left, right)
         if not report.is_euler_magic:
             raise ValueError("supplied solution does not satisfy the diagonal conditions")
@@ -389,8 +412,8 @@ def search8_seeded(
     first = len(parts)  # the grid's first sample index
     points = range(0)
     if height > 0:
-        cu, cv = (Fraction(0), Fraction(0)) if center is None else (
-            Fraction(center[0]), Fraction(center[1]))
+        cu, cv = (Fraction(0), Fraction(0)) if center is None else map(
+            Fraction, exact_rationals(center, "center coordinates"))
         # A and B as integer terms (i, j, k, c): c * u^i * v^j * w^k, at most 10 each
         tables = _specialised_terms(integer_forms(left), partial + (None,) * 3)
         offsets = _bounded_height_offsets(height)

@@ -20,7 +20,7 @@ from itertools import combinations
 from operator import mul
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .matrices import Matrix
+from .matrices import Matrix, exact_rationals
 
 __all__ = [
     "MAX_DUPLICATE_PAIRS",
@@ -80,9 +80,8 @@ def _row_condition(rows: Sequence[Sequence[object]]) -> Tuple[object, bool]:
     """(gamma, holds) for M * M^t = gamma * I on the rows of a square M: gamma
     is the squared norm of row 1, and holds says that every row norm is gamma
     and that distinct rows are orthogonal.  Floats would decide it inexactly,
-    so an entry that is not an int or Fraction is a TypeError."""
-    if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
-        raise TypeError("matrix entries must be exact rationals")
+    so an entry that is not one of the exact_rationals is a TypeError."""
+    exact_rationals((x for row in rows for x in row), "matrix entries")
     gamma = sum(x * x for x in rows[0])
     return gamma, all(sum(x * x for x in row) == gamma for row in rows) and all(
         sum(map(mul, u, v)) == 0 for u, v in combinations(rows, 2))
@@ -91,12 +90,15 @@ def _row_condition(rows: Sequence[Sequence[object]]) -> Tuple[object, bool]:
 def verify(m: Matrix) -> VerifyReport:
     """Full Euler-magic and properness report for a square rational matrix.
 
-    A matrix with more than MAX_DUPLICATE_PAIRS pairs of equal entry squares
-    is a ValueError, raised before any row check or pair listing."""
+    An entry that is not one of the exact_rationals is a TypeError, raised
+    before any arithmetic.  A matrix with more than MAX_DUPLICATE_PAIRS pairs
+    of equal entry squares is a ValueError, raised before any row check or
+    pair listing."""
     if not m.is_square():
         raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
     n = m.rows
     rows = m.entries
+    exact_rationals((x for row in rows for x in row), "matrix entries")
     squares = tuple(tuple(x * x for x in row) for row in rows)
     # Fraction(k) and k hash and compare equal, so int and Fraction squares share keys
     by_value: Dict[object, List[Position]] = {}

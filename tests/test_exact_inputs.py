@@ -1,0 +1,96 @@
+"""The exported numeric entry points refuse inexact numbers.
+
+A float, Decimal, complex or str among the values of an exact question must
+be a TypeError or ValueError: never an AttributeError from deep inside the
+arithmetic, and never a verdict computed from it.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eulermagic import (
+    Matrix,
+    cayley,
+    determinant,
+    mat_inverse,
+    rescale_primitive,
+    verify,
+)
+from eulermagic.family8 import four_parameter_family, w1_check
+from eulermagic.matrices import exact_rationals
+from eulermagic.search import search8_seeded
+
+SKEW = (0, 1, 2, -1, 0, 3, -2, -3, 0)
+WORKED = (0, 1, 1, 1, 1, 1, -1, 5,  # left
+          3, -2, -4, 5, 6,  # partial
+          Fraction(13, 15), Fraction(-14, 15), Fraction(-23, 5),  # supplied
+          Fraction(13, 15), Fraction(-14, 15))  # center
+
+
+def _square(values):
+    return Matrix.from_rows([values[0:3], values[3:6], values[6:9]])
+
+
+def _search8(values):
+    return search8_seeded(values[0:8], values[8:13], supplied=values[13:16], height=1,
+                          center=values[16:18])
+
+
+# each entry point as a call on a flat list of its numeric inputs, with exact inputs
+ENTRY_POINTS = {
+    "verify": (lambda xs: verify(_square(xs)), SKEW),
+    "cayley": (lambda xs: cayley(_square(xs)), SKEW),
+    "rescale_primitive": (lambda xs: rescale_primitive(_square(xs)), SKEW),
+    "determinant": (lambda xs: determinant(_square(xs)), SKEW),
+    "four_parameter_family": (lambda xs: four_parameter_family(*xs), (1, 2, 3, 4)),
+    "search8_seeded": (_search8, WORKED),
+    "w1_check": (w1_check, (1, 2, 1, 1, 0, 0, 0, 1)),
+}
+
+_inexact = st.one_of(st.floats(), st.decimals(), st.complex_numbers(), st.text(max_size=3))
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_points_answer_exact_inputs(name):
+    call, values = ENTRY_POINTS[name]
+    call(list(values))
+    # bool is an int: True and False are the exact rationals 1 and 0
+    call([True if x == 1 and type(x) is int else x for x in values])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(ENTRY_POINTS)), st.data(), _inexact)
+def test_entry_points_refuse_inexact_values(name, data, bad):
+    call, values = ENTRY_POINTS[name]
+    values = list(values)
+    values[data.draw(st.integers(0, len(values) - 1), label="position")] = bad
+    with pytest.raises((TypeError, ValueError)):
+        call(values)
+
+
+def test_float_skew_matrix_is_a_type_error():
+    # Fraction arithmetic used to meet the float in clear_denominators and
+    # fail with AttributeError: 'float' object has no attribute 'denominator'
+    m = _square([float(x) for x in SKEW])
+    for call in (verify, cayley, rescale_primitive, determinant, mat_inverse):
+        with pytest.raises(TypeError, match="matrix entries|values must be exact rationals"):
+            call(m)
+
+
+def test_inexact_values_that_are_close_to_exact_ones_are_refused():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, and float division
+    # misses the worked solution, which then failed its diagonal check
+    with pytest.raises(TypeError, match="family parameters must be exact rationals"):
+        four_parameter_family(0.1, 2, 3, 4)
+    with pytest.raises(TypeError, match="supplied values must be exact rationals"):
+        search8_seeded(WORKED[:8], WORKED[8:13], supplied=(13 / 15, -14 / 15, -23 / 5))
+
+
+def test_exact_rationals_keeps_ints_fractions_and_bools():
+    values = (3, Fraction(-1, 2), True, False)
+    assert exact_rationals(iter(values)) == values
+    with pytest.raises(TypeError, match="left coefficients must be exact rationals .* float"):
+        exact_rationals((1, 2.0), "left coefficients")

@@ -15,7 +15,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eulermagic import cli, family8
+from eulermagic import cli, family8, search
 from eulermagic.family8 import (
     FAMILY_LEFT,
     _linear_factors,
@@ -40,7 +40,9 @@ from eulermagic.search import (
     _merge_parts,
     _point_solve,
     _row_coefficients,
+    _row_form,
     _search8_grid_chunk,
+    _w_coefficients,
     _w_roots,
     search5_cayley,
     search8_seeded,
@@ -454,6 +456,54 @@ def test_row_coefficients_are_the_forms_at_each_point(left, partial, u, v):
         for k, c in terms:
             direct[2 - k] += c
         assert _positive_multiple(coeffs, direct)
+
+
+@settings(max_examples=200)
+@given(_lefts(), st.tuples(*[_rational] * 5), _rational, _rational)
+@example(WORKED_LEFT, WORKED_PARTIAL, Fraction(13, 15), Fraction(-14, 15))
+# A's form is -4864 < 0 here: neither rational roots nor a real discriminant
+@example((0, -1, -1, -1, -1, 0, 1, -1), (-1, -1, Fraction(3, 2), -1, -3), 0, 1)
+# h = a: A has c2 = 0 on every row, and its form is (608*dv - 64*nv)^2
+@example((1, 1, 1, 1, 1, 1, -1, 1), WORKED_PARTIAL, Fraction(1, 2), Fraction(-2, 3))
+def test_row_form_is_the_discriminant_over_dv_squared(left, partial, u, v):
+    # c1^2 - 4*c2*c0 of the chunk's coefficients is dv^2 times the u-row's
+    # binary form in (dv, nv), and the row's six entries give (c2, c1, c0)
+    u, v = Fraction(u), Fraction(v)
+    tables = _uvw_terms(left, partial)
+    dv, nv = v.denominator, v.numerator
+    x, y, z = dv * dv, nv * dv, nv * nv
+    for table, (c2, c1, c0) in zip(tables, _kernel_coefficients(tables, u, v)):
+        (r20, r21, r22), (r10, r11, r12), _ = _row_coefficients(table, u.numerator, u.denominator)
+        assert r21 == r22 == r12 == 0
+        row, (alpha, beta, gamma) = _row_form(table, u.numerator, u.denominator)
+        form = alpha * x + beta * y + gamma * z
+        assert x * form == c1 * c1 - 4 * c2 * c0
+        assert _w_coefficients(row, x, y, z) == (c2, c1, c0)
+        if r20 == 0:
+            assert form == (r10 * dv + r11 * nv) ** 2
+
+
+def test_row_form_refuses_a_w_coefficient_of_too_high_degree(monkeypatch):
+    # a v*w^2 term would break c1^2 - 4*c2*c0 = x * form
+    with pytest.raises(RuntimeError, match="internal error"):
+        _row_form(((0, 1, 2, 1),), 1, 1)
+    with pytest.raises(RuntimeError, match="internal error"):
+        _row_form(((0, 2, 1, 1),), 1, 1)
+    # the chunk builds each table's form once per u-row, not per point
+    calls = []
+
+    def counted(table, nu, du):
+        calls.append((nu, du))
+        return _row_form(table, nu, du)
+
+    monkeypatch.setattr(search, "_row_form", counted)
+    tables = _uvw_terms(WORKED_LEFT, WORKED_PARTIAL)
+    us, vs = [(13, 15), (0, 1), (1, 2)], [(-14, 15), (1, 1), (-3, 2), (5, 3)]
+    _search8_grid_chunk(WORKED_LEFT, WORKED_PARTIAL, tables, us, vs, 0, range(12))
+    assert calls == [u for u in us for _ in tables]
+    calls.clear()
+    _search8_grid_chunk(WORKED_LEFT, WORKED_PARTIAL, tables, us, vs, 0, range(1, 12, 5))
+    assert calls == [u for u in us for _ in tables]
 
 
 _offsets = st.lists(_rational, min_size=1, max_size=3)
