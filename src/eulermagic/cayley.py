@@ -103,9 +103,10 @@ def cayley_integer(d: int, s_int: Sequence[Sequence[int]]) -> Tuple[List[List[in
             for i, r in enumerate(adj)], det
 
 
-def cayley5_diagonals(d: int, rows: Sequence[Sequence[int]]) -> Tuple[int, List[int], List[int]]:
-    """(det, [P[i][i]], [P[i][4 - i]]) for (P, det) = cayley_integer(d, rows), where
-    rows is a 5 x 5 integer skew matrix S, without forming adj A.
+def cayley5_diagonals(d: int, upper: Sequence[int]) -> Tuple[int, List[int], List[int]]:
+    """(det, [P[i][i]], [P[i][4 - i]]) for (P, det) = cayley_integer(d, _skew_rows(5, upper)),
+    where upper holds the ten strict-upper entries of a 5 x 5 integer skew
+    matrix S, row by row, without forming S or adj A.
 
     The characteristic polynomial of S is x^5 + sigma2 x^3 + sigma4 x, with
     sigma2 the sum of the squared upper entries and sigma4 = sum_k Pf_k^2,
@@ -119,7 +120,7 @@ def cayley5_diagonals(d: int, rows: Sequence[Sequence[int]]) -> Tuple[int, List[
     where E = (G^2)_ij - c2 G_ij and O = d ((S G)_ij - c2 s_ij); only (0, 4)
     and (1, 3) are needed.  P = 2d adj A - det I, as in cayley_integer.
     """
-    (_, s01, s02, s03, s04), (_, _, s12, s13, s14), (_, _, _, s23, s24), (*_, s34), _ = rows
+    s01, s02, s03, s04, s12, s13, s14, s23, s24, s34 = upper
     g = [s01 * s01 + s02 * s02 + s03 * s03 + s04 * s04,  # G_kk
          s01 * s01 + s12 * s12 + s13 * s13 + s14 * s14,
          s02 * s02 + s12 * s12 + s23 * s23 + s24 * s24,

@@ -18,9 +18,13 @@ with seed s draws from an independent generator seeded with
 (s + (i+1) * 0x9E3779B97F4A7C15) mod 2^64, so partitioning samples across
 workers cannot change any stream.  Integers in [lo, hi] are taken by modulo
 reduction of the 64-bit output (the modulo bias is negligible for the tiny
-spans used here and is fixed by this contract).  Candidate lists are merged
-in (score descending, sample index ascending) order, which makes output
-byte-identical for equal seeds regardless of worker count.
+spans used here and is fixed by this contract), so a span hi - lo + 1 must
+not exceed 2^64: SearchConfig refuses a numerator bound N with 2N + 1 > 2^64
+and a denominator bound above 2^64.  A sample's 20 integers are drawn in one
+pass of Xorshift64Star.uniform_ints, numerator then denominator for each of
+the ten skew parameters.  Candidate lists are merged in (score descending,
+sample index ascending) order, which makes output byte-identical for equal
+seeds regardless of worker count.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ __all__ = [
     "canonical_json",
 ]
 
-_MASK64 = (1 << 64) - 1
+_SPAN64 = 1 << 64
+_MASK64 = _SPAN64 - 1
 _MULTIPLIER = 0x2545F4914F6CDD1D
 _STREAM_STEP = 0x9E3779B97F4A7C15
 
@@ -70,19 +75,29 @@ class Xorshift64Star:
         if self.state == 0:
             self.state = _STREAM_STEP
 
-    def next_u64(self) -> int:
+    def uniform_ints(self, ranges: Iterable[Tuple[int, int]]) -> List[int]:
+        """One draw uniform on [lo, hi] per (lo, hi) of ranges, in order, each by
+        modulo reduction of the next 64-bit output (bias fixed by contract): the
+        one copy of the generator step.  An empty range raises ValueError and
+        leaves the state as it was before the call."""
         x = self.state
-        x ^= x >> 12
-        x ^= (x << 25) & _MASK64
-        x ^= x >> 27
+        out = []
+        for lo, hi in ranges:
+            if lo > hi:
+                raise ValueError("empty range")
+            x ^= x >> 12
+            x ^= (x << 25) & _MASK64
+            x ^= x >> 27
+            out.append(lo + ((x * _MULTIPLIER) & _MASK64) % (hi - lo + 1))
         self.state = x
-        return (x * _MULTIPLIER) & _MASK64
+        return out
+
+    def next_u64(self) -> int:
+        return self.uniform_ints(((0, _MASK64),))[0]
 
     def uniform_int(self, lo: int, hi: int) -> int:
         """Uniform on [lo, hi] by modulo reduction (bias fixed by contract)."""
-        if lo > hi:
-            raise ValueError("empty range")
-        return lo + self.next_u64() % (hi - lo + 1)
+        return self.uniform_ints(((lo, hi),))[0]
 
     def rational(self, numerator_bound: int, denominator_bound: int) -> Fraction:
         """Numerator uniform in [-N, N], denominator uniform in [1, D], reduced."""
@@ -104,6 +119,9 @@ class SearchConfig(_SlotRecord):
                  max_iterations: int = 1000, score_threshold: int = 1):
         if numerator_bound < 1 or denominator_bound < 1:
             raise ValueError("bounds must be at least 1")
+        if 2 * numerator_bound + 1 > _SPAN64 or denominator_bound > _SPAN64:
+            raise ValueError("bounds exceed the generator's 2^64 outputs: the numerator "
+                             "bound must be below 2^63, the denominator bound at most 2^64")
         if max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
         self.seed = seed
@@ -199,26 +217,31 @@ def _search5_sample(config: SearchConfig, index: int):
     """(candidate | None, is_hit, is_near_miss) for one sample index.
 
     The ten skew parameters are drawn as (numerator, denominator) pairs in the
-    order of Xorshift64Star.rational.  P = cayley_integer(d, d * S) is a
+    order of Xorshift64Star.rational, in one uniform_ints pass.  The kernels
+    take the scaled strict-upper entries d * S in the order _skew_rows fixes,
+    and rows are built only on the hit path.  P = cayley_integer(d, d * S) is a
     positive multiple of cayley(S) for any d > 0 that clears S, and
     P * P^t = det^2 * I, so verify's diagonal conditions on the primitive
     matrix are those of P's diagonals against gamma = det^2.  Both diagonals
     come from cayley5_diagonals' closed forms; only a sample passing both
     conditions forms P in full, and is rescaled and fully verified."""
-    rng = Xorshift64Star(stream_seed(config.seed, index))
-    pairs = [(rng.uniform_int(-config.numerator_bound, config.numerator_bound),
-              rng.uniform_int(1, config.denominator_bound)) for _ in range(10)]
-    d = lcm(*(den for _, den in pairs))
-    rows = _skew_rows(5, [num * (d // den) for num, den in pairs])
-    det, diagonal, antidiagonal = cayley5_diagonals(d, rows)
+    bound = config.numerator_bound
+    # a list: CPython 3.11 parks freed 20-tuples on a free list it never reuses,
+    # so a fresh 20-tuple per sample would hold up to 0.4 MiB
+    draws = Xorshift64Star(stream_seed(config.seed, index)).uniform_ints(
+        [(-bound, bound), (1, config.denominator_bound)] * 10)
+    nums, dens = draws[::2], draws[1::2]
+    d = lcm(*dens)
+    upper = [num * (d // den) for num, den in zip(nums, dens)]
+    det, diagonal, antidiagonal = cayley5_diagonals(d, upper)
     on_diagonal, on_antidiagonal = _squares_sum_to(det * det, diagonal, antidiagonal)
     if not (on_diagonal and on_antidiagonal):
         return None, False, on_diagonal != on_antidiagonal
-    p, _ = cayley_integer(d, rows)
+    p, _ = cayley_integer(d, _skew_rows(5, upper))
     primitive = rescale_primitive(Matrix(5, 5, p))
     report = verify(primitive)
     if report.is_euler_magic and report.distinct_square_count >= config.score_threshold:
-        params = tuple(Fraction(num, den) for num, den in pairs)
+        params = tuple(Fraction(num, den) for num, den in zip(nums, dens))
         return _make_candidate(index, params, primitive, report), True, False
     return None, report.is_euler_magic, False
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from eulermagic.cayley import cayley_integer
+from eulermagic.cayley import _skew_rows, cayley_integer
 from eulermagic.matrices import Matrix, mat_mul, parse_matrix_text
 from eulermagic.octonion import LEFT_VARS, RIGHT_VARS, left_matrix, right_matrix
 from eulermagic.poly import MultiPoly
@@ -22,10 +22,11 @@ def load_fixture(name: str) -> Matrix:
     return parse_matrix_text((FIXTURES / name).read_text(encoding="utf-8"))
 
 
-def cayley5_diagonals_by_bareiss(d, rows):
-    """(det, diagonal, antidiagonal) of (P, det) = cayley_integer(d, rows): the
-    Bareiss reference for cayley5_diagonals."""
-    p, det = cayley_integer(d, rows)
+def cayley5_diagonals_by_bareiss(d, upper):
+    """(det, diagonal, antidiagonal) of (P, det) = cayley_integer(d, S) for the
+    skew S that _skew_rows builds from the ten strict-upper entries: the
+    Bareiss reference for cayley5_diagonals, and for its parameter order."""
+    p, det = cayley_integer(d, _skew_rows(5, upper))
     return det, [p[i][i] for i in range(5)], [p[i][4 - i] for i in range(5)]
 
 

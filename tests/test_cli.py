@@ -279,6 +279,14 @@ def test_search5_zero_bound_exits_two(capsys):
         2, "", "error: bounds must be at least 1\n")
 
 
+@pytest.mark.parametrize("option, bound", [("--numerator-bound", str(10**30)),
+                                           ("--denominator-bound", str(2**70))])
+def test_search5_bound_beyond_the_generator_exits_two(capsys, option, bound):
+    assert run_cli(capsys, "search5", "--seed", "0", option, bound) == (
+        2, "", "error: bounds exceed the generator's 2^64 outputs: the numerator bound "
+               "must be below 2^63, the denominator bound at most 2^64\n")
+
+
 def test_search5_requires_seed(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["search5", "--iterations", "5"])

@@ -86,6 +86,21 @@ def test_package_runs_no_generated_code():
     assert calls == []
 
 
+def test_generator_step_is_written_once():
+    # the xorshift64* shift triple appears once in the package, in
+    # search.py, so no fast path forks the generator
+    shifts = []
+    for path in sorted(Path(eulermagic.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.RShift, ast.LShift))
+                    and isinstance(node.right, ast.Constant)
+                    and (type(node.op), node.right.value) in (
+                        (ast.RShift, 12), (ast.LShift, 25), (ast.RShift, 27))):
+                shifts.append((path.name, type(node.op).__name__, node.right.value))
+    assert sorted(shifts) == [("search.py", "LShift", 25), ("search.py", "RShift", 12),
+                              ("search.py", "RShift", 27)]
+
+
 def test_package_import_loads_no_dataclasses():
     # records are NamedTuples or plain classes, so no code is generated at import
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eulermagic import search
 from eulermagic.cayley import (
@@ -79,6 +81,53 @@ def test_prng_rational_bounds():
         assert 1 <= Fraction(x).denominator <= 3
 
 
+def _reference_xorshift64star(seed):
+    """xorshift64* written out from its definition: (state, multiplier) =
+    (seed mod 2^64, 0x2545F4914F6CDD1D), a zero state replaced by
+    0x9E3779B97F4A7C15; yields the 64-bit outputs."""
+    state = seed % 2**64 or 0x9E3779B97F4A7C15
+    while True:
+        state ^= state >> 12
+        state = (state ^ (state << 25)) % 2**64
+        state ^= state >> 27
+        yield state * 0x2545F4914F6CDD1D % 2**64
+
+
+_RANGE = st.tuples(st.integers(-2**70, 2**70), st.integers(0, 2**64 - 1)).map(
+    lambda lo_width: (lo_width[0], lo_width[0] + lo_width[1]))
+
+
+@given(st.integers(-2**70, 2**70), st.lists(_RANGE | st.just((0, 2**64 - 1)), max_size=25))
+@example(0, [(0, 2**64 - 1), (-3, 3)])
+@example(2**64 - 0x9E3779B97F4A7C15, [(1, 1), (-120, 120), (1, 8)])  # stream_seed(., 0) == 0
+@settings(max_examples=200)
+def test_prng_uniform_ints_match_a_reference_xorshift(seed, ranges):
+    reference = _reference_xorshift64star(seed)
+    expected = [lo + next(reference) % (hi - lo + 1) for lo, hi in ranges]
+    rng = Xorshift64Star(seed)
+    assert rng.uniform_ints(ranges) == expected
+    assert all(lo <= x <= hi for (lo, hi), x in zip(ranges, expected))
+    # the stream continues where the draws left off, and an empty range
+    # raises before any draw of its call
+    assert rng.next_u64() == next(reference)
+    with pytest.raises(ValueError):
+        rng.uniform_ints([(0, 5), (1, 0)])
+    with pytest.raises(ValueError):
+        rng.uniform_int(3, 2)
+    assert rng.next_u64() == next(reference)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, -1, 2**64, stream_seed(2**64 - 0x9E3779B97F4A7C15, 0)])
+def test_prng_streams_match_the_reference(seed):
+    reference = _reference_xorshift64star(seed)
+    rng = Xorshift64Star(seed)
+    assert [rng.next_u64() for _ in range(50)] == [next(reference) for _ in range(50)]
+    assert [rng.uniform_int(-7, 9) for _ in range(50)] == [
+        -7 + next(reference) % 17 for _ in range(50)]
+    assert [rng.rational(120, 8) for _ in range(50)] == [
+        Fraction(-120 + next(reference) % 241, 1 + next(reference) % 8) for _ in range(50)]
+
+
 def test_stream_seed_distinct_streams():
     seeds = [stream_seed(99, i) for i in range(50)]
     assert len(set(seeds)) == 50
@@ -93,6 +142,15 @@ def test_search_config_validation():
         SearchConfig(seed=1, denominator_bound=0)
     with pytest.raises(ValueError):
         SearchConfig(seed=1, max_iterations=-1)
+
+
+def test_search_config_refuses_bounds_beyond_the_generator():
+    # a draw is lo + (64-bit output) mod span, uniform only for spans up to 2^64
+    SearchConfig(seed=1, numerator_bound=2**63 - 1, denominator_bound=2**64)
+    for bounds in ({"numerator_bound": 2**63}, {"numerator_bound": 10**30},
+                   {"denominator_bound": 2**64 + 1}, {"denominator_bound": 2**70}):
+        with pytest.raises(ValueError, match="2\\^64"):
+            SearchConfig(seed=1, **bounds)
 
 
 def test_search5_repeat_and_worker_determinism():
@@ -138,13 +196,13 @@ def test_search5_known_near_miss():
 
 
 def _recording_cayley5_diagonals(monkeypatch):
-    """Record (d, S_int, (det, diagonal, antidiagonal)) for every call of the
-    sampler's integer Cayley kernel."""
+    """Record (d, upper, (det, diagonal, antidiagonal)) for every call of the
+    sampler's integer Cayley kernel; upper is the ten entries of d * S."""
     calls = []
 
-    def recording(d, s_int):
-        result = cayley5_diagonals(d, s_int)
-        calls.append((d, s_int, result))
+    def recording(d, upper):
+        result = cayley5_diagonals(d, upper)
+        calls.append((d, upper, result))
         return result
 
     monkeypatch.setattr(search, "cayley5_diagonals", recording)
@@ -159,25 +217,26 @@ def test_search5_transforms_every_sample_at_unit_bounds(monkeypatch):
     assert det == 1
     assert rescale_primitive(Matrix(5, 5, scaled)) == Matrix.from_rows(
         [[int(i == j) for j in range(5)] for i in range(5)])
-    assert cayley5_diagonals(1, zero) == (1, [1] * 5, [0, 0, 1, 0, 0])
+    assert cayley5_diagonals(1, [0] * 10) == (1, [1] * 5, [0, 0, 1, 0, 0])
     calls = _recording_cayley5_diagonals(monkeypatch)
     config = SearchConfig(seed=5, numerator_bound=1, denominator_bound=1,
                           max_iterations=300)
     result = search5_cayley(config)
     assert result.iterations == len(calls) == 300
     # P * P^t = det^2 * I, so det > 0 means a nonzero transform
-    assert all(d == 1 and diagonals == cayley5_diagonals_by_bareiss(d, s_int)
-               and diagonals[0] > 0 for d, s_int, diagonals in calls)
+    assert all(d == 1 and diagonals == cayley5_diagonals_by_bareiss(d, upper)
+               and diagonals[0] > 0 for d, upper, diagonals in calls)
 
 
 class _ScriptedDraws:
-    """Stands in for Xorshift64Star: uniform_int hands out fixed values in order."""
+    """Stands in for Xorshift64Star: uniform_ints hands out fixed values in order,
+    one per range."""
 
     def __init__(self, values):
         self._values = iter(values)
 
-    def uniform_int(self, lo, hi):
-        return next(self._values)
+    def uniform_ints(self, ranges):
+        return [next(self._values) for _ in ranges]
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -208,13 +267,13 @@ def test_search5_sampler_matches_public_cayley(monkeypatch, numerator_bound,
                           denominator_bound=denominator_bound, max_iterations=300)
     search5_cayley(config)
     assert len(calls) == 300
-    for index, (d, s_int, diagonals) in enumerate(calls):
+    for index, (d, upper, diagonals) in enumerate(calls):
         rng = Xorshift64Star(stream_seed(config.seed, index))
         params = [rng.rational(numerator_bound, denominator_bound) for _ in range(10)]
         skew = skew_from_upper(5, params)
-        assert Matrix(5, 5, s_int) == mat_scale(d, skew)
-        assert diagonals == cayley5_diagonals_by_bareiss(d, s_int)
-        p, _ = cayley_integer(d, s_int)
+        assert skew_from_upper(5, upper) == mat_scale(d, skew)
+        assert diagonals == cayley5_diagonals_by_bareiss(d, upper)
+        p, _ = cayley_integer(d, _skew_rows(5, upper))
         assert rescale_primitive(Matrix(5, 5, p)) == rescale_primitive(cayley(skew))
 
 
@@ -284,18 +343,35 @@ def test_search5_verifies_exactly_the_samples_on_both_diagonals(monkeypatch):
     assert both_hold and verified == both_hold
 
 
-def test_search5_fills_each_skew_matrix_with_skew_from_upper(monkeypatch):
-    # the parameter order of the skew matrix is written once, in the row
-    # builder that skew_from_upper wraps
+def test_search5_kernel_and_skew_rows_agree_on_the_upper_order():
+    # the parameter order of the skew matrix is fixed by the row builder that
+    # skew_from_upper wraps; the closed-form kernel unpacks the same ten
+    # entries by name, and ten distinct entries make any swapped pair show
+    upper = [2, -3, 5, 7, -11, 13, 17, -19, 23, 29]
+    d = 6
+    reference = cayley5_diagonals_by_bareiss(d, upper)
+    assert cayley5_diagonals(d, upper) == reference
+    for i in range(10):
+        for j in range(i + 1, 10):
+            swapped = list(upper)
+            swapped[i], swapped[j] = upper[j], upper[i]
+            assert cayley5_diagonals_by_bareiss(d, swapped) != reference, (i, j)
+
+
+def test_search5_builds_rows_only_on_the_hit_path(monkeypatch):
+    # a sample that fails a diagonal condition never forms its skew matrix
     calls = []
 
     def counting_skew_rows(n, values):
         calls.append(n)
         return _skew_rows(n, values)
 
+    config = SearchConfig(seed=5, numerator_bound=1, denominator_bound=1,
+                          max_iterations=1000)
+    *_, both_hold = _reference_search5(config)
     monkeypatch.setattr(search, "_skew_rows", counting_skew_rows)
-    search5_cayley(SearchConfig(seed=3, max_iterations=3))
-    assert calls == [5, 5, 5]
+    search5_cayley(config)
+    assert both_hold and calls == [5] * len(both_hold)
 
 
 def test_searches_hand_workers_index_ranges(monkeypatch):
