@@ -5,15 +5,16 @@ subcommand is a thin adapter over the library; no arithmetic lives here.
 
 Exit codes: 0 success (or verified true), 1 verified false (input was read
 fine but the matrix is not Euler magic / an identity failed), 2 usage or
-input errors.  main is the one place that turns the library's bad-input
-error, ValueError, into exit 2; any other exception, such as the
-RuntimeError of a failed internal check, propagates.  Randomized subcommands
+input errors, 141 stdout closed by its reader.  main is the one place that
+turns the library's bad-input error, ValueError, into exit 2; any other
+exception, such as the RuntimeError of a failed internal check, propagates.  Randomized subcommands
 require an explicit --seed so runs are reproducible by construction.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -239,10 +240,16 @@ _HANDLERS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
+        return code
     except ValueError as exc:  # the library's bad-input error; internal faults propagate
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull at exit, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a reader's early exit
 
 
 if __name__ == "__main__":

@@ -421,11 +421,15 @@ def enumerate_w1(a_max: int) -> List[Tuple[int, ...]]:
                     s = b * b + c * c + d * d
                     triples.append((s, (b, c, d)))
                     by_sum.setdefault(s, []).append((b, c, d))
+        neg, pos = (-a,), (a,)
         for s, first in triples:
             head = gcd(a, *first)
+            prefix = (a, *first)
             for second in by_sum.get(total - s, ()):
                 if head == 1 or gcd(head, *second) == 1:
-                    out += [(a, *first, *second, -a), (a, *first, *second, a)]
+                    body = prefix + second
+                    out.append(body + neg)
+                    out.append(body + pos)
     return out
 
 
@@ -544,11 +548,13 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
 # the four-parameter family
 # ----------------------------------------------------------------------
 
-def _family_x(q, r, t, u):
-    """The four-parameter family's denominator-control polynomial X, in any
-    ring with +, - and * that the integers act on: Fractions or MultiPolys."""
+def _family_x(q, r, t, u, e=1):
+    """The four-parameter family's denominator-control polynomial X,
+    homogenised by e, in any ring with +, - and * that the integers act on:
+    ints, Fractions or MultiPolys.  _family_x(q*e, r*e, t*e, u*e, e) is
+    e^2 * _family_x(q, r, t, u)."""
     return (7 * q * q + 7 * r * r + 21 * q * t - 7 * r * t + 34 * t * t
-            - 7 * q * u - 21 * t * u + 4 * u * u + 7 * q + 21 * r - 7 * u + 34)
+            - 7 * q * u - 21 * t * u + 4 * u * u + (7 * q + 21 * r - 7 * u + 34 * e) * e)
 
 
 def family_x_poly() -> MultiPoly:
@@ -577,19 +583,22 @@ def four_parameter_family(q, r, t, u) -> FamilyResult:
     and the report says whether the point keeps properness.
     """
     q, r, t, u = map(Fraction, exact_rationals((q, r, t, u), "family parameters"))
-    x_value = _family_x(q, r, t, u)
-    assert x_value > 0, "X is positive definite"
-    if u == 0:
+    # (q, r, t, u) = (iq, ir, it, iu) / e, so X = _family_x(iq, ir, it, iu, e) / e^2
+    e, (iq, ir, it, iu) = clear_denominators((q, r, t, u))
+    x_scaled = _family_x(iq, ir, it, iu, e)
+    assert x_scaled > 0, "X is positive definite"
+    if iu == 0:
         raise ValueError("degenerate parameter: u = 0")
+    x_value = Fraction(x_scaled, e * e)
     right = (
-        Fraction(3 * (t * t - 1) * u, 2 * x_value),
+        Fraction(3 * (it * it - e * e) * iu, 2 * e * x_scaled),
         q,
         r,
         Fraction(1),
         t,
-        u - q - 3 * t - 1,
-        t - r - 3,
-        Fraction(u * u - x_value, 2 * u),
+        Fraction(iu - iq - 3 * it - e, e),
+        Fraction(it - ir - 3 * e, e),
+        Fraction(iu * iu - x_scaled, 2 * iu * e),
     )
     matrix, primitive, report = verified_product(FAMILY_LEFT, right)
     return FamilyResult(
@@ -617,12 +626,12 @@ def family_result_to_json_dict(result: FamilyResult) -> dict:
 # fast bulk verification of the elimination coefficients
 # ----------------------------------------------------------------------
 
-def _w1_factors(x):
-    """(a*h*(N - 4a^2 - 4h^2), N - 8a^2) at x = (a..h), for
-    N = a^2 + ... + h^2, in any ring the integers act on; exactly 8 values."""
-    a, b, c, d, e, f, g, h = x
-    norm = a * a + b * b + c * c + d * d + e * e + f * f + g * g + h * h
-    return a * h * (norm - 4 * a * a - 4 * h * h), norm - 8 * a * a
+def _w1_factors(a, b, c, d, e, f, g, h):
+    """(a*h*(N - 4a^2 - 4h^2), N - 8a^2) at (a..h), for N = a^2 + ... + h^2,
+    in any ring the integers act on, both from gap = N - 8a^2:
+    N - 4a^2 - 4h^2 = gap + 4(a^2 - h^2)."""
+    gap = b * b + c * c + d * d + e * e + f * f + g * g + h * h - 7 * a * a
+    return a * h * (gap + 4 * (a * a - h * h)), gap
 
 
 def _w1_residuals() -> List[MultiPoly]:
@@ -661,15 +670,19 @@ def w1_coefficient_checker():
     ValueError.
     """
     symbols = MultiPoly.variables_of(BOTH_VARS)
-    cubic, gap = _w1_factors(symbols[:8])
+    cubic, gap = _w1_factors(*symbols[:8])
     factored = [32 * cubic, MultiPoly.zero(BOTH_VARS)] + [
         16 * pivot * gap for pivot in _pivot_forms(symbols).values()]
     if _w1_residuals() != factored:
         raise RuntimeError("internal error: a w1 residual differs from its factorisation")
+    index = operator.index
 
     def check(left) -> bool:
-        x = tuple(map(operator.index, left))
-        cubic, gap = _w1_factors(x)
-        return not cubic and (not gap or not any(_pivot_forms(x).values()))
+        # unpacking refuses a wrong count, and the rare pivot branch reuses
+        # these ints, so left may be an iterator
+        a, b, c, d, e, f, g, h = map(index, left)
+        cubic, gap = _w1_factors(a, b, c, d, e, f, g, h)
+        return not cubic and (not gap or not any(
+            _pivot_forms((a, b, c, d, e, f, g, h)).values()))
 
     return check

@@ -17,6 +17,7 @@ import json
 import re
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 __all__ = [
@@ -109,19 +110,11 @@ def identity(n: int) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    bt = list(zip(*b.entries))
-    out = []
-    for i in range(a.rows):
-        arow = a.entries[i]
-        row = []
-        for j in range(b.cols):
-            bcol = bt[j]
-            acc = arow[0] * bcol[0]
-            for k in range(1, a.cols):
-                acc = acc + arow[k] * bcol[k]
-            row.append(acc)
-        out.append(tuple(row))
-    return Matrix(a.rows, b.cols, tuple(out))
+    # each entry starts from its first product, so the ring needs only + and *
+    cols = [(col[0], col[1:]) for col in zip(*b.entries)]
+    return Matrix(a.rows, b.cols, tuple(
+        tuple([sum(map(mul, rest, col_rest), first * col_first) for col_first, col_rest in cols])
+        for first, rest in ((row[0], row[1:]) for row in a.entries)))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

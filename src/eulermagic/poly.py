@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from operator import add
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .matrices import _SlotRecord, parse_rational
@@ -151,7 +152,7 @@ class MultiPoly(_SlotRecord):
         out: Dict[Exponents, Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
                 out[exps] = out.get(exps, 0) + c1 * c2
         return MultiPoly(self.variables, out)
 

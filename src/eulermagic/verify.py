@@ -7,8 +7,9 @@ entrywise squares of a proper Euler magic matrix form a magic square of
 squares.
 
 gamma is never supplied by the caller: _row_condition reads it off as the
-squared norm of row 1 and decides M * M^t = gamma * I, for verify and for
-cayley's inverse_cayley and ortho_reduce.  Reports list duplicate entry
+squared norm of row 1 and decides M * M^t = gamma * I, for cayley's
+inverse_cayley and ortho_reduce, and for verify, which has already checked
+the entries, through _exact_row_condition.  Reports list duplicate entry
 positions 1-based, with all colliding unordered pairs in row-major order.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from operator import mul
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
@@ -81,7 +82,12 @@ def _row_condition(rows: Sequence[Sequence[object]]) -> Tuple[object, bool]:
     is the squared norm of row 1, and holds says that every row norm is gamma
     and that distinct rows are orthogonal.  Floats would decide it inexactly,
     so an entry that is not one of the exact_rationals is a TypeError."""
-    exact_rationals((x for row in rows for x in row), "matrix entries")
+    exact_rationals(chain.from_iterable(rows), "matrix entries")
+    return _exact_row_condition(rows)
+
+
+def _exact_row_condition(rows: Sequence[Sequence[object]]) -> Tuple[object, bool]:
+    """_row_condition on rows already checked to be exact_rationals."""
     gamma = sum(x * x for x in rows[0])
     return gamma, all(sum(x * x for x in row) == gamma for row in rows) and all(
         sum(map(mul, u, v)) == 0 for u, v in combinations(rows, 2))
@@ -98,25 +104,27 @@ def verify(m: Matrix) -> VerifyReport:
         raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
     n = m.rows
     rows = m.entries
-    exact_rationals((x for row in rows for x in row), "matrix entries")
+    exact_rationals(chain.from_iterable(rows), "matrix entries")
     squares = tuple(tuple(x * x for x in row) for row in rows)
     # Fraction(k) and k hash and compare equal, so int and Fraction squares share keys
-    by_value: Dict[object, List[Position]] = {}
-    for i, row in enumerate(squares, 1):
-        for j, square in enumerate(row, 1):
-            by_value.setdefault(square, []).append((i, j))
-    count = sum(len(positions) * (len(positions) - 1) // 2 for positions in by_value.values())
-    if count > MAX_DUPLICATE_PAIRS:
-        raise ValueError(f"{count} pairs of equal entry squares; "
-                         f"a report lists at most {MAX_DUPLICATE_PAIRS}")
+    distinct = len(set(chain.from_iterable(squares)))
+    pairs: List[Tuple[Position, Position]] = []
+    if distinct < n * n:  # index the positions only when some squares repeat
+        by_value: Dict[object, List[Position]] = {}
+        for i, row in enumerate(squares, 1):
+            for j, square in enumerate(row, 1):
+                by_value.setdefault(square, []).append((i, j))
+        count = sum(len(positions) * (len(positions) - 1) // 2 for positions in by_value.values())
+        if count > MAX_DUPLICATE_PAIRS:
+            raise ValueError(f"{count} pairs of equal entry squares; "
+                             f"a report lists at most {MAX_DUPLICATE_PAIRS}")
+        pairs = sorted(pair for positions in by_value.values()
+                       for pair in combinations(positions, 2))
 
-    gamma, cond_orthogonal = _row_condition(rows)
+    gamma, cond_orthogonal = _exact_row_condition(rows)
     cond_diagonal, cond_antidiagonal = _squares_sum_to(
         gamma, [rows[i][i] for i in range(n)], [rows[i][n - 1 - i] for i in range(n)])
     is_euler_magic = cond_orthogonal and cond_diagonal and cond_antidiagonal and gamma != 0
-    pairs = sorted(pair for positions in by_value.values()
-                   for pair in combinations(positions, 2))
-    distinct = len(by_value)
     return VerifyReport(
         n=n,
         gamma=gamma,

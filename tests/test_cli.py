@@ -468,3 +468,23 @@ def test_module_entry_point_exit_codes(tmp_path):
                               capture_output=True, text=True, timeout=30)
         assert done.returncode == expected, done.stderr
         assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [["perm", "9"], ["family", "0", "0", "0", "1"],
+                                  ["forms", "2", "1", "1", "4", "2", "1", "1", "-2"]])
+def test_closed_stdout_exits_141_quietly(argv):
+    """A reader that is gone before the first write ends the run with 141,
+    as a shell reports SIGPIPE, without a traceback."""
+    root = FIXTURES.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "eulermagic.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141, done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr

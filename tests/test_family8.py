@@ -9,11 +9,14 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulermagic import family8
 from eulermagic.family8 import (
     BOTH_VARS,
     FAMILY_LEFT,
+    _family_x,
     _w1_residuals,
     diag_forms,
     eliminate_w,
@@ -313,6 +316,22 @@ def _fraction_family(q, r, t, u):
     return x, right, matrix, primitive, verify(primitive)
 
 
+def _assert_family_matches_fraction_product(point):
+    result = four_parameter_family(*point)
+    x, right, matrix, primitive, report = _fraction_family(*map(Fraction, point))
+    assert result.x_value == x and result.right == right, point
+    assert (result.q, result.r, result.t, result.u) == tuple(map(Fraction, point))
+    assert all(type(v) is Fraction for v in (result.q, result.r, result.t, result.u,
+                                             result.x_value, *result.right))
+    assert all(type(v) is Fraction for row in result.matrix.entries for v in row)
+    assert result.matrix == matrix, point
+    assert [[str(v) for v in row] for row in result.matrix.entries] == \
+        [[str(v) for v in row] for row in matrix.entries]
+    assert result.primitive.entries == primitive.entries, point
+    assert all(type(v) is int for row in result.primitive.entries for v in row)
+    assert result.report == report, point
+
+
 def test_four_parameter_family_matches_fraction_product():
     """The integer product gives what the Fraction product gave, on the 100
     seeded points of the family acceptance test."""
@@ -320,20 +339,42 @@ def test_four_parameter_family_matches_fraction_product():
     checked = 0
     while checked < 100:
         point = tuple(rng.rational(20, 6) for _ in range(4))
-        try:
-            result = four_parameter_family(*point)
-        except ValueError:
+        if point[3] == 0:
+            with pytest.raises(ValueError, match="u = 0"):
+                four_parameter_family(*point)
             continue
-        x, right, matrix, primitive, report = _fraction_family(*map(Fraction, point))
-        assert result.x_value == x and result.right == right, point
-        assert all(type(v) is Fraction for row in result.matrix.entries for v in row)
-        assert result.matrix == matrix, point
-        assert [[str(v) for v in row] for row in result.matrix.entries] == \
-            [[str(v) for v in row] for row in matrix.entries]
-        assert result.primitive.entries == primitive.entries, point
-        assert all(type(v) is int for row in result.primitive.entries for v in row)
-        assert result.report == report, point
+        _assert_family_matches_fraction_product(point)
         checked += 1
+
+
+_unshared = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**4))
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.tuples(_unshared, _unshared, _unshared, _unshared),
+                 st.tuples(*[st.integers(-10**4, 10**4)] * 4)))
+def test_four_parameter_family_integer_path_matches_fraction_product(point):
+    """Clearing (q, r, t, u) to one denominator gives the Fraction product's
+    X, right tuple and matrices, for four unshared denominators up to 10^4
+    and for all-integer points."""
+    if point[3] == 0:
+        with pytest.raises(ValueError, match="u = 0"):
+            four_parameter_family(*point)
+    else:
+        _assert_family_matches_fraction_product(point)
+
+
+@settings(max_examples=100)
+@given(st.tuples(*[st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**3))] * 4),
+       st.integers(-10**6, 10**6))
+def test_family_x_is_homogenised_by_e(point, e):
+    assert _family_x(*(x * e for x in point), e) == e * e * _family_x(*point)
+    assert _family_x(*point, 1) == _family_x(*point)
+
+
+def test_family_x_poly_is_pinned():
+    assert str(family_x_poly()) == ("7*q^2 + 21*q*t - 7*q*u + 7*r^2 - 7*r*t + 34*t^2 - 21*t*u"
+                                    " + 4*u^2 + 7*q + 21*r - 7*u + 34")
 
 
 def test_family_degenerate_parameters():
@@ -394,6 +435,43 @@ def test_w1_coefficient_checker_takes_exactly_eight_integers():
         check((1,) * 9)
     with pytest.raises(ValueError):
         check((1, 2, 3))
+
+
+def test_w1_checker_calls_the_shared_formula_once_per_tuple(monkeypatch):
+    """check evaluates _w1_factors, the formula the MultiPoly proof compares,
+    once per tuple and keeps no second copy of it."""
+    calls = []
+    factors = family8._w1_factors
+
+    def counting(*x):
+        calls.append(x)
+        return factors(*x)
+
+    monkeypatch.setattr(family8, "_w1_factors", counting)
+    check = w1_coefficient_checker()
+    calls.clear()
+    lefts = [FAMILY_LEFT, (1, 2, 3, 4, 5, 6, 7, 8), (0, 1, 1, 1, 1, 1, 1, 1),
+             (0, 1, 2, 3, 4, 5, 6, 0), *enumerate_w1(1)[:20]]
+    for k, left in enumerate(lefts, 1):
+        check(left)
+        assert len(calls) == k and calls[-1] == tuple(left), left
+
+
+def test_w1_checker_reads_left_once():
+    """An iterator gives the answer its tuple gives, also when the pivot
+    forms decide: the pivot branch reuses the converted ints."""
+    check = w1_coefficient_checker()
+    # the first two have a = 0, so no cubic, and a nonzero gap: their pivot
+    # forms decide, and a = h = 0 makes them all 0 in the second
+    pivot_cases = {(0, 1, 1, 1, 1, 1, 1, 1): False, (0, 1, 2, 3, 4, 5, 6, 0): True,
+                   (1, 2, 3, 4, 5, 6, 7, 8): False, FAMILY_LEFT: True}
+    for left, expected in pivot_cases.items():
+        assert check(left) is expected and check(iter(left)) is expected, left
+    with pytest.raises(TypeError):
+        check(iter((Fraction(3, 2), 1, 1, 1, 1, 1, 1, Fraction(3, 2))))
+    for wrong in ((1,) * 9, (1, 2, 3), ()):
+        with pytest.raises(ValueError):
+            check(iter(wrong))
 
 
 def test_w1_coefficient_checker_matches_residual_eval():

@@ -25,6 +25,7 @@ from eulermagic.matrices import (
     rescale_primitive,
     transpose,
 )
+from eulermagic.poly import MultiPoly
 
 
 def test_construction_checks():
@@ -46,6 +47,26 @@ def test_identity_and_multiply():
     assert mat_mul(a, b) == Matrix.from_rows([[2, 1], [4, 3]])
     with pytest.raises(ValueError):
         mat_mul(a, Matrix.from_rows([[1, 2, 3]]))
+    # against a plain triple loop over three rings, on degenerate and full shapes
+    rng = random.Random(64)
+    x, y = MultiPoly.variables_of(("x", "y"))
+    draws = (lambda: rng.randint(-9, 9),
+             lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+             lambda: rng.randint(-3, 3) * x + rng.randint(-3, 3) * y + rng.randint(-3, 3))
+    for draw in draws:
+        for n, m, k in ((1, 1, 1), (5, 1, 5), (8, 8, 8)):
+            left = [[draw() for _ in range(m)] for _ in range(n)]
+            right = [[draw() for _ in range(k)] for _ in range(m)]
+            expected = [[left[i][0] * right[0][j] for j in range(k)] for i in range(n)]
+            for i in range(n):
+                for j in range(k):
+                    for t in range(1, m):
+                        expected[i][j] = expected[i][j] + left[i][t] * right[t][j]
+            product = mat_mul(Matrix.from_rows(left), Matrix.from_rows(right))
+            assert (product.rows, product.cols) == (n, k)
+            assert product.entries == tuple(map(tuple, expected))
+            assert [type(v) for row in product.entries for v in row] == \
+                [type(v) for row in expected for v in row]
 
 
 def test_add_sub_scale_transpose():

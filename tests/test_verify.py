@@ -20,6 +20,7 @@ from eulermagic.matrices import (
 )
 from eulermagic.permutations import MAX_PERM_SIZE, improper_construction
 from eulermagic.verify import (
+    _row_condition,
     MAX_DUPLICATE_PAIRS,
     VerifyReport,
     magic_square_of_squares,
@@ -44,6 +45,28 @@ def test_row_condition_refuses_float_entries():
         floats = Matrix(m.rows, m.cols, [[float(x) for x in row] for row in m.entries])
         with pytest.raises(TypeError, match="must be exact rationals"):
             check(floats)
+
+
+def test_verify_scans_for_exactness_once(monkeypatch):
+    calls = []
+    # the package's name `verify` is the function, so import the module by path
+    verify_module = importlib.import_module("eulermagic.verify")
+    scan = verify_module.exact_rationals
+
+    def counting(values, what="values"):
+        calls.append(what)
+        return scan(values, what)
+
+    monkeypatch.setattr(verify_module, "exact_rationals", counting)
+    for m in (load_fixture("euler4.txt"), improper_construction(4), identity(3)):
+        calls.clear()
+        verify(m)
+        assert calls == ["matrix entries"]
+    # _row_condition alone, as the Cayley callers use it, still scans
+    calls.clear()
+    assert _row_condition(identity(3).entries) == (1, True) and len(calls) == 1
+    with pytest.raises(TypeError, match="must be exact rationals"):
+        _row_condition(((1.0, 0), (0, 1)))
 
 
 def test_identity_is_orthogonal_but_not_magic():
