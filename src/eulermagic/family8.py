@@ -30,6 +30,7 @@ from .octonion import (
     LEFT_VARS,
     RIGHT_SIGN_TABLE,
     RIGHT_VARS,
+    _check_params,
     gamma_product,
     left_matrix,
     right_matrix,
@@ -86,16 +87,10 @@ def _pivot_forms(x) -> Dict[str, object]:
             for name, (i, j, s1), (k, l, s2) in _P2_PATTERN}
 
 
-def _check_left(left: Sequence[object]) -> Tuple[object, ...]:
-    """The left tuple, checked to hold exactly 8 ints or Fractions."""
-    left = tuple(left)
-    if len(left) != 8:
-        raise ValueError(f"expected 8 left coefficients, got {len(left)}")
-    return exact_rationals(left, "left coefficients")
-
-
-def _require_numeric_left(left: Sequence[object]) -> Tuple[Fraction, ...]:
-    return tuple(map(Fraction, _check_left(left)))
+def _check_left(left: Sequence[object]) -> Tuple[Fraction, ...]:
+    """The left tuple as Fractions: a wrong count is a ValueError, and a value
+    that is not one of the exact_rationals a TypeError."""
+    return tuple(map(Fraction, exact_rationals(_check_params(left), "left coefficients")))
 
 
 class DiagForms(NamedTuple):
@@ -107,7 +102,7 @@ class DiagForms(NamedTuple):
 def diag_forms(left: Sequence[object]) -> DiagForms:
     """The quadratic forms A and B in (p..w) for a fixed numeric left tuple,
     read off _specialised_terms with all of p..w free."""
-    left = _require_numeric_left(left)
+    left = _check_left(left)
     forms = integer_forms(left)
     square = forms.scale ** 2
     a_form, b_form = (MultiPoly(RIGHT_VARS, {t[:-1]: Fraction(t[-1], square) for t in table})
@@ -202,7 +197,7 @@ def entries_distinct(prefix: Sequence[object]) -> bool:
 def integer_forms(left: Sequence[object]) -> IntegerForms:
     """The entries of M as integer vectors and A, B as integer Gram matrices,
     built straight from the two sign tables."""
-    left = _require_numeric_left(left)
+    left = _check_left(left)
     scale, ileft = clear_denominators(left)
     # with all of a..h fixed, slot 0 (the constant) is zero and slots 1..8 are p..w
     entries = [tuple(vec[1:]) for vec in _entry_vectors(ileft, ())]
@@ -245,20 +240,17 @@ def _specialised_terms(forms: IntegerForms, right: Sequence[object]):
 
 
 def verified_product(left: Sequence[object],
-                     right: Sequence[object]) -> Tuple[Matrix, Matrix, VerifyReport]:
-    """(M, primitive, report) for M = L(left) * R(right) with rational tuples.
+                     right: Sequence[object]) -> Tuple[Matrix, VerifyReport]:
+    """(primitive, report) for M = L(left) * R(right) with rational tuples.
 
-    Each side's denominators are cleared by their lcm, the product is taken
-    in integers and divided back to Fractions for M; primitive is its
-    rescale_primitive and report is verify on that.
+    Each side's denominators are cleared by their lcm, so the integer product
+    is a positive multiple of M with the same rescale_primitive; report is
+    verify on that.  No Fraction is built.
     """
-    lden, ileft = clear_denominators(left)
-    rden, iright = clear_denominators(right)
-    product = mat_mul(left_matrix(ileft), right_matrix(iright))
-    den = lden * rden
-    matrix = Matrix(8, 8, tuple(tuple(Fraction(x, den) for x in row) for row in product.entries))
+    product = mat_mul(left_matrix(clear_denominators(left)[1]),
+                      right_matrix(clear_denominators(right)[1]))
     primitive = rescale_primitive(product)
-    return matrix, primitive, verify(primitive)
+    return primitive, verify(primitive)
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +350,7 @@ def improper_witnesses(left: Sequence[object]) -> WitnessReport:
     entry is a signed permutation of the left tuple over p..w, so the Gram
     matrix of A has trace 8|left|^2 - 8|left|^2 = 0.
     """
-    left = _require_numeric_left(left)
+    left = _check_left(left)
     forms = integer_forms(left)
     if not entries_distinct(left):
         return WitnessReport(left, tuple(
@@ -386,8 +378,10 @@ def improper_witnesses(left: Sequence[object]) -> WitnessReport:
 
 def w1_check(left: Sequence[object]) -> bool:
     """h = +-a != 0 and b^2+c^2+d^2+e^2+f^2+g^2 = 6 a^2."""
-    # clearing denominators scales every value by one positive integer
-    a, b, c, d, e, f, g, h = clear_denominators(_check_left(left))[1]
+    # clearing denominators scales every value by one positive integer; only
+    # the integers are needed, so no Fraction is built
+    a, b, c, d, e, f, g, h = clear_denominators(
+        exact_rationals(_check_params(left), "left coefficients"))[1]
     if a == 0 or (h != a and h != -a):
         return False
     return b * b + c * c + d * d + e * e + f * f + g * g == 6 * a * a
@@ -466,7 +460,6 @@ class SolveChainResult(NamedTuple):
     failure_reason: Optional[str] = None
     solved_for: Optional[str] = None
     right: Optional[Tuple[Fraction, ...]] = None
-    matrix: Optional[Matrix] = None
     primitive: Optional[Matrix] = None
     report: Optional[VerifyReport] = None
 
@@ -486,7 +479,8 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
     pivots.  Steps 2 and 3 run on _specialised_terms of integer_forms(left)
     with p and w free.
     """
-    left = _require_numeric_left(left)
+    left = _check_left(left)
+    values = dict(zip(free, map(Fraction, exact_rationals(free.values(), "free values"))))
     if not w1_check(left):
         raise ValueError("left tuple does not satisfy the degree-one restriction")
     pivots = _pivot_forms(left)
@@ -498,13 +492,11 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
     if solve_var is None:
         return failure("step 1: both q and v coefficients vanish (b = g = 0)")
 
-    values: Dict[str, Fraction] = {}
-    for name, value in free.items():
+    for name in values:
         if name not in _SOLVABLE:
             raise ValueError(f"cannot fix variable {name!r}; choose among {_SOLVABLE}")
         if name == solve_var:
             raise ValueError(f"variable {name!r} is the one the chain solves for")
-        values[name] = Fraction(value)
     values.setdefault("s", Fraction(1))
     missing = [v for v in _SOLVABLE if v != solve_var and v not in values]
     if missing:
@@ -539,9 +531,9 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
 
     # a zero right tuple has no p-term in F and fails at step 2, so L * R != 0
     assert any(right), "solve chain reached a zero right tuple"
-    matrix, primitive, report = verified_product(left, right)
+    primitive, report = verified_product(left, right)
     return SolveChainResult(ok=True, left=left, solved_for=solve_var, right=right,
-                            matrix=matrix, primitive=primitive, report=report)
+                            primitive=primitive, report=report)
 
 
 # ----------------------------------------------------------------------
@@ -569,7 +561,6 @@ class FamilyResult(NamedTuple):
     u: Fraction
     x_value: Fraction
     right: Tuple[Fraction, ...]
-    matrix: Matrix
     primitive: Matrix
     report: VerifyReport
 
@@ -600,11 +591,9 @@ def four_parameter_family(q, r, t, u) -> FamilyResult:
         Fraction(it - ir - 3 * e, e),
         Fraction(iu * iu - x_scaled, 2 * iu * e),
     )
-    matrix, primitive, report = verified_product(FAMILY_LEFT, right)
-    return FamilyResult(
-        q=q, r=r, t=t, u=u, x_value=x_value, right=right,
-        matrix=matrix, primitive=primitive, report=report,
-    )
+    primitive, report = verified_product(FAMILY_LEFT, right)
+    return FamilyResult(q=q, r=r, t=t, u=u, x_value=x_value, right=right,
+                        primitive=primitive, report=report)
 
 
 def family_result_to_json_dict(result: FamilyResult) -> dict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .matrices import Matrix, _SlotRecord
+from .matrices import Matrix, _SlotRecord, exact_rationals
 
 __all__ = [
     "MAX_PERM_SIZE",
@@ -108,7 +108,7 @@ def two_by_two_family(a, variant: int = 1) -> Matrix:
     All entries are +-a, so gamma = 2a^2 and every one of them is improper
     with a single distinct entry square.
     """
-    a = Fraction(a)
+    a = Fraction(*exact_rationals((a,), "the scale a"))
     if a == 0:
         raise ValueError("a must be nonzero")
     if variant not in _TWO_BY_TWO_SIGNS:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple, Union
 
-from .matrices import _SlotRecord, parse_rational
+from .matrices import _SlotRecord, exact_rationals, parse_rational
 
 Coeff = Union[int, Fraction]
 Exponents = Tuple[int, ...]
@@ -193,37 +193,24 @@ class MultiPoly(_SlotRecord):
         return MultiPoly(self.variables, out)
 
     def substitute(self, name: str, value) -> "MultiPoly":
-        """Substitute a rational or a same-context polynomial for a variable."""
-        i = self._index(name)
-        if isinstance(value, (int, Fraction)):
-            out: Dict[Exponents, Coeff] = {}
-            for exps, c in self.terms.items():
-                k = exps[i]
-                reduced = exps[:i] + (0,) + exps[i + 1:]
-                out[reduced] = out.get(reduced, 0) + (c * value**k if k else c)
-            return MultiPoly(self.variables, out)
+        """Substitute a rational or a same-context polynomial for a variable:
+        the sum of coefficient_of(name, k) * value**k."""
         if isinstance(value, MultiPoly):
             self._check_context(value)
-            result = MultiPoly.zero(self.variables)
-            powers = {0: MultiPoly.constant(self.variables, 1)}
-            max_k = self.degree_in(name)
-            for k in range(1, max_k + 1):
-                powers[k] = powers[k - 1] * value
-            for exps, c in self.terms.items():
-                k = exps[i]
-                reduced = exps[:i] + (0,) + exps[i + 1:]
-                term = MultiPoly(self.variables, {reduced: c})
-                result = result + term * powers[k]
-            return result
-        raise TypeError(f"cannot substitute value of type {type(value).__name__}")
+        elif not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot substitute value of type {type(value).__name__}")
+        return sum((self.coefficient_of(name, k) * value**k
+                    for k in range(self.degree_in(name) + 1)), MultiPoly.zero(self.variables))
 
     def eval(self, point: Mapping[str, Coeff]) -> Coeff:
-        """Exact evaluation; every variable must be assigned."""
+        """Exact evaluation; every variable must be assigned one of the
+        exact_rationals."""
         values = []
         for v in self.variables:
             if v not in point:
                 raise ValueError(f"missing assignment for variable {v!r}")
             values.append(point[v])
+        values = exact_rationals(values, "point values")
         total: Coeff = 0
         for exps, c in self.terms.items():
             t = c
@@ -231,7 +218,7 @@ class MultiPoly(_SlotRecord):
                 if k:
                     t *= val**k
             total += t
-        return _norm_coeff(total if isinstance(total, (int, Fraction)) else Fraction(total))
+        return _norm_coeff(total)
 
     # ------------------------------------------------------------------
     # rendering

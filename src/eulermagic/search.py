@@ -30,6 +30,7 @@ seeds regardless of worker count.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from fractions import Fraction
 from math import inf, isqrt, lcm
@@ -37,6 +38,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cayley import _skew_rows, cayley5_diagonals, cayley_integer
 from .family8 import (
+    _check_left,
     _specialised_terms,
     entries_distinct,
     improper_witnesses,
@@ -117,6 +119,9 @@ class SearchConfig(_SlotRecord):
 
     def __init__(self, seed: int, numerator_bound: int = 120, denominator_bound: int = 8,
                  max_iterations: int = 1000, score_threshold: int = 1):
+        # operator.index refuses a float or Fraction bound: the draws are integers
+        numerator_bound = operator.index(numerator_bound)
+        denominator_bound = operator.index(denominator_bound)
         if numerator_bound < 1 or denominator_bound < 1:
             raise ValueError("bounds must be at least 1")
         if 2 * numerator_bound + 1 > _SPAN64 or denominator_bound > _SPAN64:
@@ -383,7 +388,7 @@ def _search8_grid_chunk(left, partial, tables, us, vs, first, indices):
         for w in ws:
             right = tuple(partial) + (Fraction(*us[i]), Fraction(*vs[j]), w)
             # never the zero matrix: that needs p..t = 0, which the properness gate rejects
-            _, primitive, report = verified_product(left, right)
+            primitive, report = verified_product(left, right)
             if not report.is_euler_magic:
                 raise RuntimeError("internal error: solved point failed verification")
             candidates.append(_make_candidate(first + n, right, primitive, report))
@@ -415,7 +420,7 @@ def search8_seeded(
         raise ValueError(f"height must be nonnegative, got {height}")
     if height > MAX_HEIGHT:
         raise ValueError(f"height must be at most {MAX_HEIGHT}, got {height}")
-    left = tuple(map(Fraction, exact_rationals(left, "left coefficients")))
+    left = _check_left(left)
     partial = tuple(map(Fraction, exact_rationals(partial, "fixed values (p, q, r, s, t)")))
     if len(partial) != 5:
         raise ValueError("expected exactly five fixed values (p, q, r, s, t)")
@@ -428,7 +433,7 @@ def search8_seeded(
     parts = []
     if supplied is not None:
         right = partial + tuple(map(Fraction, exact_rationals(supplied, "supplied values")))
-        _, primitive, report = verified_product(left, right)
+        primitive, report = verified_product(left, right)
         if not report.is_euler_magic:
             raise ValueError("supplied solution does not satisfy the diagonal conditions")
         parts.append(([_make_candidate(0, right, primitive, report)], 1, 0, 0))
@@ -488,11 +493,11 @@ def greedy_backtrack_left(
     """
     bounds = list(bounds)
     if len(bounds) == 2 and all(isinstance(b, int) for b in bounds):
-        per_position = [(bounds[0], bounds[1])] * 13
-    else:
-        per_position = [(int(lo), int(hi)) for lo, hi in bounds]
-        if len(per_position) != 13:
-            raise ValueError("need bounds for exactly 13 positions")
+        bounds = [bounds] * 13
+    # operator.index refuses a float or Fraction bound instead of truncating it
+    per_position = [(operator.index(lo), operator.index(hi)) for lo, hi in bounds]
+    if len(per_position) != 13:
+        raise ValueError("need bounds for exactly 13 positions")
     for lo, hi in per_position:
         if lo > hi:
             raise ValueError("empty bound range")

@@ -396,6 +396,65 @@ def test_forms_output_is_pinned(capsys, left, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the full stdout, byte for byte; a verify fixture is named without its directory
+_STDOUT_SHA256 = {
+    "family -55 -11 -27 -148":
+        "394bd61f5e1ef63ee970b20133a11e0c2ff842f8ac9ba554fdfb71cf0124882a",
+    "family -55 -11 -27 -148 --json":
+        "7556e27ccbfb9305752e2c84f422ee6bbbf46012191d4437a513b3958ea9200d",
+    "family 1/2 3 -2 7":
+        "57614a745cc9126e93616d023fca2aab631a06afb6e450421bc962a184bc929c",
+    "family 1/2 3 -2 7 --json":
+        "02700fb85f2d9d4b8029bb68e6c457b02ebc1e1fe174e52bb3b38530ae6d0986",
+    "perm 5":
+        "2ea16e6357a146922264c65172514ac1c41c66d682acffe308f7c2e8e6cb39c6",
+    "perm 8 --json":
+        "5e771b514a0b0fc1e849068f703c37132265ed6e28cf1a66539dfda962745732",
+    "verify euler4.txt":
+        "ab662cd4dc85fc600c7dbcf02ec6050e1b4b10d83be3ce5c44a8a2145f7b725a",
+    "verify euler4.txt --json":
+        "d72f090ac5cb1cdbea801d88d18b12461113874755b1e712cdd4315e5b962d94",
+    "verify family8.txt":
+        "322384bd94e780c61bef4ab20fc71ef5e5a0a1440f18f2cf96b4ec507de1d775",
+    "verify family8.txt --json":
+        "73e8d1bf5be0acd803c75ccd1524e55a2692e26dbda0ea253c2823af8f11e9dd",
+    "verify five5_1.txt":
+        "3774f70d51b888df72d96800e8f8d8174df1d6a0d08c83d5966e880d9e06b2b4",
+    "verify five5_1.txt --json":
+        "4734034e8dbbf0969451b3c4fc027e8f8123ae12986704eab0cf8cf6027e394b",
+    "verify five5_2.txt":
+        "1683dcdc8fc1922052722b4d2d88a2d259292f1056c484dd0b6cd3142f769c3f",
+    "verify five5_2.txt --json":
+        "6e15392ea18659f4c6f551e843cd157c689b2f92e3dea4c0aca6acdb958b1d9f",
+    "verify five5_3.txt":
+        "266866f531870fe6eed408902c10809d399648ed830ff3bcafb458aacdad411b",
+    "verify five5_3.txt --json":
+        "86fa00a2a3ac046e113f6c910898aeed5fd04bdbce6ca2c7f001ac45cb1d660e",
+    "verify five5_4.txt":
+        "142cd020023f423ccfbcbcc56daadabee8f5a77bb21d33130f7503c7667c998b",
+    "verify five5_4.txt --json":
+        "09c89ce64c54e0d6a73c1e369a9d5c604376f5ef25e1600c3afbfa893805b337",
+    "verify five5_5.txt":
+        "b950f1410da4cdf3278d89ecb13e6f859824682eae8b3d9ad5ce7dbf24f662af",
+    "verify five5_5.txt --json":
+        "631e20b1c82ac8f20e3a31e2aaf4083ae899ceced898d1179ce4995bf8ebf39b",
+    "verify search8.txt":
+        "bcde1215bf147414e31be050467d29c2de5ac1e91482091b015a2d83fda3ab08",
+    "verify search8.txt --json":
+        "8a1765ac4f0a7246c7806f24cbe42a76a483f48c3833aad40564d7ff42538d79",
+}
+
+
+@pytest.mark.parametrize("command", list(_STDOUT_SHA256))
+def test_family_perm_and_verify_output_is_pinned(capsys, command):
+    argv = command.split()
+    if argv[0] == "verify":
+        argv[1] = str(FIXTURES / argv[1])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _STDOUT_SHA256[command]
+
+
 def test_cli_determinism_across_workers(capsys):
     args = [
         "search5", "--seed", "2024", "--iterations", "50",

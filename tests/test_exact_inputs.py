@@ -19,9 +19,11 @@ from eulermagic import (
     rescale_primitive,
     verify,
 )
-from eulermagic.family8 import four_parameter_family, w1_check
+from eulermagic.family8 import FAMILY_LEFT, four_parameter_family, solve_chain, w1_check
 from eulermagic.matrices import exact_rationals
-from eulermagic.search import search8_seeded
+from eulermagic.permutations import two_by_two_family
+from eulermagic.poly import parse_poly
+from eulermagic.search import SearchConfig, greedy_backtrack_left, search5_cayley, search8_seeded
 
 SKEW = (0, 1, 2, -1, 0, 3, -2, -3, 0)
 WORKED = (0, 1, 1, 1, 1, 1, -1, 5,  # left
@@ -39,6 +41,20 @@ def _search8(values):
                           center=values[16:18])
 
 
+def _search5(values):
+    return search5_cayley(SearchConfig(seed=1, numerator_bound=values[0],
+                                       denominator_bound=values[1], max_iterations=20))
+
+
+def _greedy(values):
+    return greedy_backtrack_left(list(zip(values[::2], values[1::2])), seed=1, max_results=1,
+                                 max_nodes=40)
+
+
+def _eval(values):
+    return parse_poly("x^2 - 3*x*y + 1/2", ("x", "y")).eval(dict(zip("xy", values)))
+
+
 # each entry point as a call on a flat list of its numeric inputs, with exact inputs
 ENTRY_POINTS = {
     "verify": (lambda xs: verify(_square(xs)), SKEW),
@@ -48,6 +64,13 @@ ENTRY_POINTS = {
     "four_parameter_family": (lambda xs: four_parameter_family(*xs), (1, 2, 3, 4)),
     "search8_seeded": (_search8, WORKED),
     "w1_check": (w1_check, (1, 2, 1, 1, 0, 0, 0, 1)),
+    "two_by_two_family": (lambda xs: two_by_two_family(*xs), (3,)),
+    "MultiPoly.eval": (_eval, (2, -1)),
+    "SearchConfig": (_search5, (5, 2)),
+    "greedy_backtrack_left": (_greedy, (0, 1, -1, 1, 0, 2, 1, 1, -2, 0, 1, 1, 0, 1,
+                                        0, 3, 1, 2, -1, 1, 0, 1, 2, 3, 1, 1)),
+    "solve_chain": (lambda xs: solve_chain(xs[:8], dict(zip("qrtu", xs[8:]))),
+                    FAMILY_LEFT + (-55, -11, -27, -13)),
 }
 
 _inexact = st.one_of(st.floats(), st.decimals(), st.complex_numbers(), st.text(max_size=3))
@@ -87,6 +110,19 @@ def test_inexact_values_that_are_close_to_exact_ones_are_refused():
         four_parameter_family(0.1, 2, 3, 4)
     with pytest.raises(TypeError, match="supplied values must be exact rationals"):
         search8_seeded(WORKED[:8], WORKED[8:13], supplied=(13 / 15, -14 / 15, -23 / 5))
+    # otherwise 0.1 would run as a Fraction, a 2.5 bound would draw float
+    # numerators, and int() would truncate a greedy bound
+    with pytest.raises(TypeError, match="the scale a must be exact rationals"):
+        two_by_two_family(0.1)
+    with pytest.raises(TypeError, match="point values must be exact rationals"):
+        parse_poly("x", ("x",)).eval({"x": 0.1})
+    for bound in (2.5, Fraction(5, 2), Fraction(5)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            SearchConfig(seed=1, numerator_bound=bound)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        greedy_backtrack_left([(0.5, 1.5)] * 13, seed=1)
+    with pytest.raises(TypeError, match="free values must be exact rationals .* float 0.5"):
+        solve_chain(FAMILY_LEFT, {"q": 0.5, "r": -11, "t": -27, "u": -13})
 
 
 def test_exact_rationals_keeps_ints_fractions_and_bools():

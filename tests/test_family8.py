@@ -261,12 +261,12 @@ def test_solve_chain_reports_degenerate_pivots():
     res = solve_chain(FAMILY_LEFT, {"q": 0, "r": 0, "t": 0, "u": 0, "s": 0})
     assert (res.ok, res.failure_reason, res.solved_for) == (
         False, "step 2: p-coefficient zero", "v")
-    assert res.right is None and res.matrix is None and res.report is None
+    assert res.right is None and res.primitive is None and res.report is None
     # A keeps no w-term once p..v are known
     res = solve_chain(FAMILY_LEFT, {"q": -1, "r": -1, "t": -1, "u": -1})
     assert (res.ok, res.failure_reason, res.solved_for) == (
         False, "step 3: w-coefficient zero", "v")
-    assert res.right is None and res.matrix is None and res.report is None
+    assert res.right is None and res.primitive is None and res.report is None
 
 
 def test_four_parameter_family_showcase_point(family8):
@@ -305,28 +305,25 @@ def test_four_parameter_family_rational_point():
 
 
 def _fraction_family(q, r, t, u):
-    """X, the right tuple, L * R as a Fraction product, its primitive
-    rescaling and the report, written out from the family's definition."""
+    """X, the right tuple, the primitive rescaling of L * R taken as a
+    Fraction product, and its report, written out from the family's
+    definition."""
     x = (7 * q * q + 7 * r * r + 21 * q * t - 7 * r * t + 34 * t * t
          - 7 * q * u - 21 * t * u + 4 * u * u + 7 * q + 21 * r - 7 * u + 34)
     right = (3 * (t * t - 1) * u / (2 * x), q, r, Fraction(1), t, u - q - 3 * t - 1, t - r - 3,
              (u * u - x) / (2 * u))
     matrix = mat_mul(left_matrix(FAMILY_LEFT), right_matrix(right))
     primitive = rescale_primitive(matrix)
-    return x, right, matrix, primitive, verify(primitive)
+    return x, right, primitive, verify(primitive)
 
 
 def _assert_family_matches_fraction_product(point):
     result = four_parameter_family(*point)
-    x, right, matrix, primitive, report = _fraction_family(*map(Fraction, point))
+    x, right, primitive, report = _fraction_family(*map(Fraction, point))
     assert result.x_value == x and result.right == right, point
     assert (result.q, result.r, result.t, result.u) == tuple(map(Fraction, point))
     assert all(type(v) is Fraction for v in (result.q, result.r, result.t, result.u,
                                              result.x_value, *result.right))
-    assert all(type(v) is Fraction for row in result.matrix.entries for v in row)
-    assert result.matrix == matrix, point
-    assert [[str(v) for v in row] for row in result.matrix.entries] == \
-        [[str(v) for v in row] for row in matrix.entries]
     assert result.primitive.entries == primitive.entries, point
     assert all(type(v) is int for row in result.primitive.entries for v in row)
     assert result.report == report, point
@@ -397,13 +394,29 @@ def test_verified_product_matches_fraction_product():
         left, right = ([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(8)]
                        for _ in range(2))
         right[3] = Fraction(1, 2)  # never the zero matrix
-        matrix, primitive, report = verified_product(left, right)
+        primitive, report = verified_product(left, right)
         expected = mat_mul(left_matrix(left), right_matrix(right))
-        assert matrix == expected
-        assert all(type(v) is Fraction for row in matrix.entries for v in row)
         assert primitive == rescale_primitive(expected)
         assert report == verify(primitive)
         assert report.cond_orthogonal  # M * M^t = gamma * I for every L * R
+
+
+@pytest.mark.parametrize("left, right", [
+    (FAMILY_LEFT, (-7, -55, -11, 1, -27, -13, -19, 4)),
+    (tuple(map(Fraction, FAMILY_LEFT)), FAMILY_RIGHT),
+    (tuple(Fraction(x, 2) for x in (0, 1, 1, 1, 1, 1, -1, 5)),
+     (3, -2, -4, 5, 6, Fraction(13, 15), Fraction(-14, 15), Fraction(-23, 5))),
+])
+def test_verified_product_builds_no_fraction(monkeypatch, left, right):
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
+    primitive, report = verified_product(left, right)
+    monkeypatch.undo()
+    assert built == []
+    assert report.is_euler_magic and report == verify(primitive)
+    assert "matrix" not in family8.FamilyResult._fields + family8.SolveChainResult._fields
 
 
 def test_family_json_schema():
