@@ -654,9 +654,9 @@ def w1_coefficient_checker():
     equality, that they equal their factorisations (a RuntimeError if not);
     check then evaluates the factors of _w1_factors and _pivot_forms, so it
     gives the same answer as the residuals on every integer tuple, restricted
-    or not.  left must hold exactly 8 integers, taken through
-    operator.index: a non-integer raises TypeError and a wrong count
-    ValueError.
+    or not.  left must hold exactly 8 integers: a wrong count raises
+    ValueError, and values that are not all plain ints go through
+    operator.index, so a non-integer raises TypeError.
     """
     symbols = MultiPoly.variables_of(BOTH_VARS)
     cubic, gap = _w1_factors(*symbols[:8])
@@ -669,7 +669,10 @@ def w1_coefficient_checker():
     def check(left) -> bool:
         # unpacking refuses a wrong count, and the rare pivot branch reuses
         # these ints, so left may be an iterator
-        a, b, c, d, e, f, g, h = map(index, left)
+        a, b, c, d, e, f, g, h = left
+        if not (int is type(a) is type(b) is type(c) is type(d) is type(e) is type(f)
+                is type(g) is type(h)):
+            a, b, c, d, e, f, g, h = map(index, (a, b, c, d, e, f, g, h))
         cubic, gap = _w1_factors(a, b, c, d, e, f, g, h)
         return not cubic and (not gap or not any(
             _pivot_forms((a, b, c, d, e, f, g, h)).values()))

@@ -149,6 +149,9 @@ def exact_rationals(values: Iterable[object], what: str = "values") -> tuple:
 def clear_denominators(values: Iterable[object]) -> Tuple[int, List[int]]:
     """(den, ints): the lcm of the denominators of some exact_rationals, and
     the rationals times it as integers."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return 1, values  # plain ints: nothing to check, den 1
     values = exact_rationals(values)
     den = lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]

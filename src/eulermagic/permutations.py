@@ -11,6 +11,7 @@ completeness.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -106,11 +107,14 @@ def two_by_two_family(a, variant: int = 1) -> Matrix:
     """The four sign patterns of 2x2 Euler magic matrices, scaled by a != 0.
 
     All entries are +-a, so gamma = 2a^2 and every one of them is improper
-    with a single distinct entry square.
+    with a single distinct entry square.  variant is taken through
+    operator.index: a float, Fraction or Decimal is a TypeError, and True
+    is variant 1.
     """
     a = Fraction(*exact_rationals((a,), "the scale a"))
     if a == 0:
         raise ValueError("a must be nonzero")
+    variant = operator.index(variant)
     if variant not in _TWO_BY_TWO_SIGNS:
         raise ValueError("variant must be 1, 2, 3, or 4")
     signs = _TWO_BY_TWO_SIGNS[variant]

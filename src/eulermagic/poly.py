@@ -31,13 +31,16 @@ __all__ = [
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
-    """Keep integer-valued coefficients as plain ints."""
+    """Keep integer-valued coefficients as plain ints: a bool or other int
+    subclass, or a Fraction with denominator 1, becomes an int."""
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         if c.denominator == 1:
             return int(c)
         return c
     if isinstance(c, int):
-        return c
+        return int(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
@@ -67,7 +70,8 @@ class MultiPoly(_SlotRecord):
                 raise ValueError(
                     f"exponent vector {exps} does not match context of arity {len(names)}"
                 )
-            c = _norm_coeff(c)
+            if type(c) is not int:
+                c = _norm_coeff(c)
             if c:
                 cleaned[tuple(exps)] = c
         self.variables, self.terms = names, cleaned

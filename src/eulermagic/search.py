@@ -119,9 +119,11 @@ class SearchConfig(_SlotRecord):
 
     def __init__(self, seed: int, numerator_bound: int = 120, denominator_bound: int = 8,
                  max_iterations: int = 1000, score_threshold: int = 1):
-        # operator.index refuses a float or Fraction bound: the draws are integers
-        numerator_bound = operator.index(numerator_bound)
-        denominator_bound = operator.index(denominator_bound)
+        # operator.index refuses a float or Fraction: the seed, bounds, counts
+        # and scores are integers
+        seed, numerator_bound, denominator_bound, max_iterations, score_threshold = map(
+            operator.index,
+            (seed, numerator_bound, denominator_bound, max_iterations, score_threshold))
         if numerator_bound < 1 or denominator_bound < 1:
             raise ValueError("bounds must be at least 1")
         if 2 * numerator_bound + 1 > _SPAN64 or denominator_bound > _SPAN64:

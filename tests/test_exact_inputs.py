@@ -5,6 +5,7 @@ be a TypeError or ValueError: never an AttributeError from deep inside the
 arithmetic, and never a verdict computed from it.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,18 @@ from eulermagic import (
     cayley,
     determinant,
     mat_inverse,
+    matrices,
     rescale_primitive,
     verify,
 )
-from eulermagic.family8 import FAMILY_LEFT, four_parameter_family, solve_chain, w1_check
-from eulermagic.matrices import exact_rationals
+from eulermagic.family8 import (
+    FAMILY_LEFT,
+    four_parameter_family,
+    solve_chain,
+    w1_check,
+    w1_coefficient_checker,
+)
+from eulermagic.matrices import clear_denominators, exact_rationals
 from eulermagic.permutations import two_by_two_family
 from eulermagic.poly import parse_poly
 from eulermagic.search import SearchConfig, greedy_backtrack_left, search5_cayley, search8_seeded
@@ -64,7 +72,7 @@ ENTRY_POINTS = {
     "four_parameter_family": (lambda xs: four_parameter_family(*xs), (1, 2, 3, 4)),
     "search8_seeded": (_search8, WORKED),
     "w1_check": (w1_check, (1, 2, 1, 1, 0, 0, 0, 1)),
-    "two_by_two_family": (lambda xs: two_by_two_family(*xs), (3,)),
+    "two_by_two_family": (lambda xs: two_by_two_family(*xs), (3, 1)),
     "MultiPoly.eval": (_eval, (2, -1)),
     "SearchConfig": (_search5, (5, 2)),
     "greedy_backtrack_left": (_greedy, (0, 1, -1, 1, 0, 2, 1, 1, -2, 0, 1, 1, 0, 1,
@@ -130,3 +138,33 @@ def test_exact_rationals_keeps_ints_fractions_and_bools():
     assert exact_rationals(iter(values)) == values
     with pytest.raises(TypeError, match="left coefficients must be exact rationals .* float"):
         exact_rationals((1, 2.0), "left coefficients")
+
+
+def test_plain_ints_skip_the_exactness_guards(monkeypatch):
+    """check and clear_denominators take plain ints without operator.index or
+    exact_rationals, the guards that cost more than certify's arithmetic.  A
+    bool still goes through both, so the guards stay in place for anything
+    that is not a plain int."""
+    calls = []
+    index, exact = operator.index, matrices.exact_rationals
+
+    def counting_index(x):
+        calls.append("index")
+        return index(x)
+
+    def counting_exact(*args):
+        calls.append("exact_rationals")
+        return exact(*args)
+
+    monkeypatch.setattr(operator, "index", counting_index)
+    monkeypatch.setattr(matrices, "exact_rationals", counting_exact)
+    check = w1_coefficient_checker()
+    calls.clear()
+    assert check(FAMILY_LEFT) is True
+    assert clear_denominators(FAMILY_LEFT) == (1, list(FAMILY_LEFT))
+    assert calls == []
+    bools = (True, False, True, True, False, False, False, True)
+    assert check(bools) is False
+    assert calls == ["index"] * 8
+    assert clear_denominators(bools) == (1, [1, 0, 1, 1, 0, 0, 0, 1])
+    assert calls == ["index"] * 8 + ["exact_rationals"]

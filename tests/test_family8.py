@@ -487,6 +487,57 @@ def test_w1_checker_reads_left_once():
             check(iter(wrong))
 
 
+class _Int(int):
+    pass
+
+
+class _Index:
+    """Not an int, but an integer through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_w1_checker_answers_int_like_values_as_their_ints():
+    """Plain ints take check's fast path; bools, an int subclass and an
+    object with __index__ go through operator.index and get the answer of
+    the same ints, from a tuple or an iterator."""
+    check = w1_coefficient_checker()
+    lefts = [FAMILY_LEFT, (1, 2, 3, 4, 5, 6, 7, 8), (0, 1, 1, 1, 1, 1, 1, 1),
+             (0, 1, 2, 3, 4, 5, 6, 0), *enumerate_w1(1)[:40]]
+    answers = set()
+    for left in lefts:
+        expected = check(left)
+        answers.add(expected)
+        for cast in (_Int, _Index):
+            assert check(tuple(map(cast, left))) is expected, (cast, left)
+            assert check(map(cast, left)) is expected, (cast, left)
+    for left in itertools.product((0, 1), repeat=8):
+        expected = check(left)
+        answers.add(expected)
+        assert check(tuple(map(bool, left))) is expected, left
+        assert check(map(bool, left)) is expected, left
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("bad", [Fraction(2), 2.0, "2"])
+def test_w1_checker_refuses_non_integers_and_wrong_counts(bad):
+    check = w1_coefficient_checker()
+    for position in (0, 3, 7):
+        left = list(FAMILY_LEFT)
+        left[position] = bad
+        for given_left in (tuple(left), iter(left)):
+            with pytest.raises(TypeError):
+                check(given_left)
+    for wrong in (FAMILY_LEFT[:7], FAMILY_LEFT + (1,)):
+        for given_left in (wrong, iter(wrong)):
+            with pytest.raises(ValueError):
+                check(given_left)
+
+
 def test_w1_coefficient_checker_matches_residual_eval():
     """The checker against MultiPoly.eval of its 8 residuals on 2,000 seeded
     tuples in [-4, 4]^8."""

@@ -3,13 +3,17 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eulermagic import matrices
 from eulermagic.matrices import (
     Matrix,
     SingularMatrixError,
+    clear_denominators,
     determinant,
     format_matrix_text,
     identity,
@@ -195,3 +199,29 @@ def test_matrix_readers_refuse_exponent_notation():
         matrix_from_json_dict({"rows": 1, "cols": 1, "entries": [["1e100000000"]]})
     with pytest.raises(ZeroDivisionError):
         parse_rational("1/0")
+
+
+class _Int(int):
+    pass
+
+
+_RATIONAL_OR_INT = st.one_of(st.integers(), st.booleans(), st.integers().map(_Int),
+                             st.fractions(max_denominator=50))
+
+
+@settings(max_examples=200)
+@given(st.lists(_RATIONAL_OR_INT, max_size=12))
+@example([])
+@example([3, -7, 10**30])  # plain ints: the fast path
+@example([3, True, _Int(2)])  # ints, but not all plain: the general path
+def test_clear_denominators_matches_an_lcm_reference(values):
+    den = 1
+    for x in values:
+        q = Fraction(x).denominator
+        den = den * q // gcd(den, q)
+    expected = [Fraction(x) * den for x in values]
+    for given_values in (values, iter(values)):
+        got_den, ints = clear_denominators(given_values)
+        assert got_den == den and ints == expected
+        assert type(got_den) is int and all(type(x) is int for x in ints)
+        assert ints is not values

@@ -1,5 +1,6 @@
 """Unit tests for the permutation-based improper constructions."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -115,3 +116,12 @@ def test_two_by_two_family_rejects_degenerate():
         two_by_two_family(0)
     with pytest.raises(ValueError):
         two_by_two_family(1, variant=5)
+
+
+def test_two_by_two_family_takes_the_variant_through_index():
+    # 1.0 == 1 and hashes alike, so a float variant used to pick variant 1
+    for bad in (1.0, Fraction(1), Decimal(1), "1"):
+        with pytest.raises(TypeError):
+            two_by_two_family(3, bad)
+    # bool is an int: True is variant 1
+    assert two_by_two_family(3, True) == two_by_two_family(3, 1)

@@ -280,3 +280,14 @@ def test_constructor_normal_form(terms):
     p = MultiPoly(XYZ, terms)
     _assert_normal_form(p)
     assert p.terms == {e: c for e, c in terms.items() if c}
+
+
+class _Int(int):
+    pass
+
+
+def test_constructor_stores_bool_and_int_subclass_coefficients_as_ints():
+    p = MultiPoly(XY, {(0, 0): True, (1, 0): False, (0, 1): _Int(-3), (1, 1): Fraction(4, 2)})
+    assert p.terms == {(0, 0): 1, (0, 1): -3, (1, 1): 2}
+    assert all(type(c) is int for c in p.terms.values())
+    assert p == MultiPoly(XY, {(0, 0): 1, (0, 1): -3, (1, 1): 2})

@@ -144,6 +144,18 @@ def test_search_config_validation():
         SearchConfig(seed=1, max_iterations=-1)
 
 
+def test_search_config_refuses_non_integer_seed_count_and_score():
+    # a float seed used to fail later, in stream_seed's mask, and a float
+    # iteration count in range(); both are refused at construction now
+    for field in ("seed", "max_iterations", "score_threshold"):
+        for bad in (0.5, 2.5, Fraction(5, 2), Fraction(2)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                SearchConfig(**{"seed": 1, field: bad})
+    config = SearchConfig(seed=True, max_iterations=True, score_threshold=True)
+    assert (config.seed, config.max_iterations, config.score_threshold) == (1, 1, 1)
+    assert type(config.seed) is int
+
+
 def test_search_config_refuses_bounds_beyond_the_generator():
     # a draw is lo + (64-bit output) mod span, uniform only for spans up to 2^64
     SearchConfig(seed=1, numerator_bound=2**63 - 1, denominator_bound=2**64)
