@@ -10,7 +10,6 @@ from eulermagic import (
     SearchConfig,
     diag_forms,
     eliminate_w,
-    greedy_backtrack_left,
     improper_witnesses,
     search5_cayley,
     search8_seeded,
@@ -58,14 +57,6 @@ def main() -> None:
           f"near misses {res5.near_misses} (one diagonal condition held)")
     print("exact hits are rare at desk scale; the harness reports them")
     print("deterministically when they occur.")
-
-    print()
-    print("== greedy backtracking over small integer tuples ==")
-    target = (0, 1, 1, 1, 1, 1, -1, 5, 3, -2, -4, 5, 6)
-    wiggle = [(v - 1, v + 1) for v in target]
-    found = greedy_backtrack_left(wiggle, seed=3, max_results=3, max_nodes=50000)
-    for left_tuple, partial_tuple in found:
-        print("  emitted left", left_tuple, "partial", partial_tuple)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from eulermagic import (
     certificate_to_text,
     inverse_cayley,
     nonexistence_certificate,
-    skew3,
+    skew_from_upper,
 )
 
 
@@ -34,7 +34,7 @@ def main() -> None:
 
     print()
     print("== the Cayley chart itself, on a sample point ==")
-    s = skew3(Fraction(1, 2), Fraction(-2, 3), Fraction(4))
+    s = skew_from_upper(3, [Fraction(1, 2), Fraction(-2, 3), Fraction(4)])
     m = cayley(s)
     print("cayley(S) rows:")
     for row in m.entries:

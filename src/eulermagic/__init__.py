@@ -20,15 +20,13 @@ from .matrices import (
     mat_inverse,
     mat_mul,
     mat_scale,
-    matrix_from_json_dict,
     matrix_to_json_dict,
-    parse_matrix_json,
     parse_matrix_text,
     parse_rational,
     rescale_primitive,
     transpose,
 )
-from .poly import MultiPoly, parse_poly, quadratic_form_coeffs
+from .poly import MultiPoly, parse_poly
 from .verify import (
     MagicSquareReport,
     VerifyReport,
@@ -47,7 +45,6 @@ from .cayley import (
     nonexistence_certificate,
     ortho_reduce,
     sign_diagonal,
-    skew3,
     skew_from_upper,
 )
 from .octonion import (
@@ -69,7 +66,6 @@ from .family8 import (
     eliminate_w,
     enumerate_w1,
     family_result_to_json_dict,
-    family_x_poly,
     four_parameter_family,
     improper_witnesses,
     solve_chain,
@@ -81,7 +77,6 @@ from .family8 import (
 from .permutations import (
     Permutation,
     construction_permutation,
-    improper_construction,
     perm_matrix,
     two_by_two_family,
 )
@@ -92,7 +87,6 @@ from .search import (
     Xorshift64Star,
     candidate_to_json_dict,
     canonical_json,
-    greedy_backtrack_left,
     search5_cayley,
     search8_seeded,
     stream_seed,

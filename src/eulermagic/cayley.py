@@ -41,7 +41,6 @@ from .verify import _row_condition
 
 __all__ = [
     "skew_from_upper",
-    "skew3",
     "is_skew",
     "cayley",
     "cayley_integer",
@@ -76,11 +75,6 @@ def _skew_rows(n: int, values: Sequence[object]) -> List[List[object]]:
 def skew_from_upper(n: int, values: Sequence[object]) -> Matrix:
     """Skew-symmetric n x n matrix from its strict upper triangle, row by row."""
     return Matrix(n, n, _skew_rows(n, list(values)))
-
-
-def skew3(a, b, c) -> Matrix:
-    """The 3x3 skew matrix ((0,a,b),(-a,0,c),(-b,-c,0))."""
-    return skew_from_upper(3, [a, b, c])
 
 
 def is_skew(m: Matrix) -> bool:

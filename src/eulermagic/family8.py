@@ -57,7 +57,6 @@ __all__ = [
     "SolveChainResult",
     "solve_chain",
     "FAMILY_LEFT",
-    "family_x_poly",
     "FamilyResult",
     "four_parameter_family",
     "family_result_to_json_dict",
@@ -547,11 +546,6 @@ def _family_x(q, r, t, u, e=1):
     e^2 * _family_x(q, r, t, u)."""
     return (7 * q * q + 7 * r * r + 21 * q * t - 7 * r * t + 34 * t * t
             - 7 * q * u - 21 * t * u + 4 * u * u + (7 * q + 21 * r - 7 * u + 34 * e) * e)
-
-
-def family_x_poly() -> MultiPoly:
-    """X as a polynomial in (q, r, t, u)."""
-    return _family_x(*MultiPoly.variables_of(("q", "r", "t", "u")))
 
 
 class FamilyResult(NamedTuple):

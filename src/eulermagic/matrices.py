@@ -5,15 +5,14 @@ The arithmetic (mat_mul, mat_add, ...) only needs + and *, so tests may also
 multiply matrices of other exact ring elements.  Nothing here ever rounds.
 
 The plain-text interchange format is one row per line with whitespace
-separated entries written as "p/q" or "p"; the JSON form is
-{"rows": n, "cols": n, "entries": [["p/q", ...], ...]}.  Both read each
-entry through parse_rational, which also takes decimals such as "-.5" but
-no exponent notation.
+separated entries written as "p/q" or "p", read entry by entry through
+parse_rational, which also takes decimals such as "-.5" but no exponent
+notation.  matrix_to_json_dict writes the JSON form
+{"rows": n, "cols": n, "entries": [["p/q", ...], ...]}.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -38,8 +37,6 @@ __all__ = [
     "parse_matrix_text",
     "format_matrix_text",
     "matrix_to_json_dict",
-    "matrix_from_json_dict",
-    "parse_matrix_json",
 ]
 
 
@@ -305,20 +302,3 @@ def matrix_to_json_dict(a: Matrix) -> dict:
         "cols": a.cols,
         "entries": [[_format_entry(x) for x in r] for r in a.entries],
     }
-
-
-def matrix_from_json_dict(d: dict) -> Matrix:
-    try:
-        rows = int(d["rows"])
-        cols = int(d["cols"])
-        entries = [[parse_rational(s) for s in r] for r in d["entries"]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as ex:
-        raise ValueError(f"malformed matrix JSON ({ex})") from None
-    m = Matrix.from_rows(entries)
-    if (m.rows, m.cols) != (rows, cols):
-        raise ValueError("matrix JSON dimensions disagree with entries")
-    return m
-
-
-def parse_matrix_json(text: str) -> Matrix:
-    return matrix_from_json_dict(json.loads(text))

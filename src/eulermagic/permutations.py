@@ -22,7 +22,6 @@ __all__ = [
     "Permutation",
     "perm_matrix",
     "construction_permutation",
-    "improper_construction",
     "two_by_two_family",
 ]
 
@@ -39,12 +38,14 @@ class Permutation(_SlotRecord):
     __slots__ = ("images",)
 
     def __init__(self, images: Tuple[int, ...]):
+        # operator.index refuses a float or Fraction image: images are integers
+        images = tuple(map(operator.index, images))
         n = len(images)
         if n == 0:
             raise ValueError("permutation must act on a nonempty set")
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection on 1..{n}: {images}")
-        self.images = tuple(images)
+        self.images = images
 
     @property
     def n(self) -> int:
@@ -59,7 +60,7 @@ class Permutation(_SlotRecord):
 def perm_matrix(sigma: Permutation) -> Matrix:
     """The 0/1 matrix with m[i][j] = 1 exactly when j = sigma(i) (1-based)."""
     if not isinstance(sigma, Permutation):
-        sigma = Permutation(tuple(sigma))
+        sigma = Permutation(sigma)
     n = sigma.n
     rows = [[1 if sigma(i) == j else 0 for j in range(1, n + 1)] for i in range(1, n + 1)]
     return Matrix.from_rows(rows)
@@ -88,11 +89,6 @@ def construction_permutation(n: int) -> Permutation:
         images[k - 1] = k  # fixed point k
         images[n - 1] = k + 1  # close the cycle on k+1..n
     return Permutation(tuple(images))
-
-
-def improper_construction(n: int) -> Matrix:
-    """An integer Euler magic matrix with gamma = 1 for 4 <= n <= MAX_PERM_SIZE."""
-    return perm_matrix(construction_permutation(n))
 
 
 _TWO_BY_TWO_SIGNS = {

@@ -12,11 +12,10 @@ through parse_poly.
 
 from __future__ import annotations
 
-import random
 import re
 from fractions import Fraction
 from operator import add
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .matrices import _SlotRecord, exact_rationals, parse_rational
 
@@ -26,7 +25,6 @@ Exponents = Tuple[int, ...]
 __all__ = [
     "MultiPoly",
     "parse_poly",
-    "quadratic_form_coeffs",
 ]
 
 
@@ -308,44 +306,3 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
     return MultiPoly(variables, terms)
-
-
-# points at which quadratic_form_coeffs spot-checks f(2x) = 4 f(x)
-_HOMOGENEITY_SAMPLES = 4
-
-
-def quadratic_form_coeffs(
-    f: Callable[[Sequence[Fraction]], Coeff],
-    n: int,
-) -> Dict[Tuple[int, int], Coeff]:
-    """Recover the coefficient table of a homogeneous quadratic blackbox.
-
-    c[(i, i)] = f(e_i); c[(i, j)] = f(e_i + e_j) - f(e_i) - f(e_j) for i < j.
-    The caller promises f is a homogeneous quadratic; this is spot-checked by
-    evaluating f(2x) = 4 f(x) at a few pseudorandom points (fixed seed, so the
-    check is deterministic).
-    """
-    rng = random.Random(271828)
-    for _ in range(_HOMOGENEITY_SAMPLES):
-        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
-        if f([2 * xi for xi in x]) != 4 * f(x):
-            raise ValueError("homogeneity check failed: blackbox is not a quadratic form")
-    zero = [Fraction(0)] * n
-    diag = []
-    for i in range(n):
-        e = list(zero)
-        e[i] = Fraction(1)
-        diag.append(f(e))
-    table: Dict[Tuple[int, int], Coeff] = {}
-    for i in range(n):
-        if diag[i]:
-            table[(i, i)] = _norm_coeff(diag[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = list(zero)
-            e[i] = Fraction(1)
-            e[j] = Fraction(1)
-            c = f(e) - diag[i] - diag[j]
-            if c:
-                table[(i, j)] = _norm_coeff(c)
-    return table

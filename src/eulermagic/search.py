@@ -33,7 +33,7 @@ import json
 import operator
 import os
 from fractions import Fraction
-from math import inf, isqrt, lcm
+from math import isqrt, lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cayley import _skew_rows, cayley5_diagonals, cayley_integer
@@ -57,7 +57,6 @@ __all__ = [
     "search5_cayley",
     "search8_seeded",
     "MAX_HEIGHT",
-    "greedy_backtrack_left",
     "candidate_to_json_dict",
     "summary_to_json_dict",
     "canonical_json",
@@ -93,9 +92,6 @@ class Xorshift64Star:
             out.append(lo + ((x * _MULTIPLIER) & _MASK64) % (hi - lo + 1))
         self.state = x
         return out
-
-    def next_u64(self) -> int:
-        return self.uniform_ints(((0, _MASK64),))[0]
 
     def uniform_int(self, lo: int, hi: int) -> int:
         """Uniform on [lo, hi] by modulo reduction (bias fixed by contract)."""
@@ -454,84 +450,6 @@ def search8_seeded(
         parts += _map_chunks(_search8_grid_chunk, (left, partial, tables, us, vs, first),
                              points, workers)
     return _merge_parts(parts, first + len(points))
-
-
-# ----------------------------------------------------------------------
-# greedy backtracking over small left/partial tuples
-# ----------------------------------------------------------------------
-
-def _greedy_values(lo: int, hi: int, rng: Xorshift64Star) -> List[int]:
-    """Integers of [lo, hi] in increasing |value|, seed-shuffled within ties."""
-    by_abs: Dict[int, List[int]] = {}
-    for v in range(lo, hi + 1):
-        by_abs.setdefault(abs(v), []).append(v)
-    out: List[int] = []
-    for a in sorted(by_abs):
-        group = sorted(by_abs[a])
-        for k in range(len(group) - 1, 0, -1):
-            j = rng.uniform_int(0, k)
-            group[k], group[j] = group[j], group[k]
-        out.extend(group)
-    return out
-
-
-def greedy_backtrack_left(
-    bounds,
-    seed: int,
-    max_results: int = 16,
-    max_nodes: Optional[int] = None,
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Depth-first assignment of (a..h, p..t) by increasing absolute value.
-
-    bounds is one (lo, hi) pair applied to all thirteen positions, or a
-    sequence of thirteen such pairs.  After each assignment the 64 entry
-    polynomials (in the still-free variables) are compared up to sign by
-    entries_distinct; a collision means two entry squares already coincide
-    identically, so the branch is pruned.  Tuples that survive with all
-    thirteen values placed have a proper polynomial matrix in (u, v, w) and
-    are emitted as (left, partial) pairs.  Deterministic for a given seed;
-    max_nodes >= 0 bounds the number of assignments tried (the budget is part
-    of the result's reproducibility contract, not a wall-clock cutoff).
-    """
-    bounds = list(bounds)
-    if len(bounds) == 2 and all(isinstance(b, int) for b in bounds):
-        bounds = [bounds] * 13
-    # operator.index refuses a float or Fraction bound instead of truncating it
-    per_position = [(operator.index(lo), operator.index(hi)) for lo, hi in bounds]
-    if len(per_position) != 13:
-        raise ValueError("need bounds for exactly 13 positions")
-    for lo, hi in per_position:
-        if lo > hi:
-            raise ValueError("empty bound range")
-    if max_nodes is not None and max_nodes < 0:
-        raise ValueError(f"max_nodes must be nonnegative, got {max_nodes}")
-
-    rng = Xorshift64Star(seed)
-    orders = [_greedy_values(lo, hi, rng) for lo, hi in per_position]
-    results: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-    assigned: List[int] = []
-    nodes_left = inf if max_nodes is None else max_nodes
-
-    def descend(depth: int) -> bool:
-        nonlocal nodes_left
-        if len(results) >= max_results:
-            return True
-        if depth == 13:
-            results.append((tuple(assigned[:8]), tuple(assigned[8:])))
-            return len(results) >= max_results
-        for value in orders[depth]:
-            if nodes_left == 0:
-                return True
-            nodes_left -= 1
-            assigned.append(value)
-            done = entries_distinct(assigned) and descend(depth + 1)
-            assigned.pop()
-            if done:
-                return True
-        return False
-
-    descend(0)
-    return results
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Shared paths and loaders for the test suite."""
+"""Shared paths, loaders and reference oracles for the test suite."""
 
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,45 @@ def quadratic_coeff_table(poly: MultiPoly):
     for exps, c in poly.terms.items():
         support = [i for i, e in enumerate(exps) for _ in range(e)]  # i, i for x_i**2
         table[tuple(support)] = c
+    return table
+
+
+# points at which quadratic_form_coeffs spot-checks f(2x) = 4 f(x)
+_HOMOGENEITY_SAMPLES = 4
+
+
+def _exact_value(c):
+    """c as an int when it is integral, else as a reduced Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def quadratic_form_coeffs(f, n):
+    """Recover the coefficient table of a homogeneous quadratic blackbox f of
+    n arguments, in the form quadratic_coeff_table gives; a blackbox oracle
+    that shares no code with the package.
+
+    c[(i, i)] = f(e_i); c[(i, j)] = f(e_i + e_j) - f(e_i) - f(e_j) for i < j.
+    The caller promises f is a homogeneous quadratic; this is spot-checked by
+    evaluating f(2x) = 4 f(x) at a few pseudorandom points (fixed seed, so the
+    check is deterministic).
+    """
+    rng = random.Random(271828)
+    for _ in range(_HOMOGENEITY_SAMPLES):
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        if f([2 * xi for xi in x]) != 4 * f(x):
+            raise ValueError("homogeneity check failed: blackbox is not a quadratic form")
+
+    def at(*ones):
+        return f([Fraction(int(i in ones)) for i in range(n)])
+
+    diag = [at(i) for i in range(n)]
+    table = {(i, i): _exact_value(diag[i]) for i in range(n) if diag[i]}
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = at(i, j) - diag[i] - diag[j]
+            if c:
+                table[(i, j)] = _exact_value(c)
     return table
 
 

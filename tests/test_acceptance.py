@@ -32,8 +32,8 @@ from eulermagic.matrices import (
     transpose,
 )
 from eulermagic.octonion import RIGHT_VARS, left_matrix, right_matrix
-from eulermagic.permutations import improper_construction, two_by_two_family
-from eulermagic.poly import MultiPoly, quadratic_form_coeffs
+from eulermagic.permutations import construction_permutation, perm_matrix, two_by_two_family
+from eulermagic.poly import MultiPoly
 from eulermagic.search import (
     SearchConfig,
     Xorshift64Star,
@@ -45,7 +45,7 @@ from eulermagic.search import (
 )
 from eulermagic.verify import magic_square_of_squares, verify
 
-from conftest import load_fixture, quadratic_coeff_table
+from conftest import load_fixture, quadratic_coeff_table, quadratic_form_coeffs
 
 
 def test_criterion_01_four_by_four_showcase():
@@ -191,12 +191,12 @@ def test_criterion_09_five_by_five_fixtures():
 def test_criterion_10_permutation_and_two_by_two_constructions():
     """Improper constructions verify for n in 4..12; n = 3 is rejected."""
     for n in range(4, 13):
-        report = verify(improper_construction(n))
+        report = verify(perm_matrix(construction_permutation(n)))
         assert report.is_euler_magic, n
         assert report.gamma == 1, n
         assert report.distinct_square_count == 2, n
     with pytest.raises(ValueError):
-        improper_construction(3)
+        perm_matrix(construction_permutation(3))
     for variant in (1, 2, 3, 4):
         report = verify(two_by_two_family(3, variant))
         assert report.is_euler_magic

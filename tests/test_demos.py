@@ -18,7 +18,7 @@ STDOUT_SHA256 = {
     "reproduce_showcase.py":
         "b9a8ac06ff2d5ff37e007a93c4719f3b8c430630c4f56176974ff1aa61d01bd1",
     "search_walkthrough.py":
-        "d506fce96f68b342738473329f3bd1934de87c5294e3d482d3c98c7f41ee9f6c",
+        "ea8aba4751b041359e2a2a2f28693cc74033d5847dc66c924bf9c31d080af4bd",
     "three_by_three_certificate.py":
         "cbe68d0ec9f4bc1098c2548881a9d88585dcb2f8a92cd77cbc055c8c2a822d58",
 }

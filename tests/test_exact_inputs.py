@@ -29,9 +29,9 @@ from eulermagic.family8 import (
     w1_coefficient_checker,
 )
 from eulermagic.matrices import clear_denominators, exact_rationals
-from eulermagic.permutations import two_by_two_family
+from eulermagic.permutations import Permutation, perm_matrix, two_by_two_family
 from eulermagic.poly import parse_poly
-from eulermagic.search import SearchConfig, greedy_backtrack_left, search5_cayley, search8_seeded
+from eulermagic.search import SearchConfig, search5_cayley, search8_seeded
 
 SKEW = (0, 1, 2, -1, 0, 3, -2, -3, 0)
 WORKED = (0, 1, 1, 1, 1, 1, -1, 5,  # left
@@ -54,11 +54,6 @@ def _search5(values):
                                        denominator_bound=values[1], max_iterations=20))
 
 
-def _greedy(values):
-    return greedy_backtrack_left(list(zip(values[::2], values[1::2])), seed=1, max_results=1,
-                                 max_nodes=40)
-
-
 def _eval(values):
     return parse_poly("x^2 - 3*x*y + 1/2", ("x", "y")).eval(dict(zip("xy", values)))
 
@@ -75,8 +70,8 @@ ENTRY_POINTS = {
     "two_by_two_family": (lambda xs: two_by_two_family(*xs), (3, 1)),
     "MultiPoly.eval": (_eval, (2, -1)),
     "SearchConfig": (_search5, (5, 2)),
-    "greedy_backtrack_left": (_greedy, (0, 1, -1, 1, 0, 2, 1, 1, -2, 0, 1, 1, 0, 1,
-                                        0, 3, 1, 2, -1, 1, 0, 1, 2, 3, 1, 1)),
+    "Permutation": (Permutation, (3, 1, 2)),
+    "perm_matrix": (perm_matrix, (2, 1, 4, 3)),
     "solve_chain": (lambda xs: solve_chain(xs[:8], dict(zip("qrtu", xs[8:]))),
                     FAMILY_LEFT + (-55, -11, -27, -13)),
 }
@@ -119,7 +114,7 @@ def test_inexact_values_that_are_close_to_exact_ones_are_refused():
     with pytest.raises(TypeError, match="supplied values must be exact rationals"):
         search8_seeded(WORKED[:8], WORKED[8:13], supplied=(13 / 15, -14 / 15, -23 / 5))
     # otherwise 0.1 would run as a Fraction, a 2.5 bound would draw float
-    # numerators, and int() would truncate a greedy bound
+    # numerators, and a permutation would store float or Fraction images
     with pytest.raises(TypeError, match="the scale a must be exact rationals"):
         two_by_two_family(0.1)
     with pytest.raises(TypeError, match="point values must be exact rationals"):
@@ -127,8 +122,11 @@ def test_inexact_values_that_are_close_to_exact_ones_are_refused():
     for bound in (2.5, Fraction(5, 2), Fraction(5)):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             SearchConfig(seed=1, numerator_bound=bound)
+    for images in ((1.0, 2.0, 3.0, 4.0), (Fraction(2), 1)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Permutation(images)
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-        greedy_backtrack_left([(0.5, 1.5)] * 13, seed=1)
+        perm_matrix([2.0, 1.0])
     with pytest.raises(TypeError, match="free values must be exact rationals .* float 0.5"):
         solve_chain(FAMILY_LEFT, {"q": 0.5, "r": -11, "t": -27, "u": -13})
 

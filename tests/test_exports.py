@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import eulermagic
@@ -57,6 +58,70 @@ def test_benchmark_tracer_names_resolve(monkeypatch):
     x, y = MultiPoly.variables_of(("x", "y"))
     x * y
     assert counts.summary()["counts"]["poly.new"] == 3
+
+
+# Public functions and methods that no code in src/ refers to, each with the
+# reason it stays.  The ROADMAP numbers are its open items.
+UNREFERENCED_PUBLIC_API = {
+    "cayley.cayley": "basic API; tracer-pinned until ROADMAP 1",
+    "cayley.skew_from_upper": "basic API; perfbench/child.py builds search5 samples with it",
+    "cayley.inverse_cayley": "role in ROADMAP 2",
+    "cayley.sign_diagonal": "role in ROADMAP 2",
+    "cayley.ortho_reduce": "role in ROADMAP 2",
+    "family8.enumerate_w1": "the certify benchmark calls it; role in ROADMAP 3",
+    "family8.w1_coefficient_checker": "the certify benchmark calls it; role in ROADMAP 3",
+    "family8.solve_chain": "role in ROADMAP 7",
+    "matrices.identity": "basic API",
+    "matrices.transpose": "basic API",
+    "matrices.mat_inverse": "tracer-pinned until ROADMAP 1",
+    "permutations.two_by_two_family": "acceptance criterion 10",
+    "poly.MultiPoly.substitute": "tracer-pinned until ROADMAP 1",
+    "poly.MultiPoly.eval": "basic API of the symbolic layer",
+    "poly.parse_poly": "role in ROADMAP 4",
+    "search.Xorshift64Star.rational": "basic API; perfbench/child.py draws with it",
+    "verify.magic_square_of_squares": "basic API",
+    "verify.MagicSquareReport.all_sums_equal_gamma": "basic API: the magic square's check",
+}
+
+
+def _references(tree):
+    """(names, attributes): how often each name is read as a variable and as
+    an attribute in tree; import statements and the strings of __all__ are
+    neither."""
+    names, attributes = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            attributes[node.attr] += 1
+    return names, attributes
+
+
+def test_every_unreferenced_public_function_has_a_reason():
+    defined, names, attributes = {}, Counter(), Counter()
+    for path in sorted(Path(eulermagic.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree_names, tree_attributes = _references(tree)
+        names += tree_names
+        attributes += tree_attributes
+        for node in tree.body:
+            is_class = isinstance(node, ast.ClassDef)
+            prefix = f"{path.stem}.{node.name}." if is_class else f"{path.stem}."
+            for func in node.body if is_class else [node]:
+                if isinstance(func, ast.FunctionDef) and not func.name.startswith("_"):
+                    defined[prefix + func.name] = (func, is_class)
+    unreferenced = set()
+    for qualified, (func, is_method) in defined.items():
+        # a method is reached only as an attribute, so a local variable of
+        # the same name does not hide it; a function's references to itself,
+        # as in recursion, do not count
+        own_names, own_attributes = _references(func)
+        uses = attributes[func.name] - own_attributes[func.name]
+        if not is_method:
+            uses += names[func.name] - own_names[func.name]
+        if not uses:
+            unreferenced.add(qualified)
+    assert unreferenced == set(UNREFERENCED_PUBLIC_API)
 
 
 def test_only_cli_main_reports_bad_input():

@@ -22,7 +22,6 @@ from eulermagic.family8 import (
     eliminate_w,
     enumerate_w1,
     family_result_to_json_dict,
-    family_x_poly,
     four_parameter_family,
     improper_witnesses,
     solve_chain,
@@ -33,11 +32,16 @@ from eulermagic.family8 import (
 )
 from eulermagic.matrices import Matrix, determinant, mat_mul, rescale_primitive
 from eulermagic.octonion import left_matrix, right_matrix
-from eulermagic.poly import MultiPoly, parse_poly, quadratic_form_coeffs
+from eulermagic.poly import MultiPoly, parse_poly
 from eulermagic.search import Xorshift64Star
 from eulermagic.verify import verify
 
-from conftest import load_fixture, multipoly_product, quadratic_coeff_table
+from conftest import (
+    load_fixture,
+    multipoly_product,
+    quadratic_coeff_table,
+    quadratic_form_coeffs,
+)
 
 RIGHT_VARS = ("p", "q", "r", "s", "t", "u", "v", "w")
 FAMILY_RIGHT = tuple(map(Fraction, (-7, -55, -11, 1, -27, -13, -19, 4)))
@@ -367,6 +371,11 @@ def test_four_parameter_family_integer_path_matches_fraction_product(point):
 def test_family_x_is_homogenised_by_e(point, e):
     assert _family_x(*(x * e for x in point), e) == e * e * _family_x(*point)
     assert _family_x(*point, 1) == _family_x(*point)
+
+
+def family_x_poly() -> MultiPoly:
+    """X as a polynomial in (q, r, t, u)."""
+    return _family_x(*MultiPoly.variables_of(("q", "r", "t", "u")))
 
 
 def test_family_x_poly_is_pinned():

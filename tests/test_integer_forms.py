@@ -25,6 +25,7 @@ from eulermagic.family8 import (
     improper_witnesses,
     integer_forms,
     symbolic_diag_forms,
+    verified_product,
 )
 from eulermagic.matrices import mat_mul
 from eulermagic.octonion import (
@@ -515,6 +516,8 @@ _offsets = st.lists(_rational, min_size=1, max_size=3)
 @example((1, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1), [0, 1], [0, Fraction(-1, 2)], 2)
 @example((0,) * 8, (1, 2, 3, 4, 5), [Fraction(1, 2), 0], [1, -3], 3)  # every point a full line
 @example(WORKED_LEFT, WORKED_PARTIAL, [Fraction(13, 15), 0], [Fraction(-14, 15), 1], 2)
+# at (u, v) = (1, 3) A's w-discriminant is exactly 0 and B's is -85,136: a near miss
+@example((0, 1, 3, 2, -2, -1, -1, 1), (0, 3, 1, 0, 1), [0, 1], [3, -1], 2)
 def test_grid_chunk_matches_the_reference_point_by_point(left, partial, u_values, v_values,
                                                          size):
     partial = tuple(map(Fraction, partial))
@@ -620,6 +623,14 @@ _fraction = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 @example([Fraction(1, 2), 1, 1, 1, 1, 1, -1, 5, Fraction(3, 2), Fraction(-2, 3), -4, 5, 6])
 def test_entries_distinct_matches_multipoly_on_rational_assignments(prefix):
     assert entries_distinct(prefix) == _reference_entries_distinct(prefix)
+
+
+def test_entries_distinct_takes_all_sixteen_values():
+    # with every variable fixed, the answer is verify's properness verdict on M
+    solved = WORKED_PARTIAL + (Fraction(13, 15), Fraction(-14, 15), Fraction(-23, 5))
+    for right, proper in ((solved, True), ((1,) * 8, False)):
+        assert entries_distinct(WORKED_LEFT + right) == proper
+        assert verified_product(WORKED_LEFT, right)[1].is_proper == proper
 
 
 def test_zero_partial_collides_for_every_left():

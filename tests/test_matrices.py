@@ -21,9 +21,7 @@ from eulermagic.matrices import (
     mat_inverse,
     mat_mul,
     mat_scale,
-    matrix_from_json_dict,
     matrix_to_json_dict,
-    parse_matrix_json,
     parse_matrix_text,
     parse_rational,
     rescale_primitive,
@@ -162,12 +160,10 @@ def test_text_roundtrip_and_comments():
 def test_json_roundtrip():
     m = Matrix.from_rows([[Fraction(1, 2), -3], [4, 0]])
     d = matrix_to_json_dict(m)
-    assert d["rows"] == 2 and d["cols"] == 2
-    assert d["entries"][0][0] == "1/2"
-    assert matrix_from_json_dict(d) == m
-    assert parse_matrix_json(json.dumps(d)) == m
-    with pytest.raises(ValueError):
-        matrix_from_json_dict({"rows": 1, "cols": 1})
+    assert d == {"rows": 2, "cols": 2, "entries": [["1/2", "-3"], ["4", "0"]]}
+    assert json.loads(json.dumps(d)) == d
+    # each entry string reads back exactly through parse_rational
+    assert Matrix.from_rows([[parse_rational(x) for x in r] for r in d["entries"]]) == m
 
 
 @pytest.mark.parametrize("text, value", [
@@ -195,8 +191,6 @@ def test_parse_rational_refuses_other_forms_before_fraction(monkeypatch, text):
 def test_matrix_readers_refuse_exponent_notation():
     with pytest.raises(ValueError, match="line 2: cannot parse matrix entry"):
         parse_matrix_text("1 0\n0 1e100000000\n")
-    with pytest.raises(ValueError, match="malformed matrix JSON"):
-        matrix_from_json_dict({"rows": 1, "cols": 1, "entries": [["1e100000000"]]})
     with pytest.raises(ZeroDivisionError):
         parse_rational("1/0")
 

@@ -11,7 +11,6 @@ from eulermagic.permutations import (
     MAX_PERM_SIZE,
     Permutation,
     construction_permutation,
-    improper_construction,
     perm_matrix,
     two_by_two_family,
 )
@@ -72,7 +71,7 @@ def test_construction_avoids_diagonals():
 
 def test_improper_construction_verifies():
     for n in range(4, 13):
-        m = improper_construction(n)
+        m = perm_matrix(construction_permutation(n))
         rep = verify(m)
         assert rep.is_euler_magic
         assert rep.gamma == 1
@@ -84,8 +83,6 @@ def test_small_sizes_rejected():
     for n in (0, 1, 2, 3):
         with pytest.raises(ValueError):
             construction_permutation(n)
-    with pytest.raises(ValueError):
-        improper_construction(3)
 
 
 def test_sizes_above_the_bound_rejected_before_the_dense_matrix(monkeypatch):
@@ -94,9 +91,8 @@ def test_sizes_above_the_bound_rejected_before_the_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(permutations, "perm_matrix", no_dense_matrix)
     assert construction_permutation(MAX_PERM_SIZE).n == MAX_PERM_SIZE
-    for build in (construction_permutation, improper_construction):
-        with pytest.raises(ValueError, match=f"n <= {MAX_PERM_SIZE}, got 31"):
-            build(MAX_PERM_SIZE + 1)
+    with pytest.raises(ValueError, match=f"n <= {MAX_PERM_SIZE}, got 31"):
+        construction_permutation(MAX_PERM_SIZE + 1)
 
 
 def test_two_by_two_family():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulermagic.poly import MultiPoly, parse_poly, quadratic_form_coeffs
+from eulermagic.poly import MultiPoly, parse_poly
 
-from conftest import quadratic_coeff_table
+from conftest import quadratic_coeff_table, quadratic_form_coeffs
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")

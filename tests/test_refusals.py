@@ -12,10 +12,10 @@ from eulermagic.family8 import (
     enumerate_w1,
     solve_chain,
 )
-from eulermagic.matrices import Matrix, determinant, mat_add, matrix_from_json_dict
+from eulermagic.matrices import Matrix, determinant, mat_add
 from eulermagic.permutations import Permutation
 from eulermagic.poly import MultiPoly, parse_poly
-from eulermagic.search import greedy_backtrack_left, search8_seeded
+from eulermagic.search import search8_seeded
 
 XY = ("x", "y")
 WIDE = Matrix.from_rows([[1, 0, 0], [0, 1, 0]])
@@ -44,19 +44,12 @@ REFUSALS = {
     "search8_seeded 4 partial values": (
         lambda: search8_seeded(WORKED_LEFT, (3, -2, -4, 5)), ValueError,
         "expected exactly five fixed values (p, q, r, s, t)"),
-    "greedy 12 bound pairs": (lambda: greedy_backtrack_left([(0, 1)] * 12, seed=1), ValueError,
-                              "need bounds for exactly 13 positions"),
-    "greedy empty range": (lambda: greedy_backtrack_left([(0, 1)] * 12 + [(2, 1)], seed=1),
-                           ValueError, "empty bound range"),
     "Matrix.from_rows([])": (lambda: Matrix.from_rows([]), ValueError,
                              "matrix needs at least one row"),
     "mat_add shapes": (lambda: mat_add(WIDE, Matrix.from_rows([[1, 0], [0, 1]])), ValueError,
                        "dimension mismatch in addition"),
     "determinant non-square": (lambda: determinant(WIDE), ValueError,
                                "determinant needs a square matrix"),
-    "matrix_from_json_dict dimensions": (
-        lambda: matrix_from_json_dict({"rows": 2, "cols": 2, "entries": [["1"]]}), ValueError,
-        "matrix JSON dimensions disagree with entries"),
     "inverse_cayley non-square": (lambda: inverse_cayley(WIDE), ValueError,
                                   "input must be square"),
     "sign_diagonal non-square": (lambda: sign_diagonal(WIDE), ValueError, "input must be square"),

@@ -26,7 +26,6 @@ from eulermagic.search import (
     _bounded_height_offsets,
     canonical_json,
     candidate_to_json_dict,
-    greedy_backtrack_left,
     search5_cayley,
     search8_seeded,
     stream_seed,
@@ -50,10 +49,15 @@ def _worked_target_entries():
     return target.entries, neg
 
 
+def _next_u64(rng):
+    """The generator's next raw 64-bit output: a draw over the full span."""
+    return rng.uniform_ints(((0, 2**64 - 1),))[0]
+
+
 def test_prng_determinism_and_range():
     r1, r2 = Xorshift64Star(42), Xorshift64Star(42)
-    seq1 = [r1.next_u64() for _ in range(200)]
-    seq2 = [r2.next_u64() for _ in range(200)]
+    seq1 = [_next_u64(r1) for _ in range(200)]
+    seq2 = [_next_u64(r2) for _ in range(200)]
     assert seq1 == seq2
     assert all(0 <= v < 2**64 for v in seq1)
     assert len(set(seq1)) == 200
@@ -62,7 +66,7 @@ def test_prng_determinism_and_range():
 def test_prng_zero_seed_is_valid():
     r = Xorshift64Star(0)
     assert r.state != 0
-    assert r.next_u64() != 0
+    assert _next_u64(r) != 0
 
 
 def test_prng_uniform_int_bounds():
@@ -109,19 +113,19 @@ def test_prng_uniform_ints_match_a_reference_xorshift(seed, ranges):
     assert all(lo <= x <= hi for (lo, hi), x in zip(ranges, expected))
     # the stream continues where the draws left off, and an empty range
     # raises before any draw of its call
-    assert rng.next_u64() == next(reference)
+    assert _next_u64(rng) == next(reference)
     with pytest.raises(ValueError):
         rng.uniform_ints([(0, 5), (1, 0)])
     with pytest.raises(ValueError):
         rng.uniform_int(3, 2)
-    assert rng.next_u64() == next(reference)
+    assert _next_u64(rng) == next(reference)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, -1, 2**64, stream_seed(2**64 - 0x9E3779B97F4A7C15, 0)])
 def test_prng_streams_match_the_reference(seed):
     reference = _reference_xorshift64star(seed)
     rng = Xorshift64Star(seed)
-    assert [rng.next_u64() for _ in range(50)] == [next(reference) for _ in range(50)]
+    assert [_next_u64(rng) for _ in range(50)] == [next(reference) for _ in range(50)]
     assert [rng.uniform_int(-7, 9) for _ in range(50)] == [
         -7 + next(reference) % 17 for _ in range(50)]
     assert [rng.rational(120, 8) for _ in range(50)] == [
@@ -131,7 +135,7 @@ def test_prng_streams_match_the_reference(seed):
 def test_stream_seed_distinct_streams():
     seeds = [stream_seed(99, i) for i in range(50)]
     assert len(set(seeds)) == 50
-    firsts = {Xorshift64Star(s).next_u64() for s in seeds}
+    firsts = {_next_u64(Xorshift64Star(s)) for s in seeds}
     assert len(firsts) == 50
 
 
@@ -475,68 +479,6 @@ def test_bounded_height_offsets():
     assert offsets == expected
     assert offsets[0] == 0
     assert _bounded_height_offsets(0) == [Fraction(0)]
-
-
-def test_greedy_backtrack_finds_pinned_tuple():
-    bounds = [(v, v) for v in WORKED_LEFT + WORKED_PARTIAL]
-    hits = greedy_backtrack_left(bounds, seed=5, max_results=4)
-    assert (WORKED_LEFT, WORKED_PARTIAL) in hits
-
-
-def test_greedy_backtrack_empty_when_all_zero():
-    assert greedy_backtrack_left((0, 0), seed=9) == []
-
-
-def test_greedy_backtrack_deterministic_and_bounded():
-    target = WORKED_LEFT + WORKED_PARTIAL
-    bounds = [(v - 1, v + 1) for v in target]
-    run1 = greedy_backtrack_left(bounds, seed=11, max_results=3, max_nodes=100000)
-    run2 = greedy_backtrack_left(bounds, seed=11, max_results=3, max_nodes=100000)
-    assert run1 == run2
-    assert run1
-    assert len(run1) <= 3
-
-
-_WIGGLE = [(v - 1, v + 1) for v in WORKED_LEFT + WORKED_PARTIAL]
-_NEAR_LEFT = (0, 1, 1, 1, 1, 1, -1, 4)
-
-
-@pytest.mark.parametrize("bounds, seed, max_results, max_nodes, expected", [
-    # the walkthrough demo's call
-    (_WIGGLE, 3, 3, 50000, [(2, -1, -3, 5, 7), (2, -3, -4, 5, 7), (2, -3, -5, 4, 6)]),
-    # runs out of nodes: the third tuple is emitted by node 51, not by node 50
-    (_WIGGLE, 3, 10, 50, [(2, -1, -3, 5, 7), (2, -3, -4, 5, 7)]),
-    (_WIGGLE, 3, 10, 51, [(2, -1, -3, 5, 7), (2, -3, -4, 5, 7), (2, -3, -5, 4, 6)]),
-    (_WIGGLE, 3, 10, 100, [(2, -1, -3, 5, 7), (2, -3, -4, 5, 7), (2, -3, -5, 4, 6),
-                           (2, -3, -5, 4, 7), (3, -1, -5, 6, 7), (3, -2, -4, 5, 7),
-                           (3, -2, -5, 4, 6), (3, -2, -5, 4, 7), (3, -2, -5, 6, 7)]),
-])
-def test_greedy_backtrack_pinned(bounds, seed, max_results, max_nodes, expected):
-    hits = greedy_backtrack_left(bounds, seed=seed, max_results=max_results,
-                                 max_nodes=max_nodes)
-    assert hits == [(_NEAR_LEFT, partial) for partial in expected]
-
-
-@pytest.mark.parametrize("seed, expected", [
-    # wider bounds: the seed shuffles each +-x tie, so it picks the signs
-    (1, [((0, -1, -1, 1, -1, -1, -1, 3), (1, -2, -3, 4, 5)),
-         ((0, -1, -1, 1, -1, -1, -1, 3), (1, -2, -3, 4, 7)),
-         ((0, -1, -1, 1, -1, -1, -1, 3), (1, -2, -3, 4, 8)),
-         ((0, -1, -1, 1, -1, -1, -1, 3), (1, -2, -3, 5, 4))]),
-    (2, [((0, -1, -1, -1, -1, 1, 1, 3), (1, -2, -4, 5, 6)),
-         ((0, -1, -1, -1, -1, 1, 1, 3), (1, -2, -4, 5, 7)),
-         ((0, -1, -1, -1, -1, 1, 1, 3), (1, -2, -4, 7, 6)),
-         ((0, -1, -1, -1, -1, 1, 1, 3), (1, -2, -4, 7, 8))]),
-])
-def test_greedy_backtrack_pinned_signs(seed, expected):
-    bounds = [(v - 2, v + 2) for v in WORKED_LEFT + WORKED_PARTIAL]
-    assert greedy_backtrack_left(bounds, seed=seed, max_results=4, max_nodes=300) == expected
-
-
-def test_greedy_backtrack_rejects_negative_budget():
-    # raised before any assignment is tried
-    with pytest.raises(ValueError, match="max_nodes"):
-        greedy_backtrack_left((-1, 1), seed=1, max_results=1, max_nodes=-3)
 
 
 def test_candidate_json_shape():

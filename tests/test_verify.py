@@ -18,7 +18,7 @@ from eulermagic.matrices import (
     rescale_primitive,
     transpose,
 )
-from eulermagic.permutations import MAX_PERM_SIZE, improper_construction
+from eulermagic.permutations import MAX_PERM_SIZE, construction_permutation, perm_matrix
 from eulermagic.verify import (
     _row_condition,
     MAX_DUPLICATE_PAIRS,
@@ -58,7 +58,7 @@ def test_verify_scans_for_exactness_once(monkeypatch):
         return scan(values, what)
 
     monkeypatch.setattr(verify_module, "exact_rationals", counting)
-    for m in (load_fixture("euler4.txt"), improper_construction(4), identity(3)):
+    for m in (load_fixture("euler4.txt"), perm_matrix(construction_permutation(4)), identity(3)):
         calls.clear()
         verify(m)
         assert calls == ["matrix entries"]
@@ -79,7 +79,7 @@ def test_identity_is_orthogonal_but_not_magic():
 
 
 def test_permutation_matrix_is_improper_euler_magic():
-    rep = verify(improper_construction(4))
+    rep = verify(perm_matrix(construction_permutation(4)))
     assert rep.is_euler_magic
     assert rep.gamma == 1
     assert not rep.is_proper
@@ -88,7 +88,7 @@ def test_permutation_matrix_is_improper_euler_magic():
 
 
 def test_scaled_magic_matrix_scales_gamma():
-    rep = verify(mat_scale(3, improper_construction(4)))
+    rep = verify(mat_scale(3, perm_matrix(construction_permutation(4))))
     assert rep.is_euler_magic and rep.gamma == 9
 
 
@@ -152,6 +152,19 @@ def test_too_many_duplicate_pairs_refused_before_listing(monkeypatch):
         verify(Matrix.from_rows([[0] * 80] * 80))
 
 
+def test_duplicate_pair_limit_admits_exactly_its_count(monkeypatch):
+    # the 4x4 construction has 72 pairs of equal entry squares: 6 among its
+    # four 1s and 66 among its twelve 0s
+    m = perm_matrix(construction_permutation(4))
+    module = importlib.import_module("eulermagic.verify")
+    monkeypatch.setattr(module, "MAX_DUPLICATE_PAIRS", 72)
+    assert len(verify(m).duplicate_pairs) == 72
+    monkeypatch.setattr(module, "MAX_DUPLICATE_PAIRS", 71)
+    with pytest.raises(ValueError, match="^72 pairs of equal entry squares; "
+                                         "a report lists at most 71$"):
+        verify(m)
+
+
 def test_magic_square_of_squares(euler4):
     square = magic_square_of_squares(euler4)
     assert square.gamma == 8515
@@ -180,7 +193,7 @@ def test_report_serialization(euler4):
 
 
 def test_rational_entries_verify_exactly():
-    half = mat_scale(Fraction(1, 2), improper_construction(5))
+    half = mat_scale(Fraction(1, 2), perm_matrix(construction_permutation(5)))
     rep = verify(half)
     assert rep.is_euler_magic
     assert rep.gamma == Fraction(1, 4)
@@ -253,7 +266,7 @@ def test_verify_matches_reference_on_ints_and_fractions(m):
 def test_verify_matches_reference_on_rationals():
     m = Matrix.from_rows([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(2, 3), Fraction(1, 2)]])
     assert verify(m) == _reference_verify(m)
-    half = mat_scale(Fraction(1, 2), improper_construction(5))
+    half = mat_scale(Fraction(1, 2), perm_matrix(construction_permutation(5)))
     assert verify(half) == _reference_verify(half)
 
 
