@@ -53,8 +53,10 @@ __all__ = ["main"]
 def _fraction(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    except ValueError as exc:  # parse_rational's message, which echoes no overlong token
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _worker_count(text: str) -> int:
@@ -237,8 +239,21 @@ _HANDLERS = {
 }
 
 
+def _int_digit_limit(limit: int) -> int:
+    """Set the interpreter's int <-> str digit limit (0: none) and return the
+    old one; interpreters before 3.10.7 have no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return 0
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    return old
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)  # argparse's int() keeps the limit
+    # a result may have more digits than the limit allows, and parse_rational
+    # caps every number read, so the handler runs without it
+    limit = _int_digit_limit(0)
     try:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
@@ -250,6 +265,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # what is left in the buffer goes to devnull at exit, quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a reader's early exit
+    finally:
+        _int_digit_limit(limit)
 
 
 if __name__ == "__main__":

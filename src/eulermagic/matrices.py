@@ -252,14 +252,21 @@ def rescale_primitive(a: Matrix) -> Matrix:
 # an optional sign, then an integer, a fraction p/q or a decimal such as .5
 _UNSIGNED_RATIONAL = r"\d+(?:/\d+)?|\d*\.\d+"
 _RATIONAL = re.compile(rf"[+-]?(?:{_UNSIGNED_RATIONAL})")
+_DIGIT_RUN = re.compile(r"\d+")
+# CPython's default int <-> str limit; cli.main lifts that limit, not this cap
+_MAX_DIGITS = 4300
 
 
 def parse_rational(text: str) -> Fraction:
     """The rational written as text.  Anything else, exponent notation
     included, is a ValueError before Fraction sees it: Fraction("1e100000000")
-    would build 10^100000000.  A zero denominator is a ZeroDivisionError."""
+    would build 10^100000000.  So is a run of more than _MAX_DIGITS digits,
+    whose conversion takes time quadratic in its length.  A zero denominator
+    is a ZeroDivisionError."""
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a rational number: {text!r}")
+    if max(map(len, _DIGIT_RUN.findall(text))) > _MAX_DIGITS:
+        raise ValueError(f"a number with more than {_MAX_DIGITS} digits")
     return Fraction(text)
 
 

@@ -278,8 +278,8 @@ def search5_cayley(config: SearchConfig, workers: int = 1) -> SearchResult:
 # ----------------------------------------------------------------------
 
 # Height H gives about 1.2 * H^2 offsets and a grid of about 1.5 * H^4 points:
-# at 100 that is 12,175 offsets and 1.5e8 points, 2 to 3 minutes for one worker
-# (README.md).  Far larger heights would exhaust memory on the offsets.
+# at 100 that is 12,175 offsets and 1.5e8 points (one worker's time for them is
+# in README.md, Performance).  Far larger heights would exhaust memory on the offsets.
 MAX_HEIGHT = 100
 
 
@@ -407,11 +407,13 @@ def search8_seeded(
     The left tuple must give a proper polynomial matrix (witness scan), and
     the specialization by the partial values must preserve that, else error.
     A supplied (u,v,w) is sample 0 if verify finds its matrix Euler magic,
-    and an error otherwise.  Height 0 scans no grid; with height >= 1 the
-    (u,v) plane is scanned over bounded-height offsets around center
-    (default (0,0)); at each point the two conditions become polynomials of
-    degree <= 2 in w with integer coefficients, solved exactly over the
-    rationals.  A height below 0 or above MAX_HEIGHT is an error.
+    and an error otherwise; as verify's conditions and A = B = 0 are the same
+    statement, it is the candidate the grid finds at its (u,v).  Height 0
+    scans no grid; with height >= 1 the (u,v) plane is scanned over
+    bounded-height offsets around center (default (0,0)); at each point the
+    two conditions become polynomials of degree <= 2 in w with integer
+    coefficients, solved exactly over the rationals.  A height below 0 or
+    above MAX_HEIGHT is an error.
     """
     _check_workers(workers)
     if height < 0:

@@ -14,7 +14,7 @@ from eulermagic.permutations import MAX_PERM_SIZE
 from eulermagic.poly import parse_poly
 from eulermagic.search import MAX_HEIGHT
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +139,43 @@ def test_exponent_notation_argument_is_a_usage_error(capsys, argv):
         cli.main(argv)
     assert info.value.code == 2
     assert "not a rational number" in capsys.readouterr().err
+
+
+def test_results_beyond_the_int_str_digit_limit_print_in_full(tmp_path, capsys):
+    # entries of about 2,200 digits give gamma and X of more than 4,300, the
+    # interpreter's default limit for int <-> str conversion
+    scale = 10**2200
+    rows = [[x * scale for x in row] for row in load_fixture("euler4.txt").entries]
+    big = tmp_path / "euler4_scaled.txt"
+    big.write_text("\n".join(" ".join(map(str, row)) for row in rows), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "verify", str(big))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "gamma: 8515" + "0" * 4400
+    assert "euler_magic: true\nproper: true" in out
+    code, out, err = run_cli(capsys, "family", "1", "2", "3", "1" + "0" * 1200)
+    assert (code, err) == (0, "")
+    assert "euler_magic: true" in out and max(map(len, out.splitlines())) > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_overlong_numbers_exit_two_without_echoing_them(tmp_path, capsys):
+    token = "7" * 4301
+    long_entry = tmp_path / "long.txt"
+    long_entry.write_text(f"{token} 1\n1 1\n", encoding="utf-8")
+    assert run_cli(capsys, "verify", str(long_entry)) == (
+        2, "", "error: line 1: cannot parse matrix entry "
+               "(a number with more than 4300 digits)\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["family", "1", "2", "3", f"1/{token}"])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert "argument u: a number with more than 4300 digits" in err and token not in err
+    # argparse's own int() arguments keep the interpreter's limit
+    with pytest.raises(SystemExit) as info:
+        cli.main(["perm", token])
+    assert info.value.code == 2
+    assert "argument n: invalid int value" in capsys.readouterr().err
 
 
 def test_prove3_text(capsys):

@@ -15,17 +15,30 @@ from eulermagic.poly import MultiPoly
 
 
 def test_advertised_names_resolve():
-    # each module's __all__
+    # every library module's __all__ resolves there and, republished, on the
+    # package itself; cli is the command, not library API
     for info in pkgutil.iter_modules(eulermagic.__path__):
         module = importlib.import_module(f"eulermagic.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, (info.name, missing)
-    # each name eulermagic/__init__.py imports
+        if info.name != "cli":
+            unpublished = [name for name in module.__all__
+                           if getattr(eulermagic, name, None) is not getattr(module, name)]
+            assert not unpublished, (info.name, unpublished)
+
+
+def test_package_republishes_each_module_all():
+    # __init__.py lists no public name itself: each is declared once, in its
+    # module's __all__, and no two modules declare the same name
     tree = ast.parse(Path(eulermagic.__file__).read_text(encoding="utf-8"))
-    names = [alias.asname or alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert len(names) > 50
-    assert [name for name in names if not hasattr(eulermagic, name)] == []
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [alias.name for node in imports for alias in node.names] == ["*"] * len(imports)
+    library = sorted(info.name for info in pkgutil.iter_modules(eulermagic.__path__)
+                     if info.name != "cli")
+    assert sorted(node.module for node in imports) == library
+    declared = Counter(name for module in library
+                       for name in importlib.import_module(f"eulermagic.{module}").__all__)
+    assert [name for name, count in declared.items() if count > 1] == []
 
 
 def test_benchmark_tracer_names_resolve(monkeypatch):

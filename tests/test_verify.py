@@ -142,6 +142,23 @@ def test_duplicate_pair_bound_admits_the_largest_construction():
     assert comb(80 * 80, 2) > MAX_DUPLICATE_PAIRS
 
 
+def test_positions_are_indexed_only_when_squares_repeat(monkeypatch):
+    # verify sorts its duplicate pairs only after building the position
+    # index, so a spy on `sorted` sees whether the index was built
+    module = importlib.import_module("eulermagic.verify")
+    calls = []
+
+    def spy(values):
+        calls.append(1)
+        return sorted(values)
+
+    monkeypatch.setattr(module, "sorted", spy, raising=False)
+    for name, proper in (("euler4.txt", True), ("family8.txt", True), ("five5_1.txt", False)):
+        calls.clear()
+        assert verify(load_fixture(name)).is_proper is proper
+        assert len(calls) == (0 if proper else 1), name
+
+
 def test_too_many_duplicate_pairs_refused_before_listing(monkeypatch):
     def never(*args):
         raise AssertionError("pairs listed before they were counted")
