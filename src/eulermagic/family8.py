@@ -386,7 +386,26 @@ def w1_check(left: Sequence[object]) -> bool:
     return b * b + c * c + d * d + e * e + f * f + g * g == 6 * a * a
 
 
-def enumerate_w1(a_max: int) -> List[Tuple[int, ...]]:
+class _W1Tuples:
+    """The tuples of enumerate_w1: sized, and iterable again and again.
+
+    Each block is a prefix (a, b, c, d) with its tails (e, f, g, h), already
+    filtered to gcd 1; an 8-tuple is built only when the iteration reaches it.
+    """
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self._len = sum(len(tails) for _, tails in blocks)
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        for prefix, tails in self._blocks:
+            yield from map(prefix.__add__, tails)
+
+
+def enumerate_w1(a_max: int) -> _W1Tuples:
     """All primitive integer tuples with 1 <= a <= a_max satisfying the
     degree-one restriction, in lexicographic order.
 
@@ -397,14 +416,20 @@ def enumerate_w1(a_max: int) -> List[Tuple[int, ...]]:
     are listed in lexicographic order and indexed by their square sum; each
     is paired with the triples (e, f, g) of the complementary sum, which are
     in lexicographic order too, so the tuples come out sorted.
+
+    The result is sized and re-iterable, not a list: it keeps one block per
+    (b, c, d) triple and builds each 8-tuple as the iteration reaches it, so
+    its memory grows with the number of triples, not of tuples.  Call list()
+    on it for random access.
     """
     if a_max < 1:
         raise ValueError("a_max must be at least 1")
-    out: List[Tuple[int, ...]] = []
+    blocks: List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]] = []
     for a in range(1, a_max + 1):
         total = 6 * a * a
         triples: List[Tuple[int, Tuple[int, int, int]]] = []
-        by_sum: Dict[int, List[Tuple[int, int, int]]] = {}
+        # square sum -> the tails (e, f, g, -a), (e, f, g, a) in order
+        tails: Dict[int, List[Tuple[int, ...]]] = {}
         root_b = isqrt(total)
         for b in range(-root_b, root_b + 1):
             root_c = isqrt(total - b * b)
@@ -413,17 +438,16 @@ def enumerate_w1(a_max: int) -> List[Tuple[int, ...]]:
                 for d in range(-root_d, root_d + 1):
                     s = b * b + c * c + d * d
                     triples.append((s, (b, c, d)))
-                    by_sum.setdefault(s, []).append((b, c, d))
-        neg, pos = (-a,), (a,)
+                    tails.setdefault(s, []).extend(((b, c, d, -a), (b, c, d, a)))
         for s, first in triples:
+            second = tails.get(total - s)
             head = gcd(a, *first)
-            prefix = (a, *first)
-            for second in by_sum.get(total - s, ()):
-                if head == 1 or gcd(head, *second) == 1:
-                    body = prefix + second
-                    out.append(body + neg)
-                    out.append(body + pos)
-    return out
+            if second and head != 1:
+                # head divides a, so gcd(head, *tail) is the gcd of all eight
+                second = [tail for tail in second if gcd(head, *tail) == 1]
+            if second:
+                blocks.append(((a, *first), second))
+    return _W1Tuples(blocks)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,10 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -181,7 +184,7 @@ def test_w1_check():
     assert not w1_check((0, 0, 0, 0, 0, 0, 0, 0))  # needs a = +-h != 0
 
 
-# SHA-256 of repr(enumerate_w1(a_max)), which pins the tuples and their order
+# SHA-256 of repr(list(enumerate_w1(a_max))), which pins the tuples and their order
 _W1_SHA256 = {
     1: "e11dcbeace91df4da669c4982943a171c03b6812a9e65744cc6f1be6a20f5a65",
     2: "7fe697448401424057a95035ec04c7a59693ef6157f21aa07dff84672d17b376",
@@ -203,27 +206,56 @@ def _brute_force_w1(a_max):
 
 @pytest.mark.parametrize("a_max", sorted(_W1_SHA256))
 def test_enumerate_w1_pinned(a_max):
-    tuples = enumerate_w1(a_max)
+    tuples = list(enumerate_w1(a_max))
     assert hashlib.sha256(repr(tuples).encode()).hexdigest() == _W1_SHA256[a_max]
     if a_max < 3:
         assert tuples == _brute_force_w1(a_max)
 
 
 def test_enumerate_w1_above_the_pinned_heights():
-    # a = 4 is above the SHA-256 pins; the a <= 3 prefix is the pinned output
+    # a = 4 is above the SHA-256 pins; the a <= 3 prefix is the pinned output.
+    # Streamed, with no list: () sorts before every tuple, so the pairs check
+    # order, the restriction and gcd 1 on each tuple once, and count them
     tuples, below = enumerate_w1(4), enumerate_w1(3)
-    assert len(tuples) == 350336 and tuples[:len(below)] == below
-    assert all(x < y for x, y in zip(tuples, tuples[1:]))
-    assert all(w1_check(t) and gcd(*t) == 1 for t in tuples)
+    assert len(tuples) == 350336
+    prefix = itertools.islice(tuples, len(below))
+    assert all(itertools.starmap(operator.eq, zip(prefix, below, strict=True)))
+    assert Counter(x < y and w1_check(y) and gcd(*y) == 1
+                   for x, y in itertools.pairwise(itertools.chain([()], tuples))) == {True: 350336}
 
 
 def test_enumerate_w1_counts_and_canonical_order():
-    tuples = enumerate_w1(1)
+    tuples = list(enumerate_w1(1))
     assert len(tuples) == 1088
     assert tuples == sorted(tuples)
     assert all(t[0] > 0 for t in tuples)
     assert all(gcd(*(abs(x) for x in t)) == 1 for t in tuples)
     assert all(w1_check(t) for t in tuples)
+
+
+def test_enumerate_w1_streams_in_bounded_memory():
+    """len() and a checked pass over the a <= 3 tuples stay far below the
+    11.5 MiB their list takes: each 8-tuple is built as the pass reaches it."""
+    check = w1_coefficient_checker()
+    tracemalloc.start()
+    try:
+        tuples = enumerate_w1(3)
+        size = len(tuples)
+        answers = Counter(check(left) for left in tuples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 104576 and answers == {True: size}
+    assert peak < 2 * 2**20, peak
+    assert all(itertools.starmap(operator.eq, zip(tuples, tuples, strict=True)))
+
+
+@pytest.mark.parametrize("a_max", [2.5, Fraction(5, 2), "3"])
+def test_enumerate_w1_refuses_a_non_integer_at_the_call(a_max):
+    # the call raises, not the first step of an iteration; test_refusals pins
+    # the eager ValueError of enumerate_w1(0)
+    with pytest.raises(TypeError):
+        enumerate_w1(a_max)
 
 
 def test_eliminate_w_requires_restriction():
@@ -442,7 +474,7 @@ def test_w1_coefficient_checker_matches_slow_path():
     check = w1_coefficient_checker()
     assert check(FAMILY_LEFT)
     assert not check((1, 2, 3, 4, 5, 6, 7, 8))
-    for left in enumerate_w1(1)[:100]:
+    for left in list(enumerate_w1(1))[:100]:
         assert check(left)
 
 
@@ -473,7 +505,7 @@ def test_w1_checker_calls_the_shared_formula_once_per_tuple(monkeypatch):
     check = w1_coefficient_checker()
     calls.clear()
     lefts = [FAMILY_LEFT, (1, 2, 3, 4, 5, 6, 7, 8), (0, 1, 1, 1, 1, 1, 1, 1),
-             (0, 1, 2, 3, 4, 5, 6, 0), *enumerate_w1(1)[:20]]
+             (0, 1, 2, 3, 4, 5, 6, 0), *list(enumerate_w1(1))[:20]]
     for k, left in enumerate(lefts, 1):
         check(left)
         assert len(calls) == k and calls[-1] == tuple(left), left
@@ -516,7 +548,7 @@ def test_w1_checker_answers_int_like_values_as_their_ints():
     the same ints, from a tuple or an iterator."""
     check = w1_coefficient_checker()
     lefts = [FAMILY_LEFT, (1, 2, 3, 4, 5, 6, 7, 8), (0, 1, 1, 1, 1, 1, 1, 1),
-             (0, 1, 2, 3, 4, 5, 6, 0), *enumerate_w1(1)[:40]]
+             (0, 1, 2, 3, 4, 5, 6, 0), *list(enumerate_w1(1))[:40]]
     answers = set()
     for left in lefts:
         expected = check(left)
@@ -663,7 +695,7 @@ def _reference_chain(left, free):
 def test_solve_chain_matches_multipoly_chain():
     rng = random.Random(4468)
     rational_left = tuple(Fraction(x, 3) for x in FAMILY_LEFT)
-    lefts = enumerate_w1(2) + [FAMILY_LEFT, rational_left]
+    lefts = list(enumerate_w1(2)) + [FAMILY_LEFT, rational_left]
     cases = [(left, free) for left, free, _ in _SOLVE_CHAIN_PINS]
     for k in range(150):
         left = (FAMILY_LEFT, rational_left)[k % 2] if k % 5 == 0 else rng.choice(lefts)
@@ -742,7 +774,7 @@ def _pattern_checker():
 def test_w1_coefficient_checker_matches_pattern_reference():
     check, reference = w1_coefficient_checker(), _pattern_checker()
     rng = random.Random(8128)
-    restricted = enumerate_w1(2)
+    restricted = list(enumerate_w1(2))
     answers = []
     for k in range(1500):
         if k % 5 == 0:
