@@ -59,16 +59,6 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 # lets negative rationals like -14/15 pass as argument values, not options
 _NEGATIVE_RATIONAL = re.compile(rf"^-(?:{_UNSIGNED_RATIONAL})$")
 
@@ -110,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_s5.add_argument("--numerator-bound", type=int, default=120)
     p_s5.add_argument("--denominator-bound", type=int, default=8)
     p_s5.add_argument("--score-threshold", type=int, default=1)
-    p_s5.add_argument("--workers", type=_worker_count, default=1)
+    p_s5.add_argument("--workers", type=int, default=1)
 
     p_s8 = sub.add_parser(
         "search8", help="8x8 pipeline: fixed left tuple and (p..t), solve for (u,v,w) (JSON lines)")
@@ -123,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "(about 1.5 * H^4 grid points); 0 disables")
     p_s8.add_argument("--center", type=_fraction, nargs=2, metavar="C",
                       help="grid center (default 0 0)")
-    p_s8.add_argument("--workers", type=_worker_count, default=1)
+    p_s8.add_argument("--workers", type=int, default=1)
 
     p_forms = sub.add_parser(
         "forms", help="print the diagonal quadratic forms A and B for a left tuple")

@@ -196,8 +196,7 @@ def entries_distinct(prefix: Sequence[object]) -> bool:
 def integer_forms(left: Sequence[object]) -> IntegerForms:
     """The entries of M as integer vectors and A, B as integer Gram matrices,
     built straight from the two sign tables."""
-    left = _check_left(left)
-    scale, ileft = clear_denominators(left)
+    scale, ileft = clear_denominators(_check_params(left), "left coefficients")
     # with all of a..h fixed, slot 0 (the constant) is zero and slots 1..8 are p..w
     entries = [tuple(vec[1:]) for vec in _entry_vectors(ileft, ())]
 
@@ -379,8 +378,7 @@ def w1_check(left: Sequence[object]) -> bool:
     """h = +-a != 0 and b^2+c^2+d^2+e^2+f^2+g^2 = 6 a^2."""
     # clearing denominators scales every value by one positive integer; only
     # the integers are needed, so no Fraction is built
-    a, b, c, d, e, f, g, h = clear_denominators(
-        exact_rationals(_check_params(left), "left coefficients"))[1]
+    a, b, c, d, e, f, g, h = clear_denominators(_check_params(left), "left coefficients")[1]
     if a == 0 or (h != a and h != -a):
         return False
     return b * b + c * c + d * d + e * e + f * f + g * g == 6 * a * a
@@ -422,6 +420,7 @@ def enumerate_w1(a_max: int) -> _W1Tuples:
     its memory grows with the number of triples, not of tuples.  Call list()
     on it for random access.
     """
+    a_max = operator.index(a_max)  # a float, Fraction or Decimal is a TypeError
     if a_max < 1:
         raise ValueError("a_max must be at least 1")
     blocks: List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]] = []
@@ -591,9 +590,9 @@ def four_parameter_family(q, r, t, u) -> FamilyResult:
     a positive definite Gram matrix.  Every specialization is Euler magic,
     and the report says whether the point keeps properness.
     """
-    q, r, t, u = map(Fraction, exact_rationals((q, r, t, u), "family parameters"))
     # (q, r, t, u) = (iq, ir, it, iu) / e, so X = _family_x(iq, ir, it, iu, e) / e^2
-    e, (iq, ir, it, iu) = clear_denominators((q, r, t, u))
+    e, (iq, ir, it, iu) = clear_denominators((q, r, t, u), "family parameters")
+    q, r, t, u = (Fraction(x, e) for x in (iq, ir, it, iu))
     x_scaled = _family_x(iq, ir, it, iu, e)
     assert x_scaled > 0, "X is positive definite"
     if iu == 0:

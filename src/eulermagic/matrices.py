@@ -143,13 +143,15 @@ def exact_rationals(values: Iterable[object], what: str = "values") -> tuple:
     return values
 
 
-def clear_denominators(values: Iterable[object]) -> Tuple[int, List[int]]:
-    """(den, ints): the lcm of the denominators of some exact_rationals, and
-    the rationals times it as integers."""
+def clear_denominators(values: Iterable[object], what: str = "values") -> Tuple[int, List[int]]:
+    """(den, ints): the lcm of the denominators and the values times it; a
+    value that is not one of the exact_rationals is a TypeError naming what."""
     values = list(values)
-    if set(map(type, values)) <= {int}:
+    types = set(map(type, values))
+    if types <= {int}:
         return 1, values  # plain ints: nothing to check, den 1
-    values = exact_rationals(values)
+    if not types <= {int, Fraction}:  # exact_rationals passes bools and subclasses
+        values = exact_rationals(values, what)
     den = lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
 

@@ -21,10 +21,10 @@ reduction of the 64-bit output (the modulo bias is negligible for the tiny
 spans used here and is fixed by this contract), so a span hi - lo + 1 must
 not exceed 2^64: SearchConfig refuses a numerator bound N with 2N + 1 > 2^64
 and a denominator bound above 2^64.  A sample's 20 integers are drawn in one
-pass of Xorshift64Star.uniform_ints, numerator then denominator for each of
-the ten skew parameters.  Candidate lists are merged in (score descending,
-sample index ascending) order, which makes output byte-identical for equal
-seeds regardless of worker count.
+pass of the generator step, Xorshift64Star._draws, numerator then denominator
+for each of the ten skew parameters.  Candidate lists are merged in (score
+descending, sample index ascending) order, which makes output byte-identical
+for equal seeds regardless of worker count.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ _STREAM_STEP = 0x9E3779B97F4A7C15
 
 
 class Xorshift64Star:
-    """xorshift64* with the documented constants; never yields a zero state."""
+    """xorshift64* with the documented constants; never yields a zero state.
+    Its draws take every bound through operator.index, so a float, Fraction or
+    str bound is a TypeError (a bool is 0 or 1); an empty range is a ValueError."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
@@ -78,9 +80,12 @@ class Xorshift64Star:
 
     def uniform_ints(self, ranges: Iterable[Tuple[int, int]]) -> List[int]:
         """One draw uniform on [lo, hi] per (lo, hi) of ranges, in order, each by
-        modulo reduction of the next 64-bit output (bias fixed by contract): the
-        one copy of the generator step.  An empty range raises ValueError and
-        leaves the state as it was before the call."""
+        modulo reduction of the next 64-bit output (bias fixed by contract).  A
+        refused bound or range leaves the state as it was before the call."""
+        return self._draws([(operator.index(lo), operator.index(hi)) for lo, hi in ranges])
+
+    def _draws(self, ranges: Iterable[Tuple[int, int]]) -> List[int]:
+        """uniform_ints on int bounds: the one copy of the generator step."""
         x = self.state
         out = []
         for lo, hi in ranges:
@@ -99,7 +104,7 @@ class Xorshift64Star:
 
     def rational(self, numerator_bound: int, denominator_bound: int) -> Fraction:
         """Numerator uniform in [-N, N], denominator uniform in [1, D], reduced."""
-        num = self.uniform_int(-numerator_bound, numerator_bound)
+        num = self.uniform_int(-operator.index(numerator_bound), numerator_bound)
         den = self.uniform_int(1, denominator_bound)
         return Fraction(num, den)
 
@@ -194,9 +199,11 @@ def _merge_parts(parts, iterations: int) -> SearchResult:
                         sum(p[2] for p in parts), best, sum(p[3] for p in parts))
 
 
-def _check_workers(workers: int) -> None:
+def _check_workers(workers: int) -> int:
+    workers = operator.index(workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    return workers
 
 
 def _map_chunks(func, args: tuple, items: range, workers: int) -> list:
@@ -220,7 +227,7 @@ def _search5_sample(config: SearchConfig, index: int):
     """(candidate | None, is_hit, is_near_miss) for one sample index.
 
     The ten skew parameters are drawn as (numerator, denominator) pairs in the
-    order of Xorshift64Star.rational, in one uniform_ints pass.  The kernels
+    order of Xorshift64Star.rational, in one _draws pass.  The kernels
     take the scaled strict-upper entries d * S in the order _skew_rows fixes,
     and rows are built only on the hit path.  P = cayley_integer(d, d * S) is a
     positive multiple of cayley(S) for any d > 0 that clears S, and
@@ -231,7 +238,8 @@ def _search5_sample(config: SearchConfig, index: int):
     bound = config.numerator_bound
     # a list: CPython 3.11 parks freed 20-tuples on a free list it never reuses,
     # so a fresh 20-tuple per sample would hold up to 0.4 MiB
-    draws = Xorshift64Star(stream_seed(config.seed, index)).uniform_ints(
+    # SearchConfig made the bounds ints, so the draws skip uniform_ints' operator.index
+    draws = Xorshift64Star(stream_seed(config.seed, index))._draws(
         [(-bound, bound), (1, config.denominator_bound)] * 10)
     nums, dens = draws[::2], draws[1::2]
     d = lcm(*dens)
@@ -267,7 +275,7 @@ def search5_cayley(config: SearchConfig, workers: int = 1) -> SearchResult:
     Fully reproducible from the seed: identical configurations give identical
     results for any worker count.
     """
-    _check_workers(workers)
+    workers = _check_workers(workers)
     indices = range(config.max_iterations)
     parts = _map_chunks(_search5_run_indices, (config,), indices, workers)
     return _merge_parts(parts, len(indices))
@@ -415,13 +423,14 @@ def search8_seeded(
     coefficients, solved exactly over the rationals.  A height below 0 or
     above MAX_HEIGHT is an error.
     """
-    _check_workers(workers)
+    workers = _check_workers(workers)
+    height = operator.index(height)
     if height < 0:
         raise ValueError(f"height must be nonnegative, got {height}")
     if height > MAX_HEIGHT:
         raise ValueError(f"height must be at most {MAX_HEIGHT}, got {height}")
     left = _check_left(left)
-    partial = tuple(map(Fraction, exact_rationals(partial, "fixed values (p, q, r, s, t)")))
+    partial = exact_rationals(partial, "fixed values (p, q, r, s, t)")
     if len(partial) != 5:
         raise ValueError("expected exactly five fixed values (p, q, r, s, t)")
     scan = improper_witnesses(left)
@@ -432,7 +441,7 @@ def search8_seeded(
 
     parts = []
     if supplied is not None:
-        right = partial + tuple(map(Fraction, exact_rationals(supplied, "supplied values")))
+        right = partial + exact_rationals(supplied, "supplied values")
         primitive, report = verified_product(left, right)
         if not report.is_euler_magic:
             raise ValueError("supplied solution does not satisfy the diagonal conditions")
@@ -440,8 +449,7 @@ def search8_seeded(
     first = len(parts)  # the grid's first sample index
     points = range(0)
     if height > 0:
-        cu, cv = (Fraction(0), Fraction(0)) if center is None else map(
-            Fraction, exact_rationals(center, "center coordinates"))
+        cu, cv = (0, 0) if center is None else exact_rationals(center, "center coordinates")
         # A and B as integer terms (i, j, k, c): c * u^i * v^j * w^k, at most 10 each
         tables = _specialised_terms(integer_forms(left), partial + (None,) * 3)
         offsets = _bounded_height_offsets(height)

@@ -16,6 +16,7 @@ from eulermagic import (
     Matrix,
     cayley,
     determinant,
+    family8,
     mat_inverse,
     matrices,
     rescale_primitive,
@@ -23,6 +24,7 @@ from eulermagic import (
 )
 from eulermagic.family8 import (
     FAMILY_LEFT,
+    enumerate_w1,
     four_parameter_family,
     solve_chain,
     w1_check,
@@ -31,7 +33,7 @@ from eulermagic.family8 import (
 from eulermagic.matrices import clear_denominators, exact_rationals
 from eulermagic.permutations import Permutation, perm_matrix, two_by_two_family
 from eulermagic.poly import parse_poly
-from eulermagic.search import SearchConfig, search5_cayley, search8_seeded
+from eulermagic.search import SearchConfig, Xorshift64Star, search5_cayley, search8_seeded
 
 SKEW = (0, 1, 2, -1, 0, 3, -2, -3, 0)
 WORKED = (0, 1, 1, 1, 1, 1, -1, 5,  # left
@@ -54,6 +56,10 @@ def _search5(values):
                                        denominator_bound=values[1], max_iterations=20))
 
 
+def _search8_counts(values):
+    return search8_seeded(WORKED[0:8], WORKED[8:13], height=values[0], workers=values[1])
+
+
 def _eval(values):
     return parse_poly("x^2 - 3*x*y + 1/2", ("x", "y")).eval(dict(zip("xy", values)))
 
@@ -74,6 +80,14 @@ ENTRY_POINTS = {
     "perm_matrix": (perm_matrix, (2, 1, 4, 3)),
     "solve_chain": (lambda xs: solve_chain(xs[:8], dict(zip("qrtu", xs[8:]))),
                     FAMILY_LEFT + (-55, -11, -27, -13)),
+    "uniform_int": (lambda xs: Xorshift64Star(5).uniform_int(*xs), (-3, 1)),
+    "uniform_ints": (lambda xs: Xorshift64Star(5).uniform_ints(zip(xs[::2], xs[1::2])),
+                     (0, 1, -2, 2)),
+    "rational": (lambda xs: Xorshift64Star(5).rational(*xs), (1, 3)),
+    "enumerate_w1": (lambda xs: enumerate_w1(*xs), (1,)),
+    "search5_cayley workers": (
+        lambda xs: search5_cayley(SearchConfig(seed=1, max_iterations=4), workers=xs[0]), (1,)),
+    "search8_seeded height and workers": (_search8_counts, (1, 1)),
 }
 
 _inexact = st.one_of(st.floats(), st.decimals(), st.complex_numbers(), st.text(max_size=3))
@@ -156,13 +170,18 @@ def test_plain_ints_skip_the_exactness_guards(monkeypatch):
 
     monkeypatch.setattr(operator, "index", counting_index)
     monkeypatch.setattr(matrices, "exact_rationals", counting_exact)
+    monkeypatch.setattr(family8, "exact_rationals", counting_exact)
     check = w1_coefficient_checker()
     calls.clear()
     assert check(FAMILY_LEFT) is True
     assert clear_denominators(FAMILY_LEFT) == (1, list(FAMILY_LEFT))
+    assert w1_check(FAMILY_LEFT) is True
     assert calls == []
     bools = (True, False, True, True, False, False, False, True)
     assert check(bools) is False
     assert calls == ["index"] * 8
     assert clear_denominators(bools) == (1, [1, 0, 1, 1, 0, 0, 0, 1])
     assert calls == ["index"] * 8 + ["exact_rationals"]
+    calls.clear()
+    assert w1_check(bools) is False
+    assert calls == ["exact_rationals"]

@@ -153,6 +153,20 @@ def test_only_cli_main_reports_bad_input():
     assert offenders == []
 
 
+def test_cli_parses_and_the_library_validates():
+    # argparse.ArgumentTypeError is raised only by _fraction, which turns
+    # parse_rational's refusal into argparse's; every range rule is the library's
+    tree = ast.parse((Path(eulermagic.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+
+    def raises(root):
+        return {node for node in ast.walk(root) if isinstance(node, ast.Raise)
+                and node.exc is not None and "ArgumentTypeError" in ast.unparse(node.exc)}
+
+    fraction = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_fraction")
+    assert raises(fraction) and raises(tree) == raises(fraction)
+
+
 def test_package_runs_no_generated_code():
     # no builtin exec, eval or compile call anywhere in the package
     calls = []

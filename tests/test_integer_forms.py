@@ -780,9 +780,22 @@ def test_workers_below_one_rejected():
      "--workers", "-3"],
 ])
 def test_cli_workers_below_one_exits_two(argv, capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(argv)
-    assert info.value.code == 2
+    # argparse reads the int; the library refuses it and cli.main reports it
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert "--workers" in err and "at least 1" in err
+    assert err == f"error: workers must be at least 1, got {argv[-1]}\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("call", [
+    lambda: search5_cayley(SearchConfig(seed=3, max_iterations=5), workers=2.5),
+    lambda: search5_cayley(SearchConfig(seed=3, max_iterations=5), workers=1.5),
+    lambda: search8_seeded(WORKED_LEFT, WORKED_PARTIAL, height=1, workers=2.5),
+    lambda: search8_seeded(WORKED_LEFT, WORKED_PARTIAL, height=Fraction(3, 2)),
+])
+def test_fractional_counts_are_type_errors_on_any_cpu_count(call, recording_pool, monkeypatch):
+    # refused at the call, before a pool is sized from the usable CPUs
+    _usable_cpus(monkeypatch, 64)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+    assert recording_pool == []

@@ -121,6 +121,27 @@ def test_prng_uniform_ints_match_a_reference_xorshift(seed, ranges):
     assert _next_u64(rng) == next(reference)
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.uniform_int(0, 2.5),
+    lambda rng: rng.uniform_int(Fraction(1, 2), 3),
+    lambda rng: rng.uniform_ints([(0.5, 3)]),
+    lambda rng: rng.uniform_ints([(0, 3), (0, "3")]),
+    lambda rng: rng.rational(2.5, 2),
+    lambda rng: rng.rational(Fraction(3), 2),
+])
+def test_prng_refuses_non_integer_bounds_before_any_draw(draw):
+    # these used to return floats, or fail inside Fraction
+    rng, reference = Xorshift64Star(5), _reference_xorshift64star(5)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        draw(rng)
+    assert _next_u64(rng) == next(reference)
+    # a bool bound is the integer it stands for
+    assert rng.uniform_int(False, True) == next(reference) % 2
+    assert rng.rational(True, True) == -1 + next(reference) % 3
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        rng.rational(3, Fraction(2))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 42, -1, 2**64, stream_seed(2**64 - 0x9E3779B97F4A7C15, 0)])
 def test_prng_streams_match_the_reference(seed):
     reference = _reference_xorshift64star(seed)
@@ -245,13 +266,13 @@ def test_search5_transforms_every_sample_at_unit_bounds(monkeypatch):
 
 
 class _ScriptedDraws:
-    """Stands in for Xorshift64Star: uniform_ints hands out fixed values in order,
+    """Stands in for Xorshift64Star: _draws hands out fixed values in order,
     one per range."""
 
     def __init__(self, values):
         self._values = iter(values)
 
-    def uniform_ints(self, ranges):
+    def _draws(self, ranges):
         return [next(self._values) for _ in ranges]
 
 
