@@ -81,32 +81,24 @@ _P2_PATTERN: Tuple[Tuple[str, Tuple[int, int, int], Tuple[int, int, int]], ...] 
 
 def _pivot_forms(x) -> Dict[str, object]:
     """Each _P2_PATTERN name's pivot form s1*x_i*x_j + s2*x_k*x_l at
-    x = (a..h), in any ring the integers act on: ints, Fractions or MultiPolys."""
+    x = (a..h), in any ring the integers act on: ints or MultiPolys."""
     return {name: s1 * x[i] * x[j] + s2 * x[k] * x[l]
             for name, (i, j, s1), (k, l, s2) in _P2_PATTERN}
-
-
-def _check_left(left: Sequence[object]) -> Tuple[Fraction, ...]:
-    """The left tuple as Fractions: a wrong count is a ValueError, and a value
-    that is not one of the exact_rationals a TypeError."""
-    return tuple(map(Fraction, exact_rationals(_check_params(left), "left coefficients")))
 
 
 class DiagForms(NamedTuple):
     A: MultiPoly
     B: MultiPoly
-    fixed_left: Optional[Tuple[Fraction, ...]]
 
 
 def diag_forms(left: Sequence[object]) -> DiagForms:
     """The quadratic forms A and B in (p..w) for a fixed numeric left tuple,
     read off _specialised_terms with all of p..w free."""
-    left = _check_left(left)
     forms = integer_forms(left)
     square = forms.scale ** 2
     a_form, b_form = (MultiPoly(RIGHT_VARS, {t[:-1]: Fraction(t[-1], square) for t in table})
                       for table in _specialised_terms(forms, (None,) * 8))
-    return DiagForms(A=a_form, B=b_form, fixed_left=left)
+    return DiagForms(A=a_form, B=b_form)
 
 
 def symbolic_diag_forms() -> DiagForms:
@@ -123,7 +115,7 @@ def symbolic_diag_forms() -> DiagForms:
     gamma = gamma_product(symbols[:8], symbols[8:])
     diag = sum((m * m for m in entries[::9]), zero)
     anti = sum((m * m for m in entries[7:57:7]), zero)
-    return DiagForms(A=diag - anti, B=diag + anti - 2 * gamma, fixed_left=None)
+    return DiagForms(A=diag - anti, B=diag + anti - 2 * gamma)
 
 
 # ----------------------------------------------------------------------
@@ -144,12 +136,14 @@ def _sign_key(vec: Sequence[int]) -> Vector:
 class IntegerForms(NamedTuple):
     """M = L(left) * R(p..w) for a numeric left tuple, over the integers.
 
-    scale is the least common denominator of the left tuple.  entries[8*i + j]
-    holds the 8 integer coefficients over (p..w) of scale * m(i+1, j+1), and
-    scale^2 * A = x^T gram_a x, scale^2 * B = x^T gram_b x for x = (p..w).
+    scale is the least common denominator of the left tuple, left its checked
+    form: the tuple times scale, as ints.  entries[8*i + j] holds the 8 integer
+    coefficients over (p..w) of scale * m(i+1, j+1), and scale^2 * A =
+    x^T gram_a x, scale^2 * B = x^T gram_b x for x = (p..w).
     """
 
     scale: int
+    left: Vector
     entries: Tuple[Vector, ...]
     gram_a: Tuple[Vector, ...]
     gram_b: Tuple[Vector, ...]
@@ -188,14 +182,15 @@ def entries_distinct(prefix: Sequence[object]) -> bool:
     """
     if len(prefix) > 16:
         raise ValueError(f"expected at most 16 fixed values, got {len(prefix)}")
-    vectors = _entry_vectors(clear_denominators(prefix[:8])[1],
-                             clear_denominators(prefix[8:])[1])
+    vectors = _entry_vectors(clear_denominators(prefix[:8], "left coefficients")[1],
+                             clear_denominators(prefix[8:], "right coefficients")[1])
     return len({_sign_key(vec) for vec in vectors}) == 64
 
 
 def integer_forms(left: Sequence[object]) -> IntegerForms:
     """The entries of M as integer vectors and A, B as integer Gram matrices,
-    built straight from the two sign tables."""
+    built straight from the two sign tables; the one check and scaling of a
+    left tuple (a wrong count is a ValueError, an inexact value a TypeError)."""
     scale, ileft = clear_denominators(_check_params(left), "left coefficients")
     # with all of a..h fixed, slot 0 (the constant) is zero and slots 1..8 are p..w
     entries = [tuple(vec[1:]) for vec in _entry_vectors(ileft, ())]
@@ -208,7 +203,7 @@ def integer_forms(left: Sequence[object]) -> IntegerForms:
     gram_a = tuple(tuple(d - a for d, a in zip(*rows)) for rows in zip(diag, anti))
     gram_b = tuple(tuple(d + a - 2 * gamma * (k == l) for l, (d, a) in enumerate(zip(*rows)))
                    for k, rows in enumerate(zip(diag, anti)))
-    return IntegerForms(scale, tuple(entries), gram_a, gram_b)
+    return IntegerForms(scale, tuple(ileft), tuple(entries), gram_a, gram_b)
 
 
 def _specialised_terms(forms: IntegerForms, right: Sequence[object]):
@@ -245,8 +240,8 @@ def verified_product(left: Sequence[object],
     is a positive multiple of M with the same rescale_primitive; report is
     verify on that.  No Fraction is built.
     """
-    product = mat_mul(left_matrix(clear_denominators(left)[1]),
-                      right_matrix(clear_denominators(right)[1]))
+    product = mat_mul(left_matrix(clear_denominators(left, "left coefficients")[1]),
+                      right_matrix(clear_denominators(right, "right coefficients")[1]))
     primitive = rescale_primitive(product)
     return primitive, verify(primitive)
 
@@ -267,7 +262,6 @@ class Witness(NamedTuple):
 
 
 class WitnessReport(NamedTuple):
-    left: Tuple[Fraction, ...]
     witnesses: Tuple[Witness, ...]
     polynomial_matrix_proper: bool
     properness_obstructed: bool
@@ -348,10 +342,9 @@ def improper_witnesses(left: Sequence[object]) -> WitnessReport:
     entry is a signed permutation of the left tuple over p..w, so the Gram
     matrix of A has trace 8|left|^2 - 8|left|^2 = 0.
     """
-    left = _check_left(left)
     forms = integer_forms(left)
-    if not entries_distinct(left):
-        return WitnessReport(left, tuple(
+    if not entries_distinct(forms.left):
+        return WitnessReport(tuple(
             Witness("identical-squares", pos1, pos2, relation, MultiPoly.zero(RIGHT_VARS))
             for pos1, pos2, relation, vec in _pair_vectors(forms.entries) if not any(vec)
         ), False, True)
@@ -367,7 +360,7 @@ def improper_witnesses(left: Sequence[object]) -> WitnessReport:
                                      _linear_poly(vec, forms.scale))
         if len(first) == 2:
             witnesses = tuple(first.values())
-    return WitnessReport(left, witnesses, True, bool(witnesses))
+    return WitnessReport(witnesses, True, bool(witnesses))
 
 
 # ----------------------------------------------------------------------
@@ -456,9 +449,10 @@ def enumerate_w1(a_max: int) -> _W1Tuples:
 def eliminate_w(forms: DiagForms) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
     """F = yA - xB where x, y are the w-coefficients of A and B.
 
-    Requires w-degree <= 1 in both forms; F is then a cubic in p..v.  When
-    the fixed left tuple satisfies the degree-one restriction, the p^3
-    coefficient of F vanishes, so F has p-degree <= 2 (asserted).
+    Requires w-degree <= 1 in both forms; F is then a cubic in p..v with
+    p-degree <= 2 (asserted).  The w^2 coefficients of A and B are 8(h^2 - a^2)
+    and 6a^2 + 6h^2 - 2(b^2 + ... + g^2), so passing forms come from the
+    restriction, where the p^3 coefficient vanishes, or from left = 0, where F = 0.
     """
     a_form, b_form = forms.A, forms.B
     if a_form.degree_in("w") > 1 or b_form.degree_in("w") > 1:
@@ -468,7 +462,7 @@ def eliminate_w(forms: DiagForms) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
     f = y * a_form - x * b_form
     if f.degree_in("w") > 0:
         raise RuntimeError("internal error: elimination left a w term")
-    if forms.fixed_left is not None and w1_check(forms.fixed_left) and f.degree_in("p") > 2:
+    if f.degree_in("p") > 2:
         raise RuntimeError("internal error: p^3 coefficient did not vanish under the restriction")
     return f, x, y
 
@@ -478,7 +472,6 @@ _SOLVABLE = ("q", "r", "s", "t", "u", "v")
 
 class SolveChainResult(NamedTuple):
     ok: bool
-    left: Tuple[Fraction, ...]
     failure_reason: Optional[str] = None
     solved_for: Optional[str] = None
     right: Optional[Tuple[Fraction, ...]] = None
@@ -499,17 +492,18 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
     times its _P2_PATTERN pivot, N = a^2 + ... + h^2, an identity the w1
     checker proves; N = 8a^2 under the restriction, so step 1 reads the
     pivots.  Steps 2 and 3 run on _specialised_terms of integer_forms(left)
-    with p and w free.
+    with p and w free; every step reads its checked ints, forms.left, as the
+    restriction, the pivot ratio and the primitive matrix are unchanged by scaling.
     """
-    left = _check_left(left)
+    forms = integer_forms(left)
     values = dict(zip(free, map(Fraction, exact_rationals(free.values(), "free values"))))
-    if not w1_check(left):
+    if not w1_check(forms.left):
         raise ValueError("left tuple does not satisfy the degree-one restriction")
-    pivots = _pivot_forms(left)
+    pivots = _pivot_forms(forms.left)
     solve_var = next((name for name in ("q", "v") if pivots[name] != 0), None)
 
     def failure(reason: str) -> SolveChainResult:
-        return SolveChainResult(ok=False, left=left, failure_reason=reason, solved_for=solve_var)
+        return SolveChainResult(ok=False, failure_reason=reason, solved_for=solve_var)
 
     if solve_var is None:
         return failure("step 1: both q and v coefficients vanish (b = g = 0)")
@@ -526,7 +520,6 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
 
     values[solve_var] = -sum(pivots[name] * values[name] for name in _SOLVABLE
                              if name != solve_var) / pivots[solve_var]
-    forms = integer_forms(left)
     fixed = tuple(values[name] for name in _SOLVABLE)
     # A = a(p) + x(p) w and B = b(p) + y(p) w, as coefficient lists in p
     (a, x), (b, y) = parts = ([[0] * 3, [0] * 3], [[0] * 3, [0] * 3])
@@ -553,8 +546,8 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
 
     # a zero right tuple has no p-term in F and fails at step 2, so L * R != 0
     assert any(right), "solve chain reached a zero right tuple"
-    primitive, report = verified_product(left, right)
-    return SolveChainResult(ok=True, left=left, solved_for=solve_var, right=right,
+    primitive, report = verified_product(forms.left, right)
+    return SolveChainResult(ok=True, solved_for=solve_var, right=right,
                             primitive=primitive, report=report)
 
 

@@ -38,7 +38,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cayley import _skew_rows, cayley5_diagonals, cayley_integer
 from .family8 import (
-    _check_left,
     _specialised_terms,
     entries_distinct,
     improper_witnesses,
@@ -429,7 +428,8 @@ def search8_seeded(
         raise ValueError(f"height must be nonnegative, got {height}")
     if height > MAX_HEIGHT:
         raise ValueError(f"height must be at most {MAX_HEIGHT}, got {height}")
-    left = _check_left(left)
+    forms = integer_forms(left)
+    left = forms.left  # the checked ints; each use below is unchanged by scaling
     partial = exact_rationals(partial, "fixed values (p, q, r, s, t)")
     if len(partial) != 5:
         raise ValueError("expected exactly five fixed values (p, q, r, s, t)")
@@ -451,7 +451,7 @@ def search8_seeded(
     if height > 0:
         cu, cv = (0, 0) if center is None else exact_rationals(center, "center coordinates")
         # A and B as integer terms (i, j, k, c): c * u^i * v^j * w^k, at most 10 each
-        tables = _specialised_terms(integer_forms(left), partial + (None,) * 3)
+        tables = _specialised_terms(forms, partial + (None,) * 3)
         offsets = _bounded_height_offsets(height)
         us, vs = ([(y.numerator, y.denominator) for y in (c + x for x in offsets)]
                   for c in (cu, cv))

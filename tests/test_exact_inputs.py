@@ -20,13 +20,18 @@ from eulermagic import (
     mat_inverse,
     matrices,
     rescale_primitive,
+    search,
     verify,
 )
 from eulermagic.family8 import (
     FAMILY_LEFT,
+    diag_forms,
+    entries_distinct,
     enumerate_w1,
     four_parameter_family,
+    improper_witnesses,
     solve_chain,
+    verified_product,
     w1_check,
     w1_coefficient_checker,
 )
@@ -88,6 +93,9 @@ ENTRY_POINTS = {
     "search5_cayley workers": (
         lambda xs: search5_cayley(SearchConfig(seed=1, max_iterations=4), workers=xs[0]), (1,)),
     "search8_seeded height and workers": (_search8_counts, (1, 1)),
+    "entries_distinct": (entries_distinct, WORKED[:13]),
+    "verified_product": (lambda xs: verified_product(xs[:8], xs[8:]),
+                         FAMILY_LEFT + (-7, -55, -11, 1, -27, -13, -19, 4)),
 }
 
 _inexact = st.one_of(st.floats(), st.decimals(), st.complex_numbers(), st.text(max_size=3))
@@ -156,7 +164,10 @@ def test_plain_ints_skip_the_exactness_guards(monkeypatch):
     """check and clear_denominators take plain ints without operator.index or
     exact_rationals, the guards that cost more than certify's arithmetic.  A
     bool still goes through both, so the guards stay in place for anything
-    that is not a plain int."""
+    that is not a plain int.  integer_forms is the one check of a left tuple:
+    with a plain-int left, the 8x8 entry points run exact_rationals only on
+    their other inputs (solve_chain's free values; search8_seeded's partial,
+    supplied and center values)."""
     calls = []
     index, exact = operator.index, matrices.exact_rationals
 
@@ -171,6 +182,7 @@ def test_plain_ints_skip_the_exactness_guards(monkeypatch):
     monkeypatch.setattr(operator, "index", counting_index)
     monkeypatch.setattr(matrices, "exact_rationals", counting_exact)
     monkeypatch.setattr(family8, "exact_rationals", counting_exact)
+    monkeypatch.setattr(search, "exact_rationals", counting_exact)
     check = w1_coefficient_checker()
     calls.clear()
     assert check(FAMILY_LEFT) is True
@@ -185,3 +197,12 @@ def test_plain_ints_skip_the_exactness_guards(monkeypatch):
     calls.clear()
     assert w1_check(bools) is False
     assert calls == ["exact_rationals"]
+    for name, run, expected in (
+            ("diag_forms", lambda: diag_forms(WORKED[:8]), 0),
+            ("improper_witnesses", lambda: improper_witnesses(WORKED[:8]), 0),
+            ("solve_chain",
+             lambda: solve_chain(FAMILY_LEFT, {"q": -55, "r": -11, "t": -27, "u": -13}), 1),
+            ("search8_seeded", lambda: _search8(WORKED), 3)):
+        calls.clear()
+        run()
+        assert (name, calls.count("exact_rationals")) == (name, expected)

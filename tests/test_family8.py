@@ -263,6 +263,16 @@ def test_eliminate_w_requires_restriction():
         eliminate_w(diag_forms((1, 2, 3, 4, 5, 6, 7, 8)))
 
 
+def test_eliminate_w_checks_p_cubed_without_testing_the_tuple():
+    # the zero tuple passes the w-degree check with A = B = F = 0; the
+    # symbolic forms have w^2 terms, so they fail it before any p^3 test
+    zero = MultiPoly.zero(RIGHT_VARS)
+    assert eliminate_w(diag_forms((0,) * 8)) == (zero, zero, zero)
+    with pytest.raises(ValueError) as info:
+        eliminate_w(symbolic_diag_forms())
+    assert str(info.value) == "w-degree exceeds 1; elimination needs the degree-one restriction"
+
+
 def test_eliminate_w_degree_drop():
     forms = diag_forms(FAMILY_LEFT)
     f, x, y = eliminate_w(forms)
@@ -458,6 +468,11 @@ def test_verified_product_builds_no_fraction(monkeypatch, left, right):
     assert built == []
     assert report.is_euler_magic and report == verify(primitive)
     assert "matrix" not in family8.FamilyResult._fields + family8.SolveChainResult._fields
+    # no record echoes its left tuple; integer_forms holds the checked, scaled one
+    assert "left" not in family8.WitnessReport._fields + family8.SolveChainResult._fields
+    assert family8.DiagForms._fields == ("A", "B")
+    assert family8.integer_forms((Fraction(1, 2), 1, 1, 1, 1, 1, -1, 5)).left == (
+        1, 2, 2, 2, 2, 2, -2, 10)
 
 
 def test_family_json_schema():

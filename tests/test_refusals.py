@@ -7,10 +7,11 @@ from eulermagic import search
 from eulermagic.cayley import inverse_cayley, ortho_reduce, sign_diagonal
 from eulermagic.family8 import (
     FAMILY_LEFT,
-    _check_left,
     entries_distinct,
     enumerate_w1,
+    integer_forms,
     solve_chain,
+    verified_product,
 )
 from eulermagic.matrices import Matrix, determinant, mat_add
 from eulermagic.permutations import Permutation
@@ -36,11 +37,17 @@ REFUSALS = {
     "solve_chain missing value": (
         lambda: solve_chain(FAMILY_LEFT, {"q": -55, "r": -11, "t": -27}), ValueError,
         "missing fixed values for ['u']"),
-    "_check_left count": (lambda: _check_left(FAMILY_LEFT[:7]), ValueError,
-                          "expected exactly 8 coefficients, got 7"),
-    "_check_left float": (lambda: _check_left((0.5,) + FAMILY_LEFT[1:]), TypeError,
-                          "left coefficients must be exact rationals (int or Fraction), "
-                          "got float 0.5"),
+    "integer_forms count": (lambda: integer_forms(FAMILY_LEFT[:7]), ValueError,
+                            "expected exactly 8 coefficients, got 7"),
+    "integer_forms float": (lambda: integer_forms((0.5,) + FAMILY_LEFT[1:]), TypeError,
+                            "left coefficients must be exact rationals (int or Fraction), "
+                            "got float 0.5"),
+    "entries_distinct float left": (
+        lambda: entries_distinct((0.5,) + FAMILY_LEFT[1:] + (1, 2)), TypeError,
+        "left coefficients must be exact rationals (int or Fraction), got float 0.5"),
+    "verified_product float right": (
+        lambda: verified_product(FAMILY_LEFT, (0.5,) + FAMILY_LEFT[1:]), TypeError,
+        "right coefficients must be exact rationals (int or Fraction), got float 0.5"),
     "search8_seeded 4 partial values": (
         lambda: search8_seeded(WORKED_LEFT, (3, -2, -4, 5)), ValueError,
         "expected exactly five fixed values (p, q, r, s, t)"),
