@@ -12,14 +12,7 @@ Run:  python3 demos/three_by_three_certificate.py
 
 from fractions import Fraction
 
-from eulermagic import (
-    cayley,
-    cayley3_forms,
-    certificate_to_text,
-    inverse_cayley,
-    nonexistence_certificate,
-    skew_from_upper,
-)
+from eulermagic import cayley, cayley3_forms, cli, inverse_cayley, skew_from_upper
 
 
 def main() -> None:
@@ -30,7 +23,7 @@ def main() -> None:
 
     print()
     print("== identity certificate ==")
-    print(certificate_to_text(nonexistence_certificate()))
+    cli.main(["prove3"])  # the certificate as `eulermagic prove3` prints it
 
     print()
     print("== the Cayley chart itself, on a sample point ==")

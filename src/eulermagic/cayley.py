@@ -50,8 +50,6 @@ __all__ = [
     "cayley3_forms",
     "CertificateLine",
     "nonexistence_certificate",
-    "certificate_to_json",
-    "certificate_to_text",
     "ortho_reduce",
 ]
 
@@ -314,20 +312,6 @@ def nonexistence_certificate() -> List[CertificateLine]:
 
     axiom = CertificateLine("sqrt-3-irrational", "AXIOM", None)
     return [main, reduction, elimination, produces, axiom]
-
-
-def certificate_to_json(lines: Sequence[CertificateLine]) -> list:
-    return [line._asdict() for line in lines]
-
-
-def certificate_to_text(lines: Sequence[CertificateLine]) -> str:
-    out = []
-    for ln in lines:
-        if ln.status == "AXIOM":
-            out.append(f"{ln.name}: AXIOM")
-        else:
-            out.append(f"{ln.name}: {ln.status} (difference terms: {ln.lhs_minus_rhs_term_count})")
-    return "\n".join(out)
 
 
 def ortho_reduce(m: Matrix):

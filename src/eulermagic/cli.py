@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: verify, family, prove3, perm, search5, search8, forms.  Every
-subcommand is a thin adapter over the library; no arithmetic lives here.
+subcommand is a thin adapter over the library, which returns records; no
+arithmetic lives here, and every rendering does: this module builds each
+text and JSON form the command prints.
 
 Exit codes: 0 success (or verified true), 1 verified false (input was read
 fine but the matrix is not Euler magic / an identity failed), 2 usage or
@@ -14,38 +16,25 @@ require an explicit --seed so runs are reproducible by construction.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cayley import certificate_to_json, certificate_to_text, nonexistence_certificate
-from .family8 import (
-    diag_forms,
-    eliminate_w,
-    family_result_to_json_dict,
-    four_parameter_family,
-    w1_check,
-)
+from .cayley import nonexistence_certificate
+from .family8 import diag_forms, eliminate_w, four_parameter_family, w1_check
 from .matrices import (
     _UNSIGNED_RATIONAL,
+    _format_entry,
     format_matrix_text,
-    matrix_to_json_dict,
     parse_matrix_text,
     parse_rational,
 )
 from .permutations import MAX_PERM_SIZE, construction_permutation, perm_matrix
-from .search import (
-    MAX_HEIGHT,
-    SearchConfig,
-    candidate_to_json_dict,
-    canonical_json,
-    search5_cayley,
-    search8_seeded,
-    summary_to_json_dict,
-)
-from .verify import report_to_json_dict, report_to_text, verify
+from .search import MAX_HEIGHT, SearchConfig, search5_cayley, search8_seeded
+from .verify import verify
 
 __all__ = ["main"]
 
@@ -53,8 +42,6 @@ __all__ = ["main"]
 def _fraction(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except ZeroDivisionError as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
     except ValueError as exc:  # parse_rational's message, which echoes no overlong token
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -123,9 +110,100 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _canonical_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _rows(matrix) -> list:
+    return [[_format_entry(x) for x in row] for row in matrix.entries]
+
+
+def _pairs(duplicate_pairs) -> list:
+    """1-based ((i, j), (k, l)) position pairs as [[i, j], [k, l]] lists."""
+    return [[list(p), list(q)] for p, q in duplicate_pairs]
+
+
+def _matrix_json(matrix) -> dict:
+    return {"rows": matrix.rows, "cols": matrix.cols, "entries": _rows(matrix)}
+
+
+def _report_json(report) -> dict:
+    return {
+        "n": report.n,
+        "gamma": _format_entry(report.gamma),
+        "orthogonal": report.cond_orthogonal,
+        "diagonal": report.cond_diagonal,
+        "antidiagonal": report.cond_antidiagonal,
+        "euler_magic": report.is_euler_magic,
+        "proper": report.is_proper,
+        "distinct_squares": report.distinct_square_count,
+        "duplicates": _pairs(report.duplicate_pairs),
+    }
+
+
+def _report_text(report) -> str:
+    """The JSON report's fields in order, one "key: value" line each, with
+    booleans as true/false and the duplicates as JSON."""
+    d = _report_json(report)
+    duplicates = d.pop("duplicates")
+    lines = [f"{key}: {str(value).lower() if isinstance(value, bool) else value}"
+             for key, value in d.items()]
+    return "\n".join(lines + [f"duplicates: {json.dumps(duplicates)}"])
+
+
+def _family_json(result) -> dict:
+    return {
+        "params": {
+            "q": str(result.q),
+            "r": str(result.r),
+            "t": str(result.t),
+            "u": str(result.u),
+        },
+        "X": str(result.x_value),
+        "right": [str(v) for v in result.right],
+        "matrix": _rows(result.primitive),
+        "report": _report_json(result.report),
+    }
+
+
+def _certificate_json(lines) -> list:
+    return [line._asdict() for line in lines]
+
+
+def _certificate_text(lines) -> str:
+    out = []
+    for ln in lines:
+        if ln.status == "AXIOM":
+            out.append(f"{ln.name}: AXIOM")
+        else:
+            out.append(f"{ln.name}: {ln.status} (difference terms: {ln.lhs_minus_rhs_term_count})")
+    return "\n".join(out)
+
+
+def _candidate_json(candidate) -> dict:
+    return {
+        "sample_index": candidate.sample_index,
+        "source_params": [str(x) for x in candidate.source_params],
+        "matrix": _rows(candidate.matrix),
+        "gamma": str(candidate.gamma),
+        "score": candidate.score,
+        "duplicates": _pairs(candidate.duplicates),
+    }
+
+
+def _summary_json(result) -> dict:
+    return {
+        "summary": True,
+        "iterations": result.iterations,
+        "hits": result.hits,
+        "near_misses": result.near_misses,
+        "best_score": result.best_score,
+    }
+
+
 def _show(args, payload, text: str) -> None:
     """Print the payload as canonical JSON under --json, else the text."""
-    print(canonical_json(payload) if args.json else text)
+    print(_canonical_json(payload) if args.json else text)
 
 
 def _cmd_verify(args) -> int:
@@ -135,24 +213,24 @@ def _cmd_verify(args) -> int:
     except OSError as exc:
         raise ValueError(f"cannot read {args.path}: {exc}") from None
     report = verify(parse_matrix_text(text))
-    _show(args, report_to_json_dict(report), report_to_text(report))
+    _show(args, _report_json(report), _report_text(report))
     return 0 if report.is_euler_magic else 1
 
 
 def _cmd_family(args) -> int:
     result = four_parameter_family(args.q, args.r, args.t, args.u)
-    _show(args, family_result_to_json_dict(result), "\n".join([
+    _show(args, _family_json(result), "\n".join([
         f"X: {result.x_value}",
         "right: " + " ".join(str(v) for v in result.right),
         format_matrix_text(result.primitive),
-        report_to_text(result.report),
+        _report_text(result.report),
     ]))
     return 0
 
 
 def _cmd_prove3(args) -> int:
     lines = nonexistence_certificate()
-    _show(args, certificate_to_json(lines), certificate_to_text(lines))
+    _show(args, _certificate_json(lines), _certificate_text(lines))
     return 0 if all(line.status in ("PASS", "AXIOM") for line in lines) else 1
 
 
@@ -162,20 +240,20 @@ def _cmd_perm(args) -> int:
     report = verify(matrix)
     _show(args, {
         "images": list(sigma.images),
-        "matrix": matrix_to_json_dict(matrix),
-        "report": report_to_json_dict(report),
+        "matrix": _matrix_json(matrix),
+        "report": _report_json(report),
     }, "\n".join([
         "images: " + " ".join(str(i) for i in sigma.images),
         format_matrix_text(matrix),
-        report_to_text(report),
+        _report_text(report),
     ]))
     return 0 if report.is_euler_magic else 1
 
 
 def _emit_search(result) -> None:
     for candidate in result.candidates:
-        print(canonical_json(candidate_to_json_dict(candidate)))
-    print(canonical_json(summary_to_json_dict(result)))
+        print(_canonical_json(_candidate_json(candidate)))
+    print(_canonical_json(_summary_json(result)))
 
 
 def _cmd_search5(args) -> int:

@@ -37,7 +37,7 @@ from .octonion import (
     sum_of_squares,
 )
 from .poly import MultiPoly
-from .verify import VerifyReport, report_to_json_dict, verify
+from .verify import VerifyReport, verify
 
 __all__ = [
     "BOTH_VARS",
@@ -59,7 +59,6 @@ __all__ = [
     "FAMILY_LEFT",
     "FamilyResult",
     "four_parameter_family",
-    "family_result_to_json_dict",
     "w1_coefficient_checker",
 ]
 
@@ -604,21 +603,6 @@ def four_parameter_family(q, r, t, u) -> FamilyResult:
     primitive, report = verified_product(FAMILY_LEFT, right)
     return FamilyResult(q=q, r=r, t=t, u=u, x_value=x_value, right=right,
                         primitive=primitive, report=report)
-
-
-def family_result_to_json_dict(result: FamilyResult) -> dict:
-    return {
-        "params": {
-            "q": str(result.q),
-            "r": str(result.r),
-            "t": str(result.t),
-            "u": str(result.u),
-        },
-        "X": str(result.x_value),
-        "right": [str(v) for v in result.right],
-        "matrix": [[str(x) for x in row] for row in result.primitive.entries],
-        "report": report_to_json_dict(result.report),
-    }
 
 
 # ----------------------------------------------------------------------

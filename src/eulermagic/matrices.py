@@ -7,8 +7,8 @@ multiply matrices of other exact ring elements.  Nothing here ever rounds.
 The plain-text interchange format is one row per line with whitespace
 separated entries written as "p/q" or "p", read entry by entry through
 parse_rational, which also takes decimals such as "-.5" but no exponent
-notation.  matrix_to_json_dict writes the JSON form
-{"rows": n, "cols": n, "entries": [["p/q", ...], ...]}.
+notation.  It is the one format this module reads and writes; the command's
+JSON forms are rendered in cli.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "parse_rational",
     "parse_matrix_text",
     "format_matrix_text",
-    "matrix_to_json_dict",
 ]
 
 
@@ -263,13 +262,16 @@ def parse_rational(text: str) -> Fraction:
     """The rational written as text.  Anything else, exponent notation
     included, is a ValueError before Fraction sees it: Fraction("1e100000000")
     would build 10^100000000.  So is a run of more than _MAX_DIGITS digits,
-    whose conversion takes time quadratic in its length.  A zero denominator
-    is a ZeroDivisionError."""
+    whose conversion takes time quadratic in its length.  So is a zero
+    denominator."""
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a rational number: {text!r}")
     if max(map(len, _DIGIT_RUN.findall(text))) > _MAX_DIGITS:
         raise ValueError(f"a number with more than {_MAX_DIGITS} digits")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def _format_entry(x) -> str:
@@ -294,7 +296,7 @@ def parse_matrix_text(text: str) -> Matrix:
             continue
         try:
             row = [parse_rational(tok) for tok in stripped.split()]
-        except (ValueError, ZeroDivisionError) as ex:
+        except ValueError as ex:
             raise ValueError(f"line {lineno}: cannot parse matrix entry ({ex})") from None
         rows.append(row)
     if not rows:
@@ -303,11 +305,3 @@ def parse_matrix_text(text: str) -> Matrix:
     if any(len(r) != width for r in rows):
         raise ValueError("ragged rows: every line must have the same number of entries")
     return Matrix.from_rows(rows)
-
-
-def matrix_to_json_dict(a: Matrix) -> dict:
-    return {
-        "rows": a.rows,
-        "cols": a.cols,
-        "entries": [[_format_entry(x) for x in r] for r in a.entries],
-    }

@@ -265,8 +265,9 @@ _POWER = re.compile(r"\d+")
 def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
     """Parse the rendering produced by str(MultiPoly) back into a polynomial.
 
-    Numbers are read by matrices.parse_rational, so exponent notation is a
-    ValueError, and a power must be a nonnegative decimal integer."""
+    Numbers are read by matrices.parse_rational, so exponent notation and a
+    zero denominator are ValueErrors, and a power must be a nonnegative
+    decimal integer."""
     variables = tuple(variables)
     s = text.strip()
     if not s:

@@ -24,12 +24,12 @@ and a denominator bound above 2^64.  A sample's 20 integers are drawn in one
 pass of the generator step, Xorshift64Star._draws, numerator then denominator
 for each of the ten skew parameters.  Candidate lists are merged in (score
 descending, sample index ascending) order, which makes output byte-identical
-for equal seeds regardless of worker count.
+for equal seeds regardless of worker count.  A search returns a SearchResult
+record; cli renders its candidates and summary as JSON lines.
 """
 
 from __future__ import annotations
 
-import json
 import operator
 import os
 from fractions import Fraction
@@ -56,9 +56,6 @@ __all__ = [
     "search5_cayley",
     "search8_seeded",
     "MAX_HEIGHT",
-    "candidate_to_json_dict",
-    "summary_to_json_dict",
-    "canonical_json",
 ]
 
 _SPAN64 = 1 << 64
@@ -433,6 +430,14 @@ def search8_seeded(
     partial = exact_rationals(partial, "fixed values (p, q, r, s, t)")
     if len(partial) != 5:
         raise ValueError("expected exactly five fixed values (p, q, r, s, t)")
+    if supplied is not None:
+        supplied = exact_rationals(supplied, "supplied values")
+        if len(supplied) != 3:
+            raise ValueError("expected exactly three supplied values (u, v, w)")
+    if center is not None:
+        center = exact_rationals(center, "center coordinates")
+        if len(center) != 2:
+            raise ValueError("expected exactly two center coordinates (u, v)")
     scan = improper_witnesses(left)
     if scan.properness_obstructed:
         raise ValueError("polynomial matrix improper")
@@ -441,7 +446,7 @@ def search8_seeded(
 
     parts = []
     if supplied is not None:
-        right = partial + exact_rationals(supplied, "supplied values")
+        right = partial + supplied
         primitive, report = verified_product(left, right)
         if not report.is_euler_magic:
             raise ValueError("supplied solution does not satisfy the diagonal conditions")
@@ -449,7 +454,7 @@ def search8_seeded(
     first = len(parts)  # the grid's first sample index
     points = range(0)
     if height > 0:
-        cu, cv = (0, 0) if center is None else exact_rationals(center, "center coordinates")
+        cu, cv = (0, 0) if center is None else center
         # A and B as integer terms (i, j, k, c): c * u^i * v^j * w^k, at most 10 each
         tables = _specialised_terms(forms, partial + (None,) * 3)
         offsets = _bounded_height_offsets(height)
@@ -460,34 +465,3 @@ def search8_seeded(
         parts += _map_chunks(_search8_grid_chunk, (left, partial, tables, us, vs, first),
                              points, workers)
     return _merge_parts(parts, first + len(points))
-
-
-# ----------------------------------------------------------------------
-# JSON output
-# ----------------------------------------------------------------------
-
-def canonical_json(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def candidate_to_json_dict(candidate: Candidate) -> dict:
-    return {
-        "sample_index": candidate.sample_index,
-        "source_params": [str(x) for x in candidate.source_params],
-        "matrix": [[str(x) for x in row] for row in candidate.matrix.entries],
-        "gamma": str(candidate.gamma),
-        "score": candidate.score,
-        "duplicates": [
-            [[i, j], [k, l]] for (i, j), (k, l) in candidate.duplicates
-        ],
-    }
-
-
-def summary_to_json_dict(result: SearchResult) -> dict:
-    return {
-        "summary": True,
-        "iterations": result.iterations,
-        "hits": result.hits,
-        "near_misses": result.near_misses,
-        "best_score": result.best_score,
-    }

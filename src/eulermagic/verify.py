@@ -11,11 +11,11 @@ squared norm of row 1 and decides M * M^t = gamma * I, for cayley's
 inverse_cayley and ortho_reduce, and for verify, which has already checked
 the entries, through _exact_row_condition.  Reports list duplicate entry
 positions 1-based, with all colliding unordered pairs in row-major order.
+verify returns the report as a record; cli renders its text and JSON forms.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import mul
@@ -29,8 +29,6 @@ __all__ = [
     "MagicSquareReport",
     "verify",
     "magic_square_of_squares",
-    "report_to_json_dict",
-    "report_to_text",
 ]
 
 Position = Tuple[int, int]  # 1-based (row, col)
@@ -162,27 +160,3 @@ def magic_square_of_squares(m: Matrix) -> MagicSquareReport:
         diagonal_sum=diag,
         antidiagonal_sum=anti,
     )
-
-
-def report_to_json_dict(report: VerifyReport) -> dict:
-    return {
-        "n": report.n,
-        "gamma": str(Fraction(report.gamma)),
-        "orthogonal": report.cond_orthogonal,
-        "diagonal": report.cond_diagonal,
-        "antidiagonal": report.cond_antidiagonal,
-        "euler_magic": report.is_euler_magic,
-        "proper": report.is_proper,
-        "distinct_squares": report.distinct_square_count,
-        "duplicates": [[list(p), list(q)] for (p, q) in report.duplicate_pairs],
-    }
-
-
-def report_to_text(report: VerifyReport) -> str:
-    """The JSON report's fields in order, one "key: value" line each, with
-    booleans as true/false and the duplicates as JSON."""
-    d = report_to_json_dict(report)
-    duplicates = d.pop("duplicates")
-    lines = [f"{key}: {str(value).lower() if isinstance(value, bool) else value}"
-             for key, value in d.items()]
-    return "\n".join(lines + [f"duplicates: {json.dumps(duplicates)}"])

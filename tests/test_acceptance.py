@@ -17,6 +17,7 @@ from eulermagic.cayley import (
     sign_diagonal,
     skew_from_upper,
 )
+from eulermagic.cli import _candidate_json, _canonical_json, _summary_json
 from eulermagic.family8 import (
     diag_forms,
     enumerate_w1,
@@ -37,11 +38,8 @@ from eulermagic.poly import MultiPoly
 from eulermagic.search import (
     SearchConfig,
     Xorshift64Star,
-    candidate_to_json_dict,
-    canonical_json,
     search5_cayley,
     search8_seeded,
-    summary_to_json_dict,
 )
 from eulermagic.verify import magic_square_of_squares, verify
 
@@ -223,8 +221,8 @@ def test_criterion_12_search_output_is_deterministic():
     """Search output is byte-identical across repeats and worker counts."""
 
     def render(result):
-        lines = [canonical_json(candidate_to_json_dict(c)) for c in result.candidates]
-        lines.append(canonical_json(summary_to_json_dict(result)))
+        lines = [_canonical_json(_candidate_json(c)) for c in result.candidates]
+        lines.append(_canonical_json(_summary_json(result)))
         return "\n".join(lines).encode("utf-8")
 
     config = SearchConfig(

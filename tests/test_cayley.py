@@ -14,8 +14,6 @@ from eulermagic.cayley import (
     cayley_integer,
     cayley3_forms,
     cayley5_diagonals,
-    certificate_to_json,
-    certificate_to_text,
     inverse_cayley,
     is_skew,
     nonexistence_certificate,
@@ -23,6 +21,7 @@ from eulermagic.cayley import (
     sign_diagonal,
     skew_from_upper,
 )
+from eulermagic.cli import _certificate_json, _certificate_text
 from eulermagic.matrices import (
     Matrix,
     clear_denominators,
@@ -205,10 +204,10 @@ def test_nonexistence_certificate_identities_in_sympy():
 
 def test_certificate_serialization():
     lines = nonexistence_certificate()
-    payload = certificate_to_json(lines)
+    payload = _certificate_json(lines)
     assert len(payload) == 5
     assert all(entry["status"] in ("PASS", "AXIOM") for entry in payload)
-    text = certificate_to_text(lines)
+    text = _certificate_text(lines)
     assert text.count("PASS") == 4
     assert "AXIOM" in text
 

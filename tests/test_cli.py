@@ -178,6 +178,17 @@ def test_overlong_numbers_exit_two_without_echoing_them(tmp_path, capsys):
     assert "argument n: invalid int value" in capsys.readouterr().err
 
 
+def test_zero_denominator_exits_two(tmp_path, capsys):
+    zero = tmp_path / "zero.txt"
+    zero.write_text("1/0 1\n1 1\n", encoding="utf-8")
+    assert run_cli(capsys, "verify", str(zero)) == (
+        2, "", "error: line 1: cannot parse matrix entry (zero denominator: '1/0')\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["family", "1/0", "1", "1", "1"])
+    assert info.value.code == 2
+    assert "argument q: zero denominator: '1/0'" in capsys.readouterr().err
+
+
 def test_prove3_text(capsys):
     code, out, _ = run_cli(capsys, "prove3")
     assert code == 0
@@ -493,16 +504,18 @@ def test_family_perm_and_verify_output_is_pinned(capsys, command):
 
 
 def test_cli_determinism_across_workers(capsys):
-    args = [
+    for args in ([
         "search5", "--seed", "2024", "--iterations", "50",
         "--numerator-bound", "9", "--denominator-bound", "4",
-    ]
-    code1 = cli.main(args + ["--workers", "1"])
-    out1 = capsys.readouterr().out
-    code2 = cli.main(args + ["--workers", "3"])
-    out2 = capsys.readouterr().out
-    assert code1 == code2 == 0
-    assert out1 == out2
+    ], [*_SEARCH8_WORKED, "--height", "2", "--center", "13/15", "-14/15"]):
+        code1 = cli.main(args + ["--workers", "1"])
+        out1 = capsys.readouterr().out
+        code2 = cli.main(args + ["--workers", "3"])
+        out2 = capsys.readouterr().out
+        assert code1 == code2 == 0
+        assert out1 == out2
+    # the search8 grid finds the worked solution, so its candidate line is compared too
+    assert '"-23/5"' in out1
 
 
 # each subcommand and the library call in cli that does its work

@@ -167,6 +167,26 @@ def test_cli_parses_and_the_library_validates():
     assert raises(fraction) and raises(tree) == raises(fraction)
 
 
+def test_only_cli_renders():
+    # the library returns records; every text and JSON form is cli's
+    offenders = []
+    for path in sorted(Path(eulermagic.__file__).parent.rglob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                offenders += [(path.name, alias.name) for alias in node.names
+                              if alias.name.split(".")[0] == "json"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                offenders.append((path.name, node.module))
+        offenders += [(path.name, node.name) for node in tree.body
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and (node.name == "canonical_json"
+                           or node.name.endswith(("_to_json", "_to_json_dict", "_to_text")))]
+    assert offenders == []
+
+
 def test_package_runs_no_generated_code():
     # no builtin exec, eval or compile call anywhere in the package
     calls = []

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulermagic import family8
+from eulermagic.cli import _family_json
 from eulermagic.family8 import (
     BOTH_VARS,
     FAMILY_LEFT,
@@ -24,7 +25,6 @@ from eulermagic.family8 import (
     diag_forms,
     eliminate_w,
     enumerate_w1,
-    family_result_to_json_dict,
     four_parameter_family,
     improper_witnesses,
     solve_chain,
@@ -477,7 +477,7 @@ def test_verified_product_builds_no_fraction(monkeypatch, left, right):
 
 def test_family_json_schema():
     fam = four_parameter_family(-55, -11, -27, -148)
-    payload = family_result_to_json_dict(fam)
+    payload = _family_json(fam)
     assert payload["X"] == "23088"
     assert payload["params"] == {"q": "-55", "r": "-11", "t": "-27", "u": "-148"}
     assert payload["right"] == ["-7", "-55", "-11", "1", "-27", "-13", "-19", "4"]

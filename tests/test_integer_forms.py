@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulermagic import cli, family8, search
+from eulermagic.cli import _summary_json
 from eulermagic.family8 import (
     FAMILY_LEFT,
     _linear_factors,
@@ -47,7 +48,6 @@ from eulermagic.search import (
     _w_roots,
     search5_cayley,
     search8_seeded,
-    summary_to_json_dict,
 )
 
 from conftest import multipoly_product
@@ -419,7 +419,7 @@ def test_grid_chunk_counts_full_lines():
     merged = _merge_parts(parts, len(points))
     assert (merged.hits, merged.near_misses, merged.full_lines) == (0, 0, 3)
     assert merged == _merge_parts(parts[::-1], len(points))
-    assert summary_to_json_dict(merged) == {
+    assert _summary_json(merged) == {
         "summary": True, "iterations": 3, "hits": 0, "near_misses": 0, "best_score": 0}
 
 

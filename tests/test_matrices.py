@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulermagic import matrices
+from eulermagic.cli import _matrix_json
 from eulermagic.matrices import (
     Matrix,
     SingularMatrixError,
@@ -21,7 +22,6 @@ from eulermagic.matrices import (
     mat_inverse,
     mat_mul,
     mat_scale,
-    matrix_to_json_dict,
     parse_matrix_text,
     parse_rational,
     rescale_primitive,
@@ -159,7 +159,7 @@ def test_text_roundtrip_and_comments():
 
 def test_json_roundtrip():
     m = Matrix.from_rows([[Fraction(1, 2), -3], [4, 0]])
-    d = matrix_to_json_dict(m)
+    d = _matrix_json(m)
     assert d == {"rows": 2, "cols": 2, "entries": [["1/2", "-3"], ["4", "0"]]}
     assert json.loads(json.dumps(d)) == d
     # each entry string reads back exactly through parse_rational
@@ -191,7 +191,7 @@ def test_parse_rational_refuses_other_forms_before_fraction(monkeypatch, text):
 def test_matrix_readers_refuse_exponent_notation():
     with pytest.raises(ValueError, match="line 2: cannot parse matrix entry"):
         parse_matrix_text("1 0\n0 1e100000000\n")
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="zero denominator: '1/0'"):
         parse_rational("1/0")
 
 

@@ -22,6 +22,7 @@ XY = ("x", "y")
 WIDE = Matrix.from_rows([[1, 0, 0], [0, 1, 0]])
 IDENTITY17 = Matrix.from_rows([[int(i == j) for j in range(17)] for i in range(17)])
 WORKED_LEFT = (0, 1, 1, 1, 1, 1, -1, 5)
+WORKED_PARTIAL = (3, -2, -4, 5, 6)
 X = MultiPoly.variable(XY, "x")
 
 REFUSALS = {
@@ -51,6 +52,15 @@ REFUSALS = {
     "search8_seeded 4 partial values": (
         lambda: search8_seeded(WORKED_LEFT, (3, -2, -4, 5)), ValueError,
         "expected exactly five fixed values (p, q, r, s, t)"),
+    "search8_seeded 2 supplied values": (
+        lambda: search8_seeded(WORKED_LEFT, WORKED_PARTIAL, supplied=(1, 2)), ValueError,
+        "expected exactly three supplied values (u, v, w)"),
+    "search8_seeded 3 center coordinates": (
+        lambda: search8_seeded(WORKED_LEFT, WORKED_PARTIAL, height=1, center=(1, 2, 3)),
+        ValueError, "expected exactly two center coordinates (u, v)"),
+    "search8_seeded float center at height 0": (
+        lambda: search8_seeded(WORKED_LEFT, WORKED_PARTIAL, center=(0.5, 1)), TypeError,
+        "center coordinates must be exact rationals (int or Fraction), got float 0.5"),
     "Matrix.from_rows([])": (lambda: Matrix.from_rows([]), ValueError,
                              "matrix needs at least one row"),
     "mat_add shapes": (lambda: mat_add(WIDE, Matrix.from_rows([[1, 0], [0, 1]])), ValueError,
@@ -83,6 +93,8 @@ REFUSALS = {
                                 "malformed term in 'x**y'"),
     "parse_poly dangling sign": (lambda: parse_poly("x +", XY), ValueError,
                                  "dangling sign in 'x +'"),
+    "parse_poly zero denominator": (lambda: parse_poly("1/0*x", XY), ValueError,
+                                    "zero denominator: '1/0'"),
 }
 
 

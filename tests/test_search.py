@@ -17,6 +17,7 @@ from eulermagic.cayley import (
     ortho_reduce,
     skew_from_upper,
 )
+from eulermagic.cli import _candidate_json, _canonical_json, _summary_json
 from eulermagic.matrices import Matrix, mat_mul, mat_scale, rescale_primitive
 from eulermagic.octonion import left_matrix, right_matrix
 from eulermagic.search import (
@@ -24,12 +25,9 @@ from eulermagic.search import (
     SearchConfig,
     Xorshift64Star,
     _bounded_height_offsets,
-    canonical_json,
-    candidate_to_json_dict,
     search5_cayley,
     search8_seeded,
     stream_seed,
-    summary_to_json_dict,
 )
 from eulermagic.verify import verify
 
@@ -203,11 +201,11 @@ def test_search5_repeat_and_worker_determinism():
     parallel = search5_cayley(config, workers=3)
     assert serial1 == serial2
     assert serial1 == parallel
-    lines_serial = [canonical_json(candidate_to_json_dict(c)) for c in serial1.candidates]
-    lines_parallel = [canonical_json(candidate_to_json_dict(c)) for c in parallel.candidates]
+    lines_serial = [_canonical_json(_candidate_json(c)) for c in serial1.candidates]
+    lines_parallel = [_canonical_json(_candidate_json(c)) for c in parallel.candidates]
     assert lines_serial == lines_parallel
-    assert canonical_json(summary_to_json_dict(serial1)) == canonical_json(
-        summary_to_json_dict(parallel)
+    assert _canonical_json(_summary_json(serial1)) == _canonical_json(
+        _summary_json(parallel)
     )
 
 
@@ -338,7 +336,7 @@ def _reference_search5(config):
     for minus_score, index, matrix, params, report in sorted(found, key=lambda f: f[:2]):
         if matrix not in seen:
             seen.add(matrix)
-            lines.append(canonical_json({
+            lines.append(_canonical_json({
                 "sample_index": index,
                 "source_params": [str(x) for x in params],
                 "matrix": [[str(x) for x in row] for row in matrix],
@@ -359,7 +357,7 @@ def test_search5_matches_a_full_verify_of_every_sample(numerator_bound, denomina
     hits, near, lines, _ = _reference_search5(config)
     result = search5_cayley(config)
     assert (result.hits, result.near_misses) == (hits, near)
-    assert [canonical_json(candidate_to_json_dict(c)) for c in result.candidates] == lines
+    assert [_canonical_json(_candidate_json(c)) for c in result.candidates] == lines
     if numerator_bound == 1:
         # hits at bounds 1/1 score 2: emitted at threshold 1, counted only at 3
         assert hits and bool(lines) == (score_threshold == 1)
@@ -504,14 +502,14 @@ def test_bounded_height_offsets():
 
 def test_candidate_json_shape():
     result = search8_seeded(WORKED_LEFT, WORKED_PARTIAL, supplied=WORKED_SOLUTION)
-    payload = candidate_to_json_dict(result.candidates[0])
-    parsed = json.loads(canonical_json(payload))
+    payload = _candidate_json(result.candidates[0])
+    parsed = json.loads(_canonical_json(payload))
     assert parsed["score"] == 64
     assert parsed["gamma"] == "786656"
     assert len(parsed["matrix"]) == 8
     assert all(len(row) == 8 for row in parsed["matrix"])
     assert all(isinstance(x, str) for row in parsed["matrix"] for x in row)
-    summary = json.loads(canonical_json(summary_to_json_dict(result)))
+    summary = json.loads(_canonical_json(_summary_json(result)))
     assert summary == {
         "summary": True,
         "iterations": 1,
@@ -522,5 +520,5 @@ def test_candidate_json_shape():
 
 
 def test_canonical_json_is_compact_and_sorted():
-    text = canonical_json({"b": 1, "a": [1, 2]})
+    text = _canonical_json({"b": 1, "a": [1, 2]})
     assert text == '{"a":[1,2],"b":1}'

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulermagic.cayley import cayley, inverse_cayley, ortho_reduce, skew_from_upper
+from eulermagic.cli import _report_json, _report_text
 from eulermagic.family8 import four_parameter_family
 from eulermagic.matrices import (
     Matrix,
@@ -24,8 +25,6 @@ from eulermagic.verify import (
     MAX_DUPLICATE_PAIRS,
     VerifyReport,
     magic_square_of_squares,
-    report_to_json_dict,
-    report_to_text,
     verify,
 )
 
@@ -199,11 +198,11 @@ def test_magic_square_requires_euler_magic():
 
 def test_report_serialization(euler4):
     rep = verify(euler4)
-    d = report_to_json_dict(rep)
+    d = _report_json(rep)
     assert d["gamma"] == "8515"
     assert d["proper"] is True
     assert d["distinct_squares"] == 16
-    text = report_to_text(rep)
+    text = _report_text(rep)
     assert "gamma: 8515" in text
     assert "proper: true" in text
     assert "distinct_squares: 16" in text
@@ -277,7 +276,7 @@ def test_verify_matches_reference_on_ints_and_fractions(m):
         report = verify(variant)
         assert report == expected
         assert type(report.gamma) is type(_reference_verify(variant).gamma)
-        assert report_to_json_dict(report) == report_to_json_dict(expected)
+        assert _report_json(report) == _report_json(expected)
 
 
 def test_verify_matches_reference_on_rationals():
