@@ -17,6 +17,7 @@ from .matrices import *  # noqa: F401,F403
 from .poly import *  # noqa: F401,F403
 from .verify import *  # noqa: F401,F403
 from .cayley import *  # noqa: F401,F403
+from .certificates import *  # noqa: F401,F403
 from .octonion import *  # noqa: F401,F403
 from .family8 import *  # noqa: F401,F403
 from .permutations import *  # noqa: F401,F403

@@ -1,4 +1,4 @@
-"""Cayley transform machinery and the 3x3 nonexistence certificate.
+"""Cayley transform machinery: the map, its inverse and its integer kernels.
 
 The Cayley transform S -> (I - S)(I + S)^(-1) maps skew-symmetric rational
 matrices bijectively onto orthogonal matrices without eigenvalue -1; I + S is
@@ -12,20 +12,16 @@ cayley_integer is the one exact kernel of the map: integer P = det * cayley(S)
 from one Bareiss adjugate.  For 5x5 skew S, cayley5_diagonals reads the main
 diagonal and anti-diagonal of that P from Cayley-Hamilton closed forms instead,
 which is all the two diagonal conditions need.
-
-For n = 3 the two diagonal conditions become two polynomial equations
-D = E = 0 in the three skew parameters.  nonexistence_certificate() checks,
-as exact polynomial identities, the algebra showing that D = E = 0 has no
-rational solution; the only unproved ingredient (the irrationality of
-sqrt 3) is recorded as an explicit axiom line.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
+# not in __all__: perfbench/child.py and perfbench/tracer.py read it here
+from .certificates import nonexistence_certificate  # noqa: F401
 from .matrices import (
     Matrix,
     SingularMatrixError,
@@ -36,7 +32,6 @@ from .matrices import (
     mat_add,
     mat_scale,
 )
-from .poly import MultiPoly
 from .verify import _row_condition
 
 __all__ = [
@@ -47,9 +42,6 @@ __all__ = [
     "cayley5_diagonals",
     "inverse_cayley",
     "sign_diagonal",
-    "cayley3_forms",
-    "CertificateLine",
-    "nonexistence_certificate",
     "ortho_reduce",
 ]
 
@@ -205,113 +197,6 @@ def sign_diagonal(m: Matrix) -> Matrix:
             if determinant(mat_add(m, d)) != 0:
                 return d
     raise ValueError("no sign diagonal found; input cannot be orthogonal")
-
-
-# ----------------------------------------------------------------------
-# symbolic 3x3 forms and the nonexistence certificate
-# ----------------------------------------------------------------------
-
-ABC = ("a", "b", "c")
-
-
-def _symbolic_cayley3() -> Tuple[List[List[MultiPoly]], MultiPoly]:
-    """(Delta * M, Delta) for the 3x3 Cayley transform with symbolic a, b, c.
-
-    k = (c, -b, a) spans the kernel of S, and S^2 = k k^t - |k|^2 I, so
-    (Euler-Rodrigues) adj(I + S) = I - S + k k^t, Delta = det(I + S) =
-    1 + |k|^2, and Delta * M = (I - S)(I - S + k k^t) = (I - S)^2 + k k^t.
-    """
-    a, b, c = MultiPoly.variables_of(ABC)
-    one = MultiPoly.constant(ABC, 1)
-    i_minus = [[one, -a, -b], [a, one, -c], [b, c, one]]
-    k = (c, -b, a)
-    scaled = [[sum((i_minus[i][m] * i_minus[m][j] for m in range(3)), k[i] * k[j])
-               for j in range(3)] for i in range(3)]
-    return scaled, one + a * a + b * b + c * c
-
-
-def cayley3_forms() -> Tuple[MultiPoly, MultiPoly]:
-    """The two diagonal conditions of the 3x3 Cayley matrix as polynomials.
-
-    With N = Delta * M (integral entries), returns
-      D = sum of squared diagonal entries of N - Delta^2,
-      E = the same for the anti-diagonal;
-    the scaled matrix satisfies both diagonal conditions iff D = E = 0.
-    """
-    n, delta = _symbolic_cayley3()
-    zero = MultiPoly.zero(ABC)
-    d = sum((n[i][i] * n[i][i] for i in range(3)), zero) - delta * delta
-    e = sum((n[i][2 - i] * n[i][2 - i] for i in range(3)), zero) - delta * delta
-    return d, e
-
-
-class CertificateLine(NamedTuple):
-    name: str
-    status: str  # "PASS", "FAIL", or "AXIOM"
-    lhs_minus_rhs_term_count: Optional[int]
-
-
-def _identity_line(name: str, differences: Sequence[MultiPoly]) -> CertificateLine:
-    count = sum(len(d.terms) for d in differences)
-    return CertificateLine(name, "PASS" if count == 0 else "FAIL", count)
-
-
-def nonexistence_certificate() -> List[CertificateLine]:
-    """Machine-check the polynomial identities behind the 3x3 nonexistence proof.
-
-    Four exact identities are verified by normalizing left minus right to
-    zero; the final line records the classical fact used to finish the
-    argument (3 is not a rational square) as an axiom.
-    """
-    a, b, c = MultiPoly.variables_of(ABC)
-    one = MultiPoly.constant(ABC, 1)
-    d, e = cayley3_forms()
-
-    # (i) (D+E)/2 = (a^2 - 2b^2 + c^2 - 2)^2 - 3(b^2 + 1)^2
-    lhs = (d + e) * Fraction(1, 2)
-    t1 = a * a - 2 * b * b + c * c - 2
-    t2 = b * b + one
-    main = _identity_line("main-identity", [lhs - (t1 * t1 - 3 * t2 * t2)])
-
-    # (ii) in beta = b^2, s = a^2 + c^2, p = a^2 c^2:
-    #      D/2 = beta^2 - 2(1+s) beta + (1-s)^2 - 4p,  E/4 = (2-s) beta - s + 2p
-    beta = b * b
-    s = a * a + c * c
-    p = a * a * c * c
-    d2_claim = beta * beta - 2 * (one + s) * beta + (one - s) * (one - s) - 4 * p
-    e4_claim = (2 * one - s) * beta - s + 2 * p
-    reduction = _identity_line(
-        "beta-s-p-reduction",
-        [d * Fraction(1, 2) - d2_claim, e * Fraction(1, 4) - e4_claim],
-    )
-
-    # (iii) elimination identity in (s, p):
-    #   4p^2 + (-8s^2 + 16s - 8)p + s^4 - 4s^3 + 12s^2 - 16s + 4
-    #     = 4 (p - (s-1)^2)^2 - 3 (s-2)^2 s^2
-    sv, pv = MultiPoly.variables_of(("s", "p"))
-    one2 = MultiPoly.constant(("s", "p"), 1)
-    quartic = (
-        4 * pv * pv
-        + (-8 * sv * sv + 16 * sv - 8 * one2) * pv
-        + sv**4 - 4 * sv**3 + 12 * sv * sv - 16 * sv + 4 * one2
-    )
-    u1 = pv - (sv - one2) * (sv - one2)
-    u2 = (sv - 2 * one2) * sv
-    elimination = _identity_line("elimination-identity", [quartic - (4 * u1 * u1 - 3 * u2 * u2)])
-
-    # (iv) substituting beta = (s - 2p)/(2 - s) (from E = 0) into D = 0 and
-    #      clearing the (2 - s)^2 denominator reproduces the quartic of (iii)
-    num = sv - 2 * pv
-    den = 2 * one2 - sv
-    substituted = (
-        num * num
-        - 2 * (one2 + sv) * num * den
-        + ((one2 - sv) * (one2 - sv) - 4 * pv) * den * den
-    )
-    produces = _identity_line("reduction-produces-elimination", [substituted - quartic])
-
-    axiom = CertificateLine("sqrt-3-irrational", "AXIOM", None)
-    return [main, reduction, elimination, produces, axiom]
 
 
 def ortho_reduce(m: Matrix):

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cayley import nonexistence_certificate
+from .certificates import nonexistence_certificate
 from .family8 import diag_forms, eliminate_w, four_parameter_family, w1_check
 from .matrices import (
     _UNSIGNED_RATIONAL,

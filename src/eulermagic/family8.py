@@ -14,6 +14,9 @@ restriction), which makes the elimination F = yA - xB a cubic without w and
 enables the chain: solve the p^2 coefficient for q (or v), then F for p, then
 A for w.  Specializing the remaining free values yields exact Euler magic
 matrices; properness is reported, never assumed.
+
+The 16-variable forms and the proof that the coefficients of F factor are
+in certificates; the chain and the w1 checker evaluate the factors.
 """
 
 from __future__ import annotations
@@ -24,14 +27,12 @@ from itertools import combinations
 from math import gcd, isqrt
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from .certificates import DiagForms, _pivot_forms, _w1_factors, w1_factorisation_line
 from .matrices import Matrix, clear_denominators, exact_rationals, mat_mul, rescale_primitive
 from .octonion import (
-    LEFT_SIGN_TABLE,
-    LEFT_VARS,
-    RIGHT_SIGN_TABLE,
     RIGHT_VARS,
     _check_params,
-    gamma_product,
+    _entry_vectors,
     left_matrix,
     right_matrix,
     sum_of_squares,
@@ -40,8 +41,6 @@ from .poly import MultiPoly
 from .verify import VerifyReport, verify
 
 __all__ = [
-    "BOTH_VARS",
-    "DiagForms",
     "IntegerForms",
     "integer_forms",
     "entries_distinct",
@@ -49,7 +48,6 @@ __all__ = [
     "Witness",
     "WitnessReport",
     "diag_forms",
-    "symbolic_diag_forms",
     "improper_witnesses",
     "w1_check",
     "enumerate_w1",
@@ -62,33 +60,7 @@ __all__ = [
     "w1_coefficient_checker",
 ]
 
-BOTH_VARS: Tuple[str, ...] = LEFT_VARS + RIGHT_VARS
-
 FAMILY_LEFT: Tuple[int, ...] = (2, 1, 1, 4, 2, 1, 1, -2)
-
-# coefficient pattern of the p^2 coefficient of F, up to the factor -128 h^2:
-# variable name -> ((i, j, sign), (k, l, sign)) meaning sign*x_i*x_j + ...
-_P2_PATTERN: Tuple[Tuple[str, Tuple[int, int, int], Tuple[int, int, int]], ...] = (
-    ("q", (0, 6, 1), (1, 7, 1)),   # a*g + b*h
-    ("r", (0, 5, -1), (2, 7, 1)),  # -a*f + c*h
-    ("s", (0, 4, -1), (3, 7, 1)),  # -a*e + d*h
-    ("t", (0, 3, 1), (4, 7, 1)),   # a*d + e*h
-    ("u", (0, 2, 1), (5, 7, 1)),   # a*c + f*h
-    ("v", (0, 1, -1), (6, 7, 1)),  # -a*b + g*h
-)
-
-
-def _pivot_forms(x) -> Dict[str, object]:
-    """Each _P2_PATTERN name's pivot form s1*x_i*x_j + s2*x_k*x_l at
-    x = (a..h), in any ring the integers act on: ints or MultiPolys."""
-    return {name: s1 * x[i] * x[j] + s2 * x[k] * x[l]
-            for name, (i, j, s1), (k, l, s2) in _P2_PATTERN}
-
-
-class DiagForms(NamedTuple):
-    A: MultiPoly
-    B: MultiPoly
-
 
 def diag_forms(left: Sequence[object]) -> DiagForms:
     """The quadratic forms A and B in (p..w) for a fixed numeric left tuple,
@@ -98,23 +70,6 @@ def diag_forms(left: Sequence[object]) -> DiagForms:
     a_form, b_form = (MultiPoly(RIGHT_VARS, {t[:-1]: Fraction(t[-1], square) for t in table})
                       for table in _specialised_terms(forms, (None,) * 8))
     return DiagForms(A=a_form, B=b_form)
-
-
-def symbolic_diag_forms() -> DiagForms:
-    """A and B over the full 16-variable context (a..h, p..w), with the
-    entries of M read off _entry_vectors((), ())."""
-    # slot 9x + y holds the product of left variable x and right variable y,
-    # counting from 1: the monomial with exponent 1 at positions x - 1 and 7 + y
-    slots = {9 * x + y: tuple(int(k in (x - 1, 7 + y)) for k in range(16))
-             for x in range(1, 9) for y in range(1, 9)}
-    entries = [MultiPoly(BOTH_VARS, {exps: vec[slot] for slot, exps in slots.items()})
-               for vec in _entry_vectors((), ())]
-    zero = MultiPoly.zero(BOTH_VARS)
-    symbols = MultiPoly.variables_of(BOTH_VARS)
-    gamma = gamma_product(symbols[:8], symbols[8:])
-    diag = sum((m * m for m in entries[::9]), zero)
-    anti = sum((m * m for m in entries[7:57:7]), zero)
-    return DiagForms(A=diag - anti, B=diag + anti - 2 * gamma)
 
 
 # ----------------------------------------------------------------------
@@ -146,28 +101,6 @@ class IntegerForms(NamedTuple):
     entries: Tuple[Vector, ...]
     gram_a: Tuple[Vector, ...]
     gram_b: Tuple[Vector, ...]
-
-
-def _entry_vectors(left: Sequence[int], right: Sequence[int]) -> List[List[int]]:
-    """The 64 entries of M, row by row, with a prefix of a..h and a prefix of
-    p..w fixed to integers: coefficient vectors over the monomials still free.
-
-    Slot x * (9 - len(right)) + y holds the product of the x-th free left and
-    the y-th free right variable, counting from 1; 0 stands for a fixed
-    factor, so slot 0 is the constant.
-    """
-    width = 9 - len(right)
-    lslots = [(0, x) for x in left] + [(width * (k + 1), 1) for k in range(8 - len(left))]
-    rslots = [(0, y) for y in right] + [(m + 1, 1) for m in range(8 - len(right))]
-    vectors = []
-    for lrow in LEFT_SIGN_TABLE:
-        for rcol in zip(*RIGHT_SIGN_TABLE):
-            vec = [0] * ((9 - len(left)) * width)
-            for (kl, sl), (kr, sr) in zip(lrow, rcol):  # m(i, j) = sum of L(i, k) * R(k, j)
-                (x, cx), (y, cy) = lslots[kl], rslots[kr]
-                vec[x + y] += sl * sr * cx * cy
-            vectors.append(vec)
-    return vectors
 
 
 def entries_distinct(prefix: Sequence[object]) -> bool:
@@ -488,8 +421,8 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
     normal outcome, visible in the report.
 
     Each q..v part of the p^2 coefficient of F is (16 (N - 8a^2) - 128 h^2)
-    times its _P2_PATTERN pivot, N = a^2 + ... + h^2, an identity the w1
-    checker proves; N = 8a^2 under the restriction, so step 1 reads the
+    times its _P2_PATTERN pivot, N = a^2 + ... + h^2, an identity
+    certificates.w1_factorisation_line proves; N = 8a^2 under the restriction, so step 1 reads the
     pivots.  Steps 2 and 3 run on _specialised_terms of integer_forms(left)
     with p and w free; every step reads its checked ints, forms.left, as the
     restriction, the pivot ratio and the primitive matrix are unchanged by scaling.
@@ -609,34 +542,6 @@ def four_parameter_family(q, r, t, u) -> FamilyResult:
 # fast bulk verification of the elimination coefficients
 # ----------------------------------------------------------------------
 
-def _w1_factors(a, b, c, d, e, f, g, h):
-    """(a*h*(N - 4a^2 - 4h^2), N - 8a^2) at (a..h), for N = a^2 + ... + h^2,
-    in any ring the integers act on, both from gap = N - 8a^2:
-    N - 4a^2 - 4h^2 = gap + 4(a^2 - h^2)."""
-    gap = b * b + c * c + d * d + e * e + f * f + g * g + h * h - 7 * a * a
-    return a * h * (gap + 4 * (a * a - h * h)), gap
-
-
-def _w1_residuals() -> List[MultiPoly]:
-    """The 8 polynomials in a..h, over the context (a..h, p..w), that vanish
-    exactly when the two elimination coefficient facts hold: the p^3
-    coefficient of F, the w-part of its p^2 coefficient, and each q..v part of
-    it plus 128 h^2 times its _P2_PATTERN form.  All come from the fully
-    symbolic F.
-
-    With N = a^2 + ... + h^2 they factor as 32*a*h*(N - 4a^2 - 4h^2), 0, and
-    16 times each pivot form times N - 8a^2 (see _w1_factors)."""
-    forms = symbolic_diag_forms()
-    x = forms.A.coefficient_of("w", 1)
-    y = forms.B.coefficient_of("w", 1)
-    f = y * forms.A - x * forms.B
-    p2 = f.coefficient_of("p", 2)
-    symbols = MultiPoly.variables_of(BOTH_VARS)
-    return [f.coefficient_of("p", 3), p2.coefficient_of("w", 1)] + [
-        p2.coefficient_of(name, 1) + 128 * symbols[7] * symbols[7] * pivot
-        for name, pivot in _pivot_forms(symbols).items()]
-
-
 def w1_coefficient_checker():
     """Build a fast per-tuple checker for the two elimination coefficient facts.
 
@@ -644,19 +549,15 @@ def w1_coefficient_checker():
     degree-one restriction, that the p^3 coefficient of F vanishes and that
     the p^2 coefficient equals -128 h^2 times the documented linear form:
     that each of the 8 residual polynomials of _w1_residuals vanishes.  Each
-    call derives the residuals from the symbolic F and proves, by MultiPoly
-    equality, that they equal their factorisations (a RuntimeError if not);
-    check then evaluates the factors of _w1_factors and _pivot_forms, so it
-    gives the same answer as the residuals on every integer tuple, restricted
-    or not.  left must hold exactly 8 integers: a wrong count raises
+    call proves certificates.w1_factorisation_line, the residuals against
+    their factorisations (a RuntimeError unless it passes); check then evaluates
+    the factors of _w1_factors and _pivot_forms, so it gives the same answer
+    as the residuals on every integer tuple, restricted or not.  left must
+    hold exactly 8 integers: a wrong count raises
     ValueError, and values that are not all plain ints go through
     operator.index, so a non-integer raises TypeError.
     """
-    symbols = MultiPoly.variables_of(BOTH_VARS)
-    cubic, gap = _w1_factors(*symbols[:8])
-    factored = [32 * cubic, MultiPoly.zero(BOTH_VARS)] + [
-        16 * pivot * gap for pivot in _pivot_forms(symbols).values()]
-    if _w1_residuals() != factored:
+    if w1_factorisation_line().status != "PASS":
         raise RuntimeError("internal error: a w1 residual differs from its factorisation")
     index = operator.index
 

@@ -9,11 +9,13 @@ For any coefficients, left_matrix(x) times its transpose equals
 (sum of the eight squares) times the identity, and likewise for
 right_matrix; hence M = L * R satisfies M * M^t = gamma * I with
 gamma = gamma_product(left, right).
+
+_entry_vectors reads the entries of M = L * R off both tables as integer vectors.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .matrices import Matrix
 
@@ -53,6 +55,28 @@ RIGHT_SIGN_TABLE = (
     ((6, 1), (7, 1), (4, 1), (5, -1), (2, -1), (3, 1), (0, 1), (1, -1)),
     ((7, 1), (6, -1), (5, 1), (4, 1), (3, -1), (2, -1), (1, 1), (0, 1)),
 )
+
+
+def _entry_vectors(left: Sequence[int], right: Sequence[int]) -> List[List[int]]:
+    """The 64 entries of M, row by row, with a prefix of a..h and a prefix of
+    p..w fixed to integers: coefficient vectors over the monomials still free.
+
+    Slot x * (9 - len(right)) + y holds the product of the x-th free left and
+    the y-th free right variable, counting from 1; 0 stands for a fixed
+    factor, so slot 0 is the constant.
+    """
+    width = 9 - len(right)
+    lslots = [(0, x) for x in left] + [(width * (k + 1), 1) for k in range(8 - len(left))]
+    rslots = [(0, y) for y in right] + [(m + 1, 1) for m in range(8 - len(right))]
+    vectors = []
+    for lrow in LEFT_SIGN_TABLE:
+        for rcol in zip(*RIGHT_SIGN_TABLE):
+            vec = [0] * ((9 - len(left)) * width)
+            for (kl, sl), (kr, sr) in zip(lrow, rcol):  # m(i, j) = sum of L(i, k) * R(k, j)
+                (x, cx), (y, cy) = lslots[kl], rslots[kr]
+                vec[x + y] += sl * sr * cx * cy
+            vectors.append(vec)
+    return vectors
 
 
 def _check_params(x: Sequence[object]) -> Tuple[object, ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .matrices import Matrix, _SlotRecord, exact_rationals
 

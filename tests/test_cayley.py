@@ -12,15 +12,14 @@ from eulermagic.cayley import (
     _skew_rows,
     cayley,
     cayley_integer,
-    cayley3_forms,
     cayley5_diagonals,
     inverse_cayley,
     is_skew,
-    nonexistence_certificate,
     ortho_reduce,
     sign_diagonal,
     skew_from_upper,
 )
+from eulermagic.certificates import cayley3_forms, nonexistence_certificate
 from eulermagic.cli import _certificate_json, _certificate_text
 from eulermagic.matrices import (
     Matrix,

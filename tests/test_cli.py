@@ -207,7 +207,7 @@ def test_prove3_json(capsys):
 
 def test_prove3_negative_control(capsys, monkeypatch):
     # sanity check that a failing identity would be visible in the exit code
-    from eulermagic.cayley import CertificateLine
+    from eulermagic.certificates import CertificateLine
 
     def broken():
         return [CertificateLine("main-identity", "FAIL", "1")]

@@ -187,6 +187,67 @@ def test_only_cli_renders():
     assert offenders == []
 
 
+def _imported_modules(tree):
+    """The last dotted part of every module tree imports from, or imports."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules |= ({node.module.split(".")[-1]} if node.module
+                        else {alias.name for alias in node.names})
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[-1] for alias in node.names}
+    return modules
+
+
+def test_proofs_have_one_home():
+    # certificates.py alone builds the symbolic forms and proves identities
+    # about them, and it imports none of the modules that call it
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(eulermagic.__file__).parent.glob("*.py"))}
+    assert [stem for stem in ("cayley", "search", "octonion")
+            if "poly" in _imported_modules(trees[stem])] == []
+    defined = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(stem, name) for name in names
+                        if name in ("CertificateLine", "_identity_line", "BOTH_VARS")]
+    assert sorted(defined) == [("certificates", "BOTH_VARS"), ("certificates", "CertificateLine"),
+                               ("certificates", "_identity_line")]
+    assert _imported_modules(trees["certificates"]) & {"family8", "cayley", "search", "cli"} == set()
+
+
+# Names a module of src/eulermagic imports and never reads, each with the
+# reason it stays.
+UNREAD_IMPORTS = {
+    "cayley.nonexistence_certificate":
+        "perfbench/child.py and perfbench/tracer.py read eulermagic.cayley.nonexistence_certificate",
+}
+
+
+def test_every_imported_name_is_read():
+    unread = set()
+    for path in sorted(Path(eulermagic.__file__).parent.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unread |= {f"{path.stem}.{bound}" for bound in
+                           (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                           if bound not in read}
+    assert unread == set(UNREAD_IMPORTS)
+
+
 def test_package_runs_no_generated_code():
     # no builtin exec, eval or compile call anywhere in the package
     calls = []

@@ -15,20 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulermagic import family8
+from eulermagic import certificates, family8
+from eulermagic.certificates import BOTH_VARS, _w1_residuals, symbolic_diag_forms
 from eulermagic.cli import _family_json
 from eulermagic.family8 import (
-    BOTH_VARS,
     FAMILY_LEFT,
     _family_x,
-    _w1_residuals,
     diag_forms,
     eliminate_w,
     enumerate_w1,
     four_parameter_family,
     improper_witnesses,
     solve_chain,
-    symbolic_diag_forms,
     verified_product,
     w1_check,
     w1_coefficient_checker,
@@ -40,7 +38,6 @@ from eulermagic.search import Xorshift64Star
 from eulermagic.verify import verify
 
 from conftest import (
-    load_fixture,
     multipoly_product,
     quadratic_coeff_table,
     quadratic_form_coeffs,
@@ -617,10 +614,10 @@ def test_w1_checker_refuses_residuals_that_differ_from_their_factorisation(monke
     for k, change in changes.items():
         changed = list(residuals)
         changed[k] = changed[k] + change
-        monkeypatch.setattr(family8, "_w1_residuals", lambda: changed)
+        monkeypatch.setattr(certificates, "_w1_residuals", lambda: changed)
         with pytest.raises(RuntimeError, match="internal error"):
             w1_coefficient_checker()
-    monkeypatch.setattr(family8, "_w1_residuals", lambda: list(residuals))
+    monkeypatch.setattr(certificates, "_w1_residuals", lambda: list(residuals))
     assert w1_coefficient_checker()(FAMILY_LEFT) is True
 
 

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulermagic import cli, family8, search
+from eulermagic.certificates import CertificateLine, symbolic_diag_forms, w1_factorisation_line
 from eulermagic.cli import _summary_json
 from eulermagic.family8 import (
     FAMILY_LEFT,
@@ -25,7 +26,6 @@ from eulermagic.family8 import (
     entries_distinct,
     improper_witnesses,
     integer_forms,
-    symbolic_diag_forms,
     verified_product,
 )
 from eulermagic.matrices import mat_mul
@@ -695,6 +695,24 @@ def test_symbolic_diag_forms_match_sympy():
     forms = symbolic_diag_forms()
     got = (_to_sympy(forms.A, _QQ_RING16), _to_sympy(forms.B, _QQ_RING16))
     assert got == _sympy_forms(_QQ_RING16, _QQ_BOTH[:8], _QQ_BOTH[8:])
+
+
+def test_w1_factorisation_matches_sympy():
+    # the coefficients of F = yA - xB behind the w1 checker, from sympy's own
+    # forms, against their factorisations written out by hand
+    a_form, b_form = _sympy_forms(_QQ_RING16, _QQ_BOTH[:8], _QQ_BOTH[8:])
+    a, b, c, d, e, f, g, h, p, q, r, s, t, u, v, w = _QQ_BOTH
+    x, y = a_form.coeff_wrt(w, 1), b_form.coeff_wrt(w, 1)
+    cubic = y * a_form - x * b_form
+    norm = a**2 + b**2 + c**2 + d**2 + e**2 + f**2 + g**2 + h**2
+    assert cubic.coeff_wrt(p, 3) == 32 * a * h * (norm - 4 * a**2 - 4 * h**2)
+    p2 = cubic.coeff_wrt(p, 2)
+    assert p2.coeff_wrt(w, 1) == 0
+    pivots = {q: a * g + b * h, r: -a * f + c * h, s: -a * e + d * h,
+              t: a * d + e * h, u: a * c + f * h, v: -a * b + g * h}
+    for name, pivot in pivots.items():
+        assert p2.coeff_wrt(name, 1) == (16 * (norm - 8 * a**2) - 128 * h**2) * pivot, name
+    assert w1_factorisation_line() == CertificateLine("w1-factorisation", "PASS", 0)
 
 
 # ----------------------------------------------------------------------
