@@ -19,8 +19,7 @@ from eulermagic import (
 
 def main() -> None:
     print("== why some left tuples can never work ==")
-    report = improper_witnesses((1,) * 8)
-    for w in report.witnesses:
+    for w in improper_witnesses((1,) * 8):
         print(f"  all-ones witness: m{w.first} {w.relation} m{w.second} = {w.form}")
     print("  -> A factors through those forms, so Euler magic forces a collision")
 

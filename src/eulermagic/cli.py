@@ -86,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_s5.add_argument("--iterations", type=int, default=1000)
     p_s5.add_argument("--numerator-bound", type=int, default=120)
     p_s5.add_argument("--denominator-bound", type=int, default=8)
-    p_s5.add_argument("--score-threshold", type=int, default=1)
     p_s5.add_argument("--workers", type=int, default=1)
 
     p_s8 = sub.add_parser(
@@ -151,13 +150,13 @@ def _report_text(report) -> str:
     return "\n".join(lines + [f"duplicates: {json.dumps(duplicates)}"])
 
 
-def _family_json(result) -> dict:
+def _family_json(args, result) -> dict:
     return {
         "params": {
-            "q": str(result.q),
-            "r": str(result.r),
-            "t": str(result.t),
-            "u": str(result.u),
+            "q": str(args.q),
+            "r": str(args.r),
+            "t": str(args.t),
+            "u": str(args.u),
         },
         "X": str(result.x_value),
         "right": [str(v) for v in result.right],
@@ -219,7 +218,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_family(args) -> int:
     result = four_parameter_family(args.q, args.r, args.t, args.u)
-    _show(args, _family_json(result), "\n".join([
+    _show(args, _family_json(args, result), "\n".join([
         f"X: {result.x_value}",
         "right: " + " ".join(str(v) for v in result.right),
         format_matrix_text(result.primitive),
@@ -262,7 +261,6 @@ def _cmd_search5(args) -> int:
         numerator_bound=args.numerator_bound,
         denominator_bound=args.denominator_bound,
         max_iterations=args.iterations,
-        score_threshold=args.score_threshold,
     )
     _emit_search(search5_cayley(config, workers=args.workers))
     return 0

@@ -13,7 +13,9 @@ precisely when h = +-a and b^2+c^2+d^2+e^2+f^2+g^2 = 6a^2 (the "w1"
 restriction), which makes the elimination F = yA - xB a cubic without w and
 enables the chain: solve the p^2 coefficient for q (or v), then F for p, then
 A for w.  Specializing the remaining free values yields exact Euler magic
-matrices; properness is reported, never assumed.
+matrices; properness is reported, never assumed.  The witness scan returns
+its witnesses, none when it finds no obstruction, and the family returns X,
+the right tuple and the verified matrix, not the parameters it was given.
 
 The 16-variable forms and the proof that the coefficients of F factor are
 in certificates; the chain and the w1 checker evaluate the factors.
@@ -46,7 +48,6 @@ __all__ = [
     "entries_distinct",
     "verified_product",
     "Witness",
-    "WitnessReport",
     "diag_forms",
     "improper_witnesses",
     "w1_check",
@@ -193,12 +194,6 @@ class Witness(NamedTuple):
     form: MultiPoly
 
 
-class WitnessReport(NamedTuple):
-    witnesses: Tuple[Witness, ...]
-    polynomial_matrix_proper: bool
-    properness_obstructed: bool
-
-
 def _linear_poly(vec: Vector, scale: int) -> MultiPoly:
     """The linear form vec / scale over (p..w)."""
     return MultiPoly(RIGHT_VARS, {tuple(int(k == i) for k in range(8)): Fraction(c, scale)
@@ -256,8 +251,9 @@ def _pair_vectors(entries: Sequence[Vector]):
                    tuple([a + sign * b for a, b in zip(entries[x], entries[y])]))
 
 
-def improper_witnesses(left: Sequence[object]) -> WitnessReport:
-    """Entry-difference witnesses showing a left tuple cannot give a proper M.
+def improper_witnesses(left: Sequence[object]) -> Tuple[Witness, ...]:
+    """Entry-difference witnesses showing a left tuple cannot give a proper M;
+    none when the scan finds no obstruction.
 
     Two layers:
       * identical-squares: entry pairs whose difference or sum is the zero
@@ -276,23 +272,20 @@ def improper_witnesses(left: Sequence[object]) -> WitnessReport:
     """
     forms = integer_forms(left)
     if not entries_distinct(forms.left):
-        return WitnessReport(tuple(
+        return tuple(
             Witness("identical-squares", pos1, pos2, relation, MultiPoly.zero(RIGHT_VARS))
-            for pos1, pos2, relation, vec in _pair_vectors(forms.entries) if not any(vec)
-        ), False, True)
+            for pos1, pos2, relation, vec in _pair_vectors(forms.entries) if not any(vec))
 
-    witnesses: Tuple[Witness, ...] = ()
     lines = _linear_factors(forms.gram_a)
-    if lines is not None:
-        first: Dict[Vector, Witness] = {}  # line key -> its first pair in scan order
-        for pos1, pos2, relation, vec in _pair_vectors(forms.entries):
-            key = _line_key(vec)
-            if key in lines and key not in first:
-                first[key] = Witness("factor-of-A", pos1, pos2, relation,
-                                     _linear_poly(vec, forms.scale))
-        if len(first) == 2:
-            witnesses = tuple(first.values())
-    return WitnessReport(witnesses, True, bool(witnesses))
+    if lines is None:
+        return ()
+    first: Dict[Vector, Witness] = {}  # line key -> its first pair in scan order
+    for pos1, pos2, relation, vec in _pair_vectors(forms.entries):
+        key = _line_key(vec)
+        if key in lines and key not in first:
+            first[key] = Witness("factor-of-A", pos1, pos2, relation,
+                                 _linear_poly(vec, forms.scale))
+    return tuple(first.values()) if len(first) == 2 else ()
 
 
 # ----------------------------------------------------------------------
@@ -497,10 +490,6 @@ def _family_x(q, r, t, u, e=1):
 
 
 class FamilyResult(NamedTuple):
-    q: Fraction
-    r: Fraction
-    t: Fraction
-    u: Fraction
     x_value: Fraction
     right: Tuple[Fraction, ...]
     primitive: Matrix
@@ -517,7 +506,6 @@ def four_parameter_family(q, r, t, u) -> FamilyResult:
     """
     # (q, r, t, u) = (iq, ir, it, iu) / e, so X = _family_x(iq, ir, it, iu, e) / e^2
     e, (iq, ir, it, iu) = clear_denominators((q, r, t, u), "family parameters")
-    q, r, t, u = (Fraction(x, e) for x in (iq, ir, it, iu))
     x_scaled = _family_x(iq, ir, it, iu, e)
     assert x_scaled > 0, "X is positive definite"
     if iu == 0:
@@ -525,17 +513,16 @@ def four_parameter_family(q, r, t, u) -> FamilyResult:
     x_value = Fraction(x_scaled, e * e)
     right = (
         Fraction(3 * (it * it - e * e) * iu, 2 * e * x_scaled),
-        q,
-        r,
+        Fraction(iq, e),
+        Fraction(ir, e),
         Fraction(1),
-        t,
+        Fraction(it, e),
         Fraction(iu - iq - 3 * it - e, e),
         Fraction(it - ir - 3 * e, e),
         Fraction(iu * iu - x_scaled, 2 * iu * e),
     )
     primitive, report = verified_product(FAMILY_LEFT, right)
-    return FamilyResult(q=q, r=r, t=t, u=u, x_value=x_value, right=right,
-                        primitive=primitive, report=report)
+    return FamilyResult(x_value=x_value, right=right, primitive=primitive, report=report)
 
 
 # ----------------------------------------------------------------------

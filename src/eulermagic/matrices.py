@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, List, Sequence, Tuple
 
 __all__ = [
@@ -69,6 +69,7 @@ class Matrix(_SlotRecord):
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[object]]):
+        rows, cols = index(rows), index(cols)  # a float or Fraction is a TypeError
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
         if len(entries) != rows or any(len(r) != cols for r in entries):

@@ -265,6 +265,8 @@ _POWER = re.compile(r"\d+")
 def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
     """Parse the rendering produced by str(MultiPoly) back into a polynomial.
 
+    Terms are separated as str writes them, by " + " or " - ", with an
+    optional "-" before the first; any other sign or spacing is a ValueError.
     Numbers are read by matrices.parse_rational, so exponent notation and a
     zero denominator are ValueErrors, and a power must be a nonnegative
     decimal integer."""
@@ -274,23 +276,17 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
         raise ValueError("empty polynomial text")
     if s == "0":
         return MultiPoly.zero(variables)
-    # normalize into signed chunks
-    s = s.replace("- ", "-").replace("+ ", "+")
-    chunks = []
-    for raw in s.split():
-        if raw in {"+", "-"}:
-            raise ValueError(f"dangling sign in {text!r}")
-        chunks.append(raw)
+    tokens = s[1:].split(" ") if s[0] == "-" else s.split(" ")
+    signs, chunks = ["-" if s[0] == "-" else "+"] + tokens[1::2], tokens[::2]
+    if any(sign not in ("+", "-") for sign in signs):
+        raise ValueError(f"malformed term in {text!r}")
+    if len(signs) > len(chunks):
+        raise ValueError(f"dangling sign in {text!r}")
     terms: Dict[Exponents, Coeff] = {}
-    for chunk in chunks:
-        sign = 1
-        while chunk and chunk[0] in "+-":
-            if chunk[0] == "-":
-                sign = -sign
-            chunk = chunk[1:]
-        if not chunk:
+    for sign, chunk in zip(signs, chunks):
+        if not chunk or chunk[0] in "+-":
             raise ValueError(f"malformed term in {text!r}")
-        coeff: Coeff = sign
+        coeff: Coeff = -1 if sign == "-" else 1
         exps = [0] * len(variables)
         for factor in chunk.split("*"):
             if not factor:

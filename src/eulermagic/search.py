@@ -5,8 +5,8 @@ Two search styles share this module:
 * a random 5x5 search that samples rational skew-symmetric parameters,
   tests the two diagonal conditions on the diagonals of their Cayley
   transform (read from closed forms, without the full transform), and keeps
-  exact hits, fully transformed and verified (near misses - exactly one
-  condition holding - are counted);
+  every exact hit, fully transformed and verified, with its score (near
+  misses - exactly one condition holding - are counted);
 * a deterministic 8x8 pipeline that fixes a left tuple and five of the right
   coefficients, then solves the remaining two quadratic conditions for w over
   a bounded-height grid of (u, v) values, optionally verifying a supplied
@@ -19,8 +19,9 @@ with seed s draws from an independent generator seeded with
 workers cannot change any stream.  Integers in [lo, hi] are taken by modulo
 reduction of the 64-bit output (the modulo bias is negligible for the tiny
 spans used here and is fixed by this contract), so a span hi - lo + 1 must
-not exceed 2^64: SearchConfig refuses a numerator bound N with 2N + 1 > 2^64
-and a denominator bound above 2^64.  A sample's 20 integers are drawn in one
+not exceed 2^64: Xorshift64Star.uniform_ints refuses a wider range, and
+SearchConfig refuses a numerator bound N with 2N + 1 > 2^64 and a
+denominator bound above 2^64.  A sample's 20 integers are drawn in one
 pass of the generator step, Xorshift64Star._draws, numerator then denominator
 for each of the ten skew parameters.  Candidate lists are merged in (score
 descending, sample index ascending) order, which makes output byte-identical
@@ -67,7 +68,8 @@ _STREAM_STEP = 0x9E3779B97F4A7C15
 class Xorshift64Star:
     """xorshift64* with the documented constants; never yields a zero state.
     Its draws take every bound through operator.index, so a float, Fraction or
-    str bound is a TypeError (a bool is 0 or 1); an empty range is a ValueError."""
+    str bound is a TypeError (a bool is 0 or 1); an empty range, or one of more
+    than 2^64 integers, is a ValueError."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
@@ -78,7 +80,10 @@ class Xorshift64Star:
         """One draw uniform on [lo, hi] per (lo, hi) of ranges, in order, each by
         modulo reduction of the next 64-bit output (bias fixed by contract).  A
         refused bound or range leaves the state as it was before the call."""
-        return self._draws([(operator.index(lo), operator.index(hi)) for lo, hi in ranges])
+        ranges = [(operator.index(lo), operator.index(hi)) for lo, hi in ranges]
+        if any(hi - lo >= _SPAN64 for lo, hi in ranges):
+            raise ValueError("range exceeds the generator's 2^64 outputs")
+        return self._draws(ranges)
 
     def _draws(self, ranges: Iterable[Tuple[int, int]]) -> List[int]:
         """uniform_ints on int bounds: the one copy of the generator step."""
@@ -111,16 +116,14 @@ def stream_seed(seed: int, index: int) -> int:
 
 
 class SearchConfig(_SlotRecord):
-    __slots__ = ("seed", "numerator_bound", "denominator_bound", "max_iterations",
-                 "score_threshold")
+    __slots__ = ("seed", "numerator_bound", "denominator_bound", "max_iterations")
 
     def __init__(self, seed: int, numerator_bound: int = 120, denominator_bound: int = 8,
-                 max_iterations: int = 1000, score_threshold: int = 1):
-        # operator.index refuses a float or Fraction: the seed, bounds, counts
-        # and scores are integers
-        seed, numerator_bound, denominator_bound, max_iterations, score_threshold = map(
-            operator.index,
-            (seed, numerator_bound, denominator_bound, max_iterations, score_threshold))
+                 max_iterations: int = 1000):
+        # operator.index refuses a float or Fraction: the seed, bounds and
+        # count are integers
+        seed, numerator_bound, denominator_bound, max_iterations = map(
+            operator.index, (seed, numerator_bound, denominator_bound, max_iterations))
         if numerator_bound < 1 or denominator_bound < 1:
             raise ValueError("bounds must be at least 1")
         if 2 * numerator_bound + 1 > _SPAN64 or denominator_bound > _SPAN64:
@@ -132,7 +135,6 @@ class SearchConfig(_SlotRecord):
         self.numerator_bound = numerator_bound
         self.denominator_bound = denominator_bound
         self.max_iterations = max_iterations
-        self.score_threshold = score_threshold
 
 
 class Candidate(NamedTuple):
@@ -230,7 +232,8 @@ def _search5_sample(config: SearchConfig, index: int):
     P * P^t = det^2 * I, so verify's diagonal conditions on the primitive
     matrix are those of P's diagonals against gamma = det^2.  Both diagonals
     come from cayley5_diagonals' closed forms; only a sample passing both
-    conditions forms P in full, and is rescaled and fully verified."""
+    conditions forms P in full, and is rescaled and fully verified.  As det >
+    0, verify must call such a P Euler magic, and each one is a candidate."""
     bound = config.numerator_bound
     # a list: CPython 3.11 parks freed 20-tuples on a free list it never reuses,
     # so a fresh 20-tuple per sample would hold up to 0.4 MiB
@@ -247,10 +250,10 @@ def _search5_sample(config: SearchConfig, index: int):
     p, _ = cayley_integer(d, _skew_rows(5, upper))
     primitive = rescale_primitive(Matrix(5, 5, p))
     report = verify(primitive)
-    if report.is_euler_magic and report.distinct_square_count >= config.score_threshold:
-        params = tuple(Fraction(num, den) for num, den in zip(nums, dens))
-        return _make_candidate(index, params, primitive, report), True, False
-    return None, report.is_euler_magic, False
+    if not report.is_euler_magic:
+        raise RuntimeError("internal error: a sample on both diagonals failed verification")
+    params = tuple(Fraction(num, den) for num, den in zip(nums, dens))
+    return _make_candidate(index, params, primitive, report), True, False
 
 
 def _search5_run_indices(config: SearchConfig, indices: Sequence[int]):
@@ -438,8 +441,7 @@ def search8_seeded(
         center = exact_rationals(center, "center coordinates")
         if len(center) != 2:
             raise ValueError("expected exactly two center coordinates (u, v)")
-    scan = improper_witnesses(left)
-    if scan.properness_obstructed:
+    if improper_witnesses(left):
         raise ValueError("polynomial matrix improper")
     if not entries_distinct(left + partial):
         raise ValueError("polynomial matrix improper after fixing (p, q, r, s, t)")

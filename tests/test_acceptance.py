@@ -10,13 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from eulermagic.cayley import (
-    cayley,
-    inverse_cayley,
-    nonexistence_certificate,
-    sign_diagonal,
-    skew_from_upper,
-)
+from eulermagic.cayley import cayley, inverse_cayley, sign_diagonal, skew_from_upper
+from eulermagic.certificates import nonexistence_certificate
 from eulermagic.cli import _candidate_json, _canonical_json, _summary_json
 from eulermagic.family8 import (
     diag_forms,

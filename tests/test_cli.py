@@ -341,6 +341,26 @@ def test_search5_requires_seed(capsys):
     assert info.value.code == 2
 
 
+def test_search5_has_no_score_threshold(capsys):
+    # every candidate line carries its score, so a reader filters the output
+    with pytest.raises(SystemExit) as info:
+        cli.main(["search5", "--seed", "1", "--score-threshold", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --score-threshold 1" in capsys.readouterr().err
+
+
+def test_search5_internal_error_is_not_a_usage_error(monkeypatch):
+    # a sample on both diagonals has P * P^t = det^2 * I with det > 0, so verify
+    # must call it Euler magic; a sample it rejects is a bug, not a miss
+    real_verify = search.verify
+    monkeypatch.setattr(search, "verify",
+                        lambda m: real_verify(m)._replace(is_euler_magic=False))
+    with pytest.raises(RuntimeError,
+                       match="internal error: a sample on both diagonals failed verification"):
+        cli.main(["search5", "--seed", "5", "--numerator-bound", "1",
+                  "--denominator-bound", "1", "--iterations", "1000"])
+
+
 def test_search8_supplied_solution(capsys):
     code, out, _ = run_cli(
         capsys, "search8", "--left", "0", "1", "1", "1", "1", "1", "-1", "5",

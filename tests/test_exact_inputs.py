@@ -153,6 +153,15 @@ def test_inexact_values_that_are_close_to_exact_ones_are_refused():
         solve_chain(FAMILY_LEFT, {"q": 0.5, "r": -11, "t": -27, "u": -13})
 
 
+def test_matrix_dimensions_are_integers():
+    # a float dimension was accepted and failed later, in verify and str, and
+    # a fractional one was reported as a size mismatch
+    for rows, cols in ((2.0, 2.0), (2.5, 2), (2, Fraction(2))):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Matrix(rows, cols, [[1, 2], [3, 4]])
+    assert Matrix(True, True, [[5]]).rows == 1
+
+
 def test_exact_rationals_keeps_ints_fractions_and_bools():
     values = (3, Fraction(-1, 2), True, False)
     assert exact_rationals(iter(values)) == values

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulermagic import certificates, family8
+from eulermagic import certificates, cli, family8
 from eulermagic.certificates import BOTH_VARS, _w1_residuals, symbolic_diag_forms
 from eulermagic.cli import _family_json
 from eulermagic.family8 import (
@@ -34,7 +34,7 @@ from eulermagic.family8 import (
 from eulermagic.matrices import Matrix, determinant, mat_mul, rescale_primitive
 from eulermagic.octonion import left_matrix, right_matrix
 from eulermagic.poly import MultiPoly, parse_poly
-from eulermagic.search import Xorshift64Star
+from eulermagic.search import SearchConfig, Xorshift64Star
 from eulermagic.verify import verify
 
 from conftest import (
@@ -139,27 +139,22 @@ def test_all_ones_A_factors():
 
 
 def test_all_ones_witnesses():
-    rep = improper_witnesses((1,) * 8)
-    assert rep.polynomial_matrix_proper is True
-    assert rep.properness_obstructed is True
-    assert {w.kind for w in rep.witnesses} == {"factor-of-A"}
-    pairs = {(w.first, w.second) for w in rep.witnesses}
+    witnesses = improper_witnesses((1,) * 8)
+    # obstructed, though no entry pair vanishes identically
+    assert {w.kind for w in witnesses} == {"factor-of-A"}
+    pairs = {(w.first, w.second) for w in witnesses}
     assert ((2, 2), (2, 7)) in pairs
     assert ((3, 3), (3, 6)) in pairs
 
 
 def test_zero_entries_force_identical_squares():
-    rep = improper_witnesses((1, 0, 0, 1, 1, 1, 1, 1))
-    assert rep.polynomial_matrix_proper is False
-    assert rep.properness_obstructed is True
-    assert rep.witnesses[0].kind == "identical-squares"
-    assert not rep.witnesses[0].form.terms
+    witnesses = improper_witnesses((1, 0, 0, 1, 1, 1, 1, 1))
+    assert witnesses[0].kind == "identical-squares"
+    assert not witnesses[0].form.terms
 
 
 def test_family_left_unobstructed():
-    rep = improper_witnesses(FAMILY_LEFT)
-    assert rep.polynomial_matrix_proper is True
-    assert rep.properness_obstructed is False
+    assert improper_witnesses(FAMILY_LEFT) == ()
 
 
 def test_generic_witness_collapses_when_a_h_vanish():
@@ -169,9 +164,9 @@ def test_generic_witness_collapses_when_a_h_vanish():
     form = m.entry(0, 7) - m.entry(7, 0)
     assert str(form) == "-2*a*w - 2*h*p"
     assert not form.substitute("a", 0).substitute("h", 0).terms
-    rep = improper_witnesses((0, 1, 2, 3, 5, 7, 11, 0))
+    witnesses = improper_witnesses((0, 1, 2, 3, 5, 7, 11, 0))
     assert ("identical-squares", (1, 8), (8, 1), "difference") in [
-        (w.kind, w.first, w.second, w.relation) for w in rep.witnesses]
+        (w.kind, w.first, w.second, w.relation) for w in witnesses]
 
 
 def test_w1_check():
@@ -364,9 +359,7 @@ def _assert_family_matches_fraction_product(point):
     result = four_parameter_family(*point)
     x, right, primitive, report = _fraction_family(*map(Fraction, point))
     assert result.x_value == x and result.right == right, point
-    assert (result.q, result.r, result.t, result.u) == tuple(map(Fraction, point))
-    assert all(type(v) is Fraction for v in (result.q, result.r, result.t, result.u,
-                                             result.x_value, *result.right))
+    assert all(type(v) is Fraction for v in (result.x_value, *result.right))
     assert result.primitive.entries == primitive.entries, point
     assert all(type(v) is int for row in result.primitive.entries for v in row)
     assert result.report == report, point
@@ -466,7 +459,16 @@ def test_verified_product_builds_no_fraction(monkeypatch, left, right):
     assert report.is_euler_magic and report == verify(primitive)
     assert "matrix" not in family8.FamilyResult._fields + family8.SolveChainResult._fields
     # no record echoes its left tuple; integer_forms holds the checked, scaled one
-    assert "left" not in family8.WitnessReport._fields + family8.SolveChainResult._fields
+    assert "left" not in family8.SolveChainResult._fields
+    # nor anything else its caller holds: the family's parameters, flags that
+    # follow from the witnesses, or a filter on what a search prints
+    assert family8.FamilyResult._fields == ("x_value", "right", "primitive", "report")
+    assert not hasattr(family8, "WitnessReport")
+    witnesses = family8.improper_witnesses((1,) * 8)
+    assert type(witnesses) is tuple and witnesses
+    assert all(type(w) is family8.Witness for w in witnesses)
+    assert SearchConfig.__slots__ == (
+        "seed", "numerator_bound", "denominator_bound", "max_iterations")
     assert family8.DiagForms._fields == ("A", "B")
     assert family8.integer_forms((Fraction(1, 2), 1, 1, 1, 1, 1, -1, 5)).left == (
         1, 2, 2, 2, 2, 2, -2, 10)
@@ -474,7 +476,8 @@ def test_verified_product_builds_no_fraction(monkeypatch, left, right):
 
 def test_family_json_schema():
     fam = four_parameter_family(-55, -11, -27, -148)
-    payload = _family_json(fam)
+    args = cli._build_parser().parse_args(["family", "-55", "-11", "-27", "-148"])
+    payload = _family_json(args, fam)
     assert payload["X"] == "23088"
     assert payload["params"] == {"q": "-55", "r": "-11", "t": "-27", "u": "-148"}
     assert payload["right"] == ["-7", "-55", "-11", "1", "-27", "-13", "-19", "4"]

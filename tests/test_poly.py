@@ -120,10 +120,12 @@ def test_parse_poly_errors():
         parse_poly("x + q", XY)
 
 
-@pytest.mark.parametrize("text", ["1e5*x", "3*x^-1 + x", "x^", "2*x^ 2", "x^1_0"])
+@pytest.mark.parametrize("text", ["1e5*x", "3*x^-1 + x", "x^", "2*x^ 2", "x^1_0",
+                                  "x y", "2 3", "x - - y", "x ++ y", "+x"])
 def test_parse_poly_rejects_malformed_numbers_and_powers(text):
     # each was once read as a polynomial: 100000*x, x + 3*x^-1 (printed
-    # "x + 3"), x, 2*x + 2 and x^10
+    # "x + 3"), x, 2*x + 2, x^10, x + y, 5, x + y, x + y and x; str writes
+    # only " + " or " - " between terms and at most a "-" before the first
     with pytest.raises(ValueError):
         parse_poly(text, XY)
 

@@ -95,6 +95,9 @@ REFUSALS = {
                                  "dangling sign in 'x +'"),
     "parse_poly zero denominator": (lambda: parse_poly("1/0*x", XY), ValueError,
                                     "zero denominator: '1/0'"),
+    "uniform_int 2^64 + 1 integers": (
+        lambda: search.Xorshift64Star(1).uniform_int(0, 2**64), ValueError,
+        "range exceeds the generator's 2^64 outputs"),
 }
 
 

@@ -140,6 +140,25 @@ def test_prng_refuses_non_integer_bounds_before_any_draw(draw):
         rng.rational(3, Fraction(2))
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.uniform_int(0, 2**64),
+    lambda rng: rng.uniform_int(-2**70, 2**70),
+    lambda rng: rng.uniform_ints([(0, 3), (-2**63, 2**63)]),
+    lambda rng: rng.rational(2**63, 1),
+])
+def test_prng_refuses_a_range_wider_than_its_outputs_before_any_draw(draw):
+    # a draw is lo + (64-bit output) mod span, so a span above 2^64 never
+    # reached its top: 20,000 draws of uniform_int(0, 2**70) all fell below 2^64
+    rng, reference = Xorshift64Star(5), _reference_xorshift64star(5)
+    with pytest.raises(ValueError, match="range exceeds the generator's 2\\^64 outputs"):
+        draw(rng)
+    assert _next_u64(rng) == next(reference)
+    # a span of exactly 2^64 is the widest
+    assert rng.uniform_int(-2**63, 2**63 - 1) == -2**63 + next(reference)
+    assert rng.rational(2**63 - 1, 2**64) == Fraction(
+        -(2**63 - 1) + next(reference) % (2**64 - 1), 1 + next(reference))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 42, -1, 2**64, stream_seed(2**64 - 0x9E3779B97F4A7C15, 0)])
 def test_prng_streams_match_the_reference(seed):
     reference = _reference_xorshift64star(seed)
@@ -170,12 +189,12 @@ def test_search_config_validation():
 def test_search_config_refuses_non_integer_seed_count_and_score():
     # a float seed used to fail later, in stream_seed's mask, and a float
     # iteration count in range(); both are refused at construction now
-    for field in ("seed", "max_iterations", "score_threshold"):
+    for field in ("seed", "max_iterations"):
         for bad in (0.5, 2.5, Fraction(5, 2), Fraction(2)):
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
                 SearchConfig(**{"seed": 1, field: bad})
-    config = SearchConfig(seed=True, max_iterations=True, score_threshold=True)
-    assert (config.seed, config.max_iterations, config.score_threshold) == (1, 1, 1)
+    config = SearchConfig(seed=True, max_iterations=True)
+    assert (config.seed, config.max_iterations) == (1, 1)
     assert type(config.seed) is int
 
 
@@ -194,7 +213,6 @@ def test_search5_repeat_and_worker_determinism():
         numerator_bound=9,
         denominator_bound=4,
         max_iterations=60,
-        score_threshold=1,
     )
     serial1 = search5_cayley(config)
     serial2 = search5_cayley(config)
@@ -328,7 +346,7 @@ def _reference_search5(config):
         near += report.cond_diagonal != report.cond_antidiagonal
         if report.cond_diagonal and report.cond_antidiagonal:
             both_hold.append(primitive)
-        if report.is_euler_magic and report.distinct_square_count >= config.score_threshold:
+        if report.is_euler_magic:
             negated = tuple(tuple(-x for x in row) for row in primitive.entries)
             found.append((-report.distinct_square_count, index,
                           min(primitive.entries, negated), params, report))
@@ -347,20 +365,20 @@ def _reference_search5(config):
     return hits, near, lines, both_hold
 
 
-@pytest.mark.parametrize("numerator_bound, denominator_bound, score_threshold",
-                         [(1, 1, 1), (1, 1, 3), (2, 1, 1), (3, 2, 1), (120, 8, 1)])
-def test_search5_matches_a_full_verify_of_every_sample(numerator_bound, denominator_bound,
-                                                       score_threshold):
+# the ids keep a former third parameter, a score threshold of 1
+@pytest.mark.parametrize("numerator_bound, denominator_bound",
+                         [(1, 1), (2, 1), (3, 2), (120, 8)],
+                         ids=["1-1-1", "2-1-1", "3-2-1", "120-8-1"])
+def test_search5_matches_a_full_verify_of_every_sample(numerator_bound, denominator_bound):
     config = SearchConfig(seed=4, numerator_bound=numerator_bound,
-                          denominator_bound=denominator_bound, max_iterations=1000,
-                          score_threshold=score_threshold)
+                          denominator_bound=denominator_bound, max_iterations=1000)
     hits, near, lines, _ = _reference_search5(config)
     result = search5_cayley(config)
     assert (result.hits, result.near_misses) == (hits, near)
     assert [_canonical_json(_candidate_json(c)) for c in result.candidates] == lines
     if numerator_bound == 1:
-        # hits at bounds 1/1 score 2: emitted at threshold 1, counted only at 3
-        assert hits and bool(lines) == (score_threshold == 1)
+        # hits at bounds 1/1 score 2, and every hit is emitted
+        assert hits and lines
 
 
 def test_search5_verifies_exactly_the_samples_on_both_diagonals(monkeypatch):
