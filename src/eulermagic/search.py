@@ -104,9 +104,9 @@ class Xorshift64Star:
         return self.uniform_ints(((lo, hi),))[0]
 
     def rational(self, numerator_bound: int, denominator_bound: int) -> Fraction:
-        """Numerator uniform in [-N, N], denominator uniform in [1, D], reduced."""
-        num = self.uniform_int(-operator.index(numerator_bound), numerator_bound)
-        den = self.uniform_int(1, denominator_bound)
+        """Numerator uniform in [-N, N], denominator in [1, D], reduced; one checked call."""
+        num, den = self.uniform_ints(((-operator.index(numerator_bound), numerator_bound),
+                                      (1, denominator_bound)))
         return Fraction(num, den)
 
 
@@ -153,7 +153,7 @@ class SearchResult(NamedTuple):
     near_misses: int
     best_score: int
     # 8x8 grid points where A and B both vanish identically in w; not in the JSON summary
-    full_lines: int = 0
+    full_lines: int
 
 
 def _canonical_sign(m: Matrix) -> Matrix:
@@ -189,12 +189,13 @@ def _rank(candidates: Iterable[Candidate]) -> Tuple[Candidate, ...]:
 
 
 def _merge_parts(parts, iterations: int) -> SearchResult:
-    """One result from per-chunk (candidates, hits, near misses, full lines);
-    counts add up in chunk order, so the merge does not depend on workers."""
-    ranked = _rank(c for candidates, _, _, _ in parts for c in candidates)
+    """One result from per-chunk (candidates, near misses, full lines); hits counts every
+    candidate before _rank deduplicates, and chunk-order sums keep it worker-independent."""
+    candidates = [c for part in parts for c in part[0]]
+    ranked, hits = _rank(candidates), len(candidates)
     best = ranked[0].score if ranked else 0
-    return SearchResult(ranked, iterations, sum(p[1] for p in parts),
-                        sum(p[2] for p in parts), best, sum(p[3] for p in parts))
+    return SearchResult(ranked, iterations, hits, sum(p[1] for p in parts), best,
+                        sum(p[2] for p in parts))
 
 
 def _check_workers(workers: int) -> int:
@@ -222,7 +223,7 @@ def _map_chunks(func, args: tuple, items: range, workers: int) -> list:
 # ----------------------------------------------------------------------
 
 def _search5_sample(config: SearchConfig, index: int):
-    """(candidate | None, is_hit, is_near_miss) for one sample index.
+    """(candidate | None, is_near_miss) for one sample index; a hit has a candidate.
 
     The ten skew parameters are drawn as (numerator, denominator) pairs in the
     order of Xorshift64Star.rational, in one _draws pass.  The kernels
@@ -246,26 +247,25 @@ def _search5_sample(config: SearchConfig, index: int):
     det, diagonal, antidiagonal = cayley5_diagonals(d, upper)
     on_diagonal, on_antidiagonal = _squares_sum_to(det * det, diagonal, antidiagonal)
     if not (on_diagonal and on_antidiagonal):
-        return None, False, on_diagonal != on_antidiagonal
+        return None, on_diagonal != on_antidiagonal
     p, _ = cayley_integer(d, _skew_rows(5, upper))
     primitive = rescale_primitive(Matrix(5, 5, p))
     report = verify(primitive)
     if not report.is_euler_magic:
         raise RuntimeError("internal error: a sample on both diagonals failed verification")
     params = tuple(Fraction(num, den) for num, den in zip(nums, dens))
-    return _make_candidate(index, params, primitive, report), True, False
+    return _make_candidate(index, params, primitive, report), False
 
 
 def _search5_run_indices(config: SearchConfig, indices: Sequence[int]):
     candidates: List[Candidate] = []
-    hits = near = 0
+    near = 0
     for i in indices:
-        cand, is_hit, is_near = _search5_sample(config, i)
+        cand, is_near = _search5_sample(config, i)
         if cand is not None:
             candidates.append(cand)
-        hits += is_hit
         near += is_near
-    return candidates, hits, near, 0  # no full lines in the 5x5 search
+    return candidates, near, 0  # no full lines in the 5x5 search
 
 
 def search5_cayley(config: SearchConfig, workers: int = 1) -> SearchResult:
@@ -370,10 +370,10 @@ def _search8_grid_chunk(left, partial, tables, us, vs, first, indices):
     discriminants in w as dv^2 times a binary form in (dv, nv); a point where
     neither form is a square has no rational root of A or B, so it is a miss
     decided with 3 products per form.  Every other point forms its
-    w-coefficients and goes through _point_solve.  Returns (candidates, hits,
-    near misses, full lines)."""
+    w-coefficients and goes through _point_solve.  Returns (candidates, near
+    misses, full lines)."""
     candidates: List[Candidate] = []
-    hits = near_misses = full_lines = 0
+    near_misses = full_lines = 0
     vss = [(dv * dv, nv * dv, nv * nv) for nv, dv in vs]
     row = None
     for n in indices:
@@ -397,8 +397,7 @@ def _search8_grid_chunk(left, partial, tables, us, vs, first, indices):
             if not report.is_euler_magic:
                 raise RuntimeError("internal error: solved point failed verification")
             candidates.append(_make_candidate(first + n, right, primitive, report))
-            hits += 1
-    return candidates, hits, near_misses, full_lines
+    return candidates, near_misses, full_lines
 
 
 def search8_seeded(
@@ -452,7 +451,7 @@ def search8_seeded(
         primitive, report = verified_product(left, right)
         if not report.is_euler_magic:
             raise ValueError("supplied solution does not satisfy the diagonal conditions")
-        parts.append(([_make_candidate(0, right, primitive, report)], 1, 0, 0))
+        parts.append(([_make_candidate(0, right, primitive, report)], 0, 0))
     first = len(parts)  # the grid's first sample index
     points = range(0)
     if height > 0:

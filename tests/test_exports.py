@@ -92,6 +92,7 @@ UNREFERENCED_PUBLIC_API = {
     "poly.MultiPoly.eval": "basic API of the symbolic layer",
     "poly.parse_poly": "role in ROADMAP 4",
     "search.Xorshift64Star.rational": "basic API; perfbench/child.py draws with it",
+    "search.Xorshift64Star.uniform_int": "basic API: one draw; the tests draw with it",
     "verify.magic_square_of_squares": "basic API",
     "verify.MagicSquareReport.all_sums_equal_gamma": "basic API: the magic square's check",
 }
@@ -272,6 +273,20 @@ def test_generator_step_is_written_once():
                 shifts.append((path.name, type(node.op).__name__, node.right.value))
     assert sorted(shifts) == [("search.py", "LShift", 25), ("search.py", "RShift", 12),
                               ("search.py", "RShift", 27)]
+
+
+def test_only_merge_parts_counts_search_hits():
+    # chunks return their candidates, and _merge_parts derives the hit count
+    # from them, so no other function in search.py binds the name hits
+    tree = ast.parse((Path(eulermagic.__file__).parent / "search.py").read_text(encoding="utf-8"))
+    binders = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name) and node.id == "hits" and isinstance(
+                        node.ctx, ast.Store):
+                    binders.add(func.name)
+    assert binders == {"_merge_parts"}
 
 
 def test_package_import_loads_no_dataclasses():

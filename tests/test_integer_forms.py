@@ -414,7 +414,7 @@ def test_grid_chunk_counts_full_lines():
     assert tables == ((), ())
     us, vs = [(1, 2), (0, 1), (-5, 3)], [(3, 4)]
     points = range(3)
-    assert _search8_grid_chunk(left, partial, tables, us, vs, 0, points) == ([], 0, 0, 3)
+    assert _search8_grid_chunk(left, partial, tables, us, vs, 0, points) == ([], 0, 3)
     parts = [_search8_grid_chunk(left, partial, tables, us, vs, 0, points[k::2])
              for k in range(2)]
     merged = _merge_parts(parts, len(points))
@@ -537,7 +537,8 @@ def test_grid_chunk_matches_the_reference_point_by_point(left, partial, u_values
     whole = _search8_grid_chunk(left, partial, tables, us, vs, 7, points)
     candidates, *counts = whole
     assert [(c.sample_index, c.source_params) for c in candidates] == hits
-    assert counts == [len(hits), near_misses, full_lines]
+    assert len(candidates) == len(hits)
+    assert counts == [near_misses, full_lines]
     parts = [_search8_grid_chunk(left, partial, tables, us, vs, 7, points[k::size])
              for k in range(size)]
     assert _merge_parts(parts, len(points)) == _merge_parts([whole], len(points))

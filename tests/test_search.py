@@ -126,6 +126,7 @@ def test_prng_uniform_ints_match_a_reference_xorshift(seed, ranges):
     lambda rng: rng.uniform_ints([(0, 3), (0, "3")]),
     lambda rng: rng.rational(2.5, 2),
     lambda rng: rng.rational(Fraction(3), 2),
+    lambda rng: rng.rational(3, Fraction(2)),
 ])
 def test_prng_refuses_non_integer_bounds_before_any_draw(draw):
     # these used to return floats, or fail inside Fraction
@@ -136,8 +137,6 @@ def test_prng_refuses_non_integer_bounds_before_any_draw(draw):
     # a bool bound is the integer it stands for
     assert rng.uniform_int(False, True) == next(reference) % 2
     assert rng.rational(True, True) == -1 + next(reference) % 3
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-        rng.rational(3, Fraction(2))
 
 
 @pytest.mark.parametrize("draw", [
@@ -145,6 +144,7 @@ def test_prng_refuses_non_integer_bounds_before_any_draw(draw):
     lambda rng: rng.uniform_int(-2**70, 2**70),
     lambda rng: rng.uniform_ints([(0, 3), (-2**63, 2**63)]),
     lambda rng: rng.rational(2**63, 1),
+    lambda rng: rng.rational(1, 2**64 + 1),
 ])
 def test_prng_refuses_a_range_wider_than_its_outputs_before_any_draw(draw):
     # a draw is lo + (64-bit output) mod span, so a span above 2^64 never
@@ -305,8 +305,8 @@ def test_search5_integer_core_reaches_the_fixtures(monkeypatch, k):
         params = [s.entry(i, j) for i in range(5) for j in range(i + 1, 5)]
         draws = [v for x in params for v in (x.numerator, x.denominator)]
         monkeypatch.setattr(search, "Xorshift64Star", lambda seed: _ScriptedDraws(draws))
-        candidate, is_hit, is_near = search._search5_sample(SearchConfig(seed=0), 0)
-        assert (is_hit, is_near) == (True, False)
+        candidate, is_near = search._search5_sample(SearchConfig(seed=0), 0)
+        assert (candidate is not None, is_near) == (True, False)
         assert candidate.matrix.entries in (m.entries, negated)
         assert candidate.source_params == tuple(params)
         assert verify(candidate.matrix).is_euler_magic
@@ -481,6 +481,15 @@ def test_search8_grid_refinds_solution():
     found = [c for c in result.candidates if c.matrix.entries in (target, neg)]
     assert found
     assert result.iterations == len(_bounded_height_offsets(2)) ** 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search8_counts_a_refound_supplied_point_twice(workers):
+    # the supplied point and the grid's centre are one matrix: hits counts both
+    # finds, and the ranked candidates keep one
+    result = search8_seeded(WORKED_LEFT, WORKED_PARTIAL, supplied=WORKED_SOLUTION, height=1,
+                            center=WORKED_SOLUTION[:2], workers=workers)
+    assert (result.iterations, result.hits, len(result.candidates)) == (10, 2, 1)
 
 
 def test_search8_worker_determinism():
