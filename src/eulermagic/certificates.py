@@ -167,22 +167,35 @@ def _w1_factors(a, b, c, d, e, f, g, h):
     return a * h * (gap + 4 * (a * a - h * h)), gap
 
 
+def _p_parts(poly: MultiPoly) -> List[MultiPoly]:
+    """The coefficients of p^0, p^1, ..., p^(degree in p) of poly."""
+    return [poly.coefficient_of("p", i) for i in range(poly.degree_in("p") + 1)]
+
+
+def _p_product_part(u: Sequence[MultiPoly], v: Sequence[MultiPoly], k: int) -> MultiPoly:
+    """The p^k coefficient of a product, from the _p_parts u and v of its
+    factors: the sum over i + j = k of u_i v_j."""
+    return sum((u[i] * v[k - i] for i in range(len(u)) if 0 <= k - i < len(v)),
+               MultiPoly.zero(BOTH_VARS))
+
+
 def _w1_residuals() -> List[MultiPoly]:
     """The 8 polynomials in a..h, over the context (a..h, p..w), that vanish
     exactly when the two elimination coefficient facts hold: the p^3
     coefficient of F, the w-part of its p^2 coefficient, and each q..v part of
     it plus 128 h^2 times its _P2_PATTERN form.  All come from the fully
-    symbolic F.
+    symbolic A and B, without building F = yA - xB: its p^k coefficient is
+    the sum over i + j = k of y_i A_j - x_i B_j, with z_i the p^i coefficient
+    of z, and i and j run over every p-degree, so no term is dropped.
 
     With N = a^2 + ... + h^2 they factor as 32*a*h*(N - 4a^2 - 4h^2), 0, and
     16 times each pivot form times N - 8a^2 (see _w1_factors)."""
     forms = symbolic_diag_forms()
-    x = forms.A.coefficient_of("w", 1)
-    y = forms.B.coefficient_of("w", 1)
-    f = y * forms.A - x * forms.B
-    p2 = f.coefficient_of("p", 2)
+    xs, ys, a_parts, b_parts = map(_p_parts, (
+        forms.A.coefficient_of("w", 1), forms.B.coefficient_of("w", 1), forms.A, forms.B))
+    p3, p2 = (_p_product_part(ys, a_parts, k) - _p_product_part(xs, b_parts, k) for k in (3, 2))
     symbols = MultiPoly.variables_of(BOTH_VARS)
-    return [f.coefficient_of("p", 3), p2.coefficient_of("w", 1)] + [
+    return [p3, p2.coefficient_of("w", 1)] + [
         p2.coefficient_of(name, 1) + 128 * symbols[7] * symbols[7] * pivot
         for name, pivot in _pivot_forms(symbols).items()]
 

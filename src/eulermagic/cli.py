@@ -21,7 +21,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .certificates import nonexistence_certificate
 from .family8 import diag_forms, eliminate_w, four_parameter_family, w1_check
@@ -39,7 +39,7 @@ from .verify import verify
 __all__ = ["main"]
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str) -> Union[int, Fraction]:
     try:
         return parse_rational(text)
     except ValueError as exc:  # parse_rational's message, which echoes no overlong token

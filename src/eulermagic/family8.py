@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, isqrt
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -317,8 +317,8 @@ class _W1Tuples:
         return self._len
 
     def __iter__(self):
-        for prefix, tails in self._blocks:
-            yield from map(prefix.__add__, tails)
+        # no generator frame is resumed per tuple, only once per block
+        return chain.from_iterable(map(prefix.__add__, tails) for prefix, tails in self._blocks)
 
 
 def enumerate_w1(a_max: int) -> _W1Tuples:

@@ -7,17 +7,18 @@ multiply matrices of other exact ring elements.  Nothing here ever rounds.
 The plain-text interchange format is one row per line with whitespace
 separated entries written as "p/q" or "p", read entry by entry through
 parse_rational, which also takes decimals such as "-.5" but no exponent
-notation.  It is the one format this module reads and writes; the command's
-JSON forms are rendered in cli.
+notation, and returns an int for every integer value.  It is the one format
+this module reads and writes; the command's JSON forms are rendered in cli.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import index, mul
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple, Union
 
 __all__ = [
     "Matrix",
@@ -136,6 +137,8 @@ def exact_rationals(values: Iterable[object], what: str = "values") -> tuple:
     would decide an exact question inexactly, and a str is no number.  bool
     passes, as an int whose values are exactly 0 and 1."""
     values = tuple(values)
+    if set(map(type, values)) <= {int, Fraction}:
+        return values  # plain ints and Fractions: nothing to check one by one
     for x in values:
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"{what} must be exact rationals (int or Fraction), "
@@ -239,12 +242,13 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 def rescale_primitive(a: Matrix) -> Matrix:
     """The positive rescaling of a rational matrix to integer entries with gcd 1."""
-    _, ints = clear_denominators([x for r in a.entries for x in r])
+    _, ints = clear_denominators(chain.from_iterable(a.entries))
     g = gcd(*ints)
     if g == 0:
         raise ValueError("cannot rescale the zero matrix")
-    return Matrix(a.rows, a.cols, tuple(tuple(x // g for x in ints[i:i + a.cols])
-                                        for i in range(0, len(ints), a.cols)))
+    if g != 1:
+        ints = [x // g for x in ints]
+    return Matrix(a.rows, a.cols, [ints[i:i + a.cols] for i in range(0, len(ints), a.cols)])
 
 
 # ----------------------------------------------------------------------
@@ -259,20 +263,24 @@ _DIGIT_RUN = re.compile(r"\d+")
 _MAX_DIGITS = 4300
 
 
-def parse_rational(text: str) -> Fraction:
-    """The rational written as text.  Anything else, exponent notation
-    included, is a ValueError before Fraction sees it: Fraction("1e100000000")
-    would build 10^100000000.  So is a run of more than _MAX_DIGITS digits,
-    whose conversion takes time quadratic in its length.  So is a zero
+def parse_rational(text: str) -> Union[int, Fraction]:
+    """The rational written as text: an int when its value is an integer, as
+    for "-007", "14/2" or "3.0", and a Fraction otherwise, as for "1/2" or
+    "-.5", so integral matrices and command-line values stay in int
+    arithmetic.  Anything else, exponent notation included, is a ValueError
+    before Fraction sees it: Fraction("1e100000000") would build
+    10^100000000.  So is a run of more than _MAX_DIGITS digits, whose
+    conversion takes time quadratic in its length.  So is a zero
     denominator."""
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a rational number: {text!r}")
     if max(map(len, _DIGIT_RUN.findall(text))) > _MAX_DIGITS:
         raise ValueError(f"a number with more than {_MAX_DIGITS} digits")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
+    return value.numerator if value.denominator == 1 else value
 
 
 def _format_entry(x) -> str:

@@ -16,6 +16,7 @@ verify returns the report as a record; cli renders its text and JSON forms.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import mul
@@ -81,13 +82,15 @@ def _row_condition(rows: Sequence[Sequence[object]]) -> Tuple[object, bool]:
     and that distinct rows are orthogonal.  Floats would decide it inexactly,
     so an entry that is not one of the exact_rationals is a TypeError."""
     exact_rationals(chain.from_iterable(rows), "matrix entries")
-    return _exact_row_condition(rows)
+    return _exact_row_condition(rows, [tuple(map(mul, row, row)) for row in rows])
 
 
-def _exact_row_condition(rows: Sequence[Sequence[object]]) -> Tuple[object, bool]:
-    """_row_condition on rows already checked to be exact_rationals."""
-    gamma = sum(x * x for x in rows[0])
-    return gamma, all(sum(x * x for x in row) == gamma for row in rows) and all(
+def _exact_row_condition(rows: Sequence[Sequence[object]],
+                         squares: Sequence[Sequence[object]]) -> Tuple[object, bool]:
+    """_row_condition on rows already checked to be exact_rationals, given
+    the squares of their entries."""
+    gamma = sum(squares[0])
+    return gamma, all(sum(row) == gamma for row in squares) and all(
         sum(map(mul, u, v)) == 0 for u, v in combinations(rows, 2))
 
 
@@ -103,23 +106,26 @@ def verify(m: Matrix) -> VerifyReport:
     n = m.rows
     rows = m.entries
     exact_rationals(chain.from_iterable(rows), "matrix entries")
-    squares = tuple(tuple(x * x for x in row) for row in rows)
+    squares = tuple(tuple(map(mul, row, row)) for row in rows)
     # Fraction(k) and k hash and compare equal, so int and Fraction squares share keys
-    distinct = len(set(chain.from_iterable(squares)))
+    counts = Counter(chain.from_iterable(squares))
+    distinct = len(counts)
     pairs: List[Tuple[Position, Position]] = []
-    if distinct < n * n:  # index the positions only when some squares repeat
-        by_value: Dict[object, List[Position]] = {}
-        for i, row in enumerate(squares, 1):
-            for j, square in enumerate(row, 1):
-                by_value.setdefault(square, []).append((i, j))
-        count = sum(len(positions) * (len(positions) - 1) // 2 for positions in by_value.values())
+    if distinct < n * n:  # index the positions of the repeated squares only
+        count = sum(k * (k - 1) // 2 for k in counts.values())
         if count > MAX_DUPLICATE_PAIRS:
             raise ValueError(f"{count} pairs of equal entry squares; "
                              f"a report lists at most {MAX_DUPLICATE_PAIRS}")
+        by_value: Dict[object, List[Position]] = {
+            square: [] for square, k in counts.items() if k > 1}
+        for i, row in enumerate(squares, 1):
+            for j, square in enumerate(row, 1):
+                if square in by_value:
+                    by_value[square].append((i, j))
         pairs = sorted(pair for positions in by_value.values()
                        for pair in combinations(positions, 2))
 
-    gamma, cond_orthogonal = _exact_row_condition(rows)
+    gamma, cond_orthogonal = _exact_row_condition(rows, squares)
     cond_diagonal, cond_antidiagonal = _squares_sum_to(
         gamma, [rows[i][i] for i in range(n)], [rows[i][n - 1 - i] for i in range(n)])
     is_euler_magic = cond_orthogonal and cond_diagonal and cond_antidiagonal and gamma != 0

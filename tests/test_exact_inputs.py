@@ -169,6 +169,36 @@ def test_exact_rationals_keeps_ints_fractions_and_bools():
         exact_rationals((1, 2.0), "left coefficients")
 
 
+def test_exact_rationals_checks_one_by_one_only_off_the_plain_types(monkeypatch):
+    """Plain ints and Fractions, such as every entry certify verifies, pass
+    exact_rationals without one isinstance per value.  Bools and other int
+    subclasses still pass through that check, and a str is still refused
+    with the same message."""
+    calls = []
+
+    def counting(value, types):
+        calls.append(value)
+        return isinstance(value, types)
+
+    monkeypatch.setattr(matrices, "isinstance", counting, raising=False)
+    plain = (3, Fraction(-1, 2), 0, 2 ** 70)
+    assert exact_rationals(iter(plain)) == plain
+    assert verify(four_parameter_family(-55, -11, -27, -148).primitive).is_proper
+    assert calls == []
+
+    class Int(int):
+        pass
+
+    for values in ((True, False, 3), (Int(5), Fraction(1, 3))):
+        calls.clear()
+        assert exact_rationals(iter(values)) == values
+        assert calls == list(values)
+    with pytest.raises(TypeError, match=r"^matrix entries must be exact rationals "
+                                        r"\(int or Fraction\), got str '3'$"):
+        exact_rationals((1, "3"), "matrix entries")
+    assert calls[-2:] == [1, "3"]
+
+
 def test_plain_ints_skip_the_exactness_guards(monkeypatch):
     """check and clear_denominators take plain ints without operator.index or
     exact_rationals, the guards that cost more than certify's arithmetic.  A

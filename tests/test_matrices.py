@@ -174,6 +174,18 @@ def test_parse_rational_reads_the_documented_forms(text, value):
     assert parse_rational(text) == value
 
 
+@pytest.mark.parametrize("text, value", [
+    ("7", 7), ("-007", -7), ("14/2", 7), ("3.0", 3),
+    ("1/2", Fraction(1, 2)), ("-.5", Fraction(-1, 2)),
+])
+def test_parse_rational_reads_integer_values_as_ints(text, value):
+    # an integer value comes back as an int, so integral matrices stay in int arithmetic
+    parsed = parse_rational(text)
+    assert parsed == value and type(parsed) is type(value)
+    rows = parse_matrix_text(f"{text} 1\n").entries
+    assert [type(x) for x in rows[0]] == [type(value), int]
+
+
 @pytest.mark.parametrize("text", [
     "1e100000000", "1E5", "2.5e-3", "1_000", "inf", "nan", "1/2/3", "1/.5", "3.",
     " 3", "+", "", "--1",

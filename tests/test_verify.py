@@ -279,6 +279,42 @@ def test_verify_matches_reference_on_ints_and_fractions(m):
         assert _report_json(report) == _report_json(expected)
 
 
+# small entries repeat their squares often: sign flips, zeros, and 1/2 against -1/2
+_repeating_inputs = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(-3, 3), st.sampled_from((Fraction(1, 2), Fraction(-1, 2)))),
+             min_size=n, max_size=n), min_size=n, max_size=n,
+).map(Matrix.from_rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_repeating_inputs)
+@example(perm_matrix(construction_permutation(4)))
+@example(load_fixture("five5_1.txt"))
+@example(load_fixture("family8.txt"))
+def test_verify_reads_ints_as_the_equal_fractions(m):
+    """verify on a matrix and on the same matrix with every entry a Fraction
+    gives equal reports: gamma by value, the same duplicate pairs in the same
+    order, and the same squares.  With MAX_DUPLICATE_PAIRS set to the pair
+    count both are accepted, and one below it both are refused."""
+    fractions = _as_fractions(m)
+    report, fraction_report = verify(m), verify(fractions)
+    assert report.gamma == fraction_report.gamma
+    assert report.duplicate_pairs == fraction_report.duplicate_pairs
+    assert report.squares_matrix == fraction_report.squares_matrix
+    assert report == fraction_report
+    pairs = len(report.duplicate_pairs)
+    with pytest.MonkeyPatch.context() as patch:
+        module = importlib.import_module("eulermagic.verify")
+        patch.setattr(module, "MAX_DUPLICATE_PAIRS", pairs)
+        assert verify(m) == verify(fractions) == report
+        if pairs:
+            patch.setattr(module, "MAX_DUPLICATE_PAIRS", pairs - 1)
+            for variant in (m, fractions):
+                with pytest.raises(ValueError, match=f"^{pairs} pairs of equal entry squares; "
+                                                     f"a report lists at most {pairs - 1}$"):
+                    verify(variant)
+
+
 def test_verify_matches_reference_on_rationals():
     m = Matrix.from_rows([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(2, 3), Fraction(1, 2)]])
     assert verify(m) == _reference_verify(m)
