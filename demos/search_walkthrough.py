@@ -7,6 +7,8 @@ from fractions import Fraction
 
 from eulermagic import (
     FAMILY_LEFT,
+    RIGHT_VARS,
+    MultiPoly,
     SearchConfig,
     diag_forms,
     eliminate_w,
@@ -17,19 +19,27 @@ from eulermagic import (
 )
 
 
+def linear_form(vec):
+    """An integer vector over p..w as the linear polynomial it holds."""
+    return MultiPoly(RIGHT_VARS, {tuple(int(k == i) for k in range(8)): c
+                                  for i, c in enumerate(vec)})
+
+
 def main() -> None:
     print("== why some left tuples can never work ==")
     for w in improper_witnesses((1,) * 8):
-        print(f"  all-ones witness: m{w.first} {w.relation} m{w.second} = {w.form}")
+        print(f"  all-ones witness: m{w.first} {w.relation} m{w.second} = "
+              f"{linear_form(w.form)}")
     print("  -> A factors through those forms, so Euler magic forces a collision")
 
     print()
     print("== the degree-one restriction and the solve chain ==")
-    forms = diag_forms(FAMILY_LEFT)
+    # term tables hold (*exponents over p..w, coefficient): w's exponent is term[-2]
+    a_table, b_table = diag_forms(FAMILY_LEFT)
     print("left", FAMILY_LEFT, "gives w-degrees",
-          forms.A.degree_in("w"), "and", forms.B.degree_in("w"))
-    f_poly, x, y = eliminate_w(forms)
-    print("eliminated cubic has p-degree", f_poly.degree_in("p"))
+          max(term[-2] for term in a_table), "and", max(term[-2] for term in b_table))
+    f_table = eliminate_w((a_table, b_table))[0]
+    print("eliminated cubic has p-degree", max(term[0] for term in f_table))
     result = solve_chain(FAMILY_LEFT, {"q": -55, "r": -11, "t": -27, "u": -13})
     print("chain solved", result.solved_for, "->",
           tuple(str(v) for v in result.right))

@@ -180,8 +180,11 @@ def sign_diagonal(m: Matrix) -> Matrix:
 
     Candidates are scanned in a fixed, reproducible order: all +1 first, then
     graded by the number of -1 entries, lexicographically by the positions of
-    the -1 entries within each grade.  For orthogonal M a valid D always
-    exists; exhausting the scan signals a pathological input.
+    the -1 entries within each grade.  Every square M has such a D, as
+    det(M + D) = det D * det(I + DM), and det(I + DM) = sum over index sets T
+    of prod_{i in T} d_i * det M[T, T] sums to 2^n over all 2^n sign diagonals
+    (every T but the empty one cancels).  The scan may still need every
+    candidate (for -I it ends at D = -I), hence the cap on n.
     """
     if not m.is_square():
         raise ValueError("input must be square")
@@ -196,7 +199,7 @@ def sign_diagonal(m: Matrix) -> Matrix:
             ))
             if determinant(mat_add(m, d)) != 0:
                 return d
-    raise ValueError("no sign diagonal found; input cannot be orthogonal")
+    raise RuntimeError("internal error: no sign diagonal found, against the sign-sum lemma")
 
 
 def ortho_reduce(m: Matrix):

@@ -32,7 +32,9 @@ from .matrices import (
     parse_matrix_text,
     parse_rational,
 )
+from .octonion import RIGHT_VARS
 from .permutations import MAX_PERM_SIZE, construction_permutation, perm_matrix
+from .poly import MultiPoly
 from .search import MAX_HEIGHT, SearchConfig, search5_cayley, search8_seeded
 from .verify import verify
 
@@ -278,17 +280,22 @@ def _cmd_search8(args) -> int:
     return 0
 
 
+def _poly_text(table) -> str:
+    """A term table over p..w, terms (*exponents, c), as str(MultiPoly) writes it."""
+    return str(MultiPoly(RIGHT_VARS, {term[:-1]: term[-1] for term in table}))
+
+
 def _cmd_forms(args) -> int:
-    forms = diag_forms(args.left)
+    tables = diag_forms(args.left)
     payload = {
         "left": list(args.left),
-        "A": str(forms.A),
-        "B": str(forms.B),
+        "A": _poly_text(tables[0]),
+        "B": _poly_text(tables[1]),
         "degree_one_restriction": w1_check(args.left),
     }
     if payload["degree_one_restriction"]:
-        f, x, y = eliminate_w(forms)
-        payload.update(x=str(x), y=str(y), F=str(f))
+        f, x, y = eliminate_w(tables)
+        payload.update(x=_poly_text(x), y=_poly_text(y), F=_poly_text(f))
     _show(args, payload, "\n".join(
         f"{key}: {payload[key]}" for key in ("A", "B", "x", "y", "F") if key in payload))
     return 0

@@ -18,7 +18,8 @@ its witnesses, none when it finds no obstruction, and the family returns X,
 the right tuple and the verified matrix, not the parameters it was given.
 
 The 16-variable forms and the proof that the coefficients of F factor are
-in certificates; the chain and the w1 checker evaluate the factors.
+in certificates; the chain and the w1 checker evaluate the factors.  Here
+every form is integer: a vector over p..w, a Gram matrix or a term Table.
 """
 
 from __future__ import annotations
@@ -29,17 +30,9 @@ from itertools import chain, combinations
 from math import gcd, isqrt
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .certificates import DiagForms, _pivot_forms, _w1_factors, w1_factorisation_line
+from .certificates import _pivot_forms, _w1_factors, w1_factorisation_line
 from .matrices import Matrix, clear_denominators, exact_rationals, mat_mul, rescale_primitive
-from .octonion import (
-    RIGHT_VARS,
-    _check_params,
-    _entry_vectors,
-    left_matrix,
-    right_matrix,
-    sum_of_squares,
-)
-from .poly import MultiPoly
+from .octonion import _check_params, _entry_vectors, left_matrix, right_matrix, sum_of_squares
 from .verify import VerifyReport, verify
 
 __all__ = [
@@ -63,14 +56,11 @@ __all__ = [
 
 FAMILY_LEFT: Tuple[int, ...] = (2, 1, 1, 4, 2, 1, 1, -2)
 
-def diag_forms(left: Sequence[object]) -> DiagForms:
-    """The quadratic forms A and B in (p..w) for a fixed numeric left tuple,
-    read off _specialised_terms with all of p..w free."""
-    forms = integer_forms(left)
-    square = forms.scale ** 2
-    a_form, b_form = (MultiPoly(RIGHT_VARS, {t[:-1]: Fraction(t[-1], square) for t in table})
-                      for table in _specialised_terms(forms, (None,) * 8))
-    return DiagForms(A=a_form, B=b_form)
+def diag_forms(left: Sequence[object]) -> Tuple[Table, Table]:
+    """The term tables of A and B over (p..w) for a fixed numeric left tuple:
+    _specialised_terms with all of p..w free, which is A and B times scale^2,
+    so exactly A and B for an integer tuple."""
+    return _specialised_terms(integer_forms(left), (None,) * 8)
 
 
 # ----------------------------------------------------------------------
@@ -78,6 +68,7 @@ def diag_forms(left: Sequence[object]) -> DiagForms:
 # ----------------------------------------------------------------------
 
 Vector = Tuple[int, ...]
+Table = Tuple[Vector, ...]  # terms (*exponents, c), each c times its monomial
 
 
 def _sign_key(vec: Sequence[int]) -> Vector:
@@ -139,7 +130,7 @@ def integer_forms(left: Sequence[object]) -> IntegerForms:
     return IntegerForms(scale, tuple(ileft), tuple(entries), gram_a, gram_b)
 
 
-def _specialised_terms(forms: IntegerForms, right: Sequence[object]):
+def _specialised_terms(forms: IntegerForms, right: Sequence[object]) -> Tuple[Table, Table]:
     """A and B with some of p..w fixed, times a positive constant, as integer
     terms (*exponents of the free variables, c) meaning c times that monomial.
 
@@ -187,17 +178,14 @@ Position = Tuple[int, int]  # 1-based
 
 
 class Witness(NamedTuple):
+    """Two entries whose difference or sum (relation) is form: scale times
+    its coefficients over (p..w), as ints, all 0 for identical-squares."""
+
     kind: str  # "identical-squares" or "factor-of-A"
     first: Position
     second: Position
     relation: str  # "difference" or "sum"
-    form: MultiPoly
-
-
-def _linear_poly(vec: Vector, scale: int) -> MultiPoly:
-    """The linear form vec / scale over (p..w)."""
-    return MultiPoly(RIGHT_VARS, {tuple(int(k == i) for k in range(8)): Fraction(c, scale)
-                                  for i, c in enumerate(vec) if c})
+    form: Vector
 
 
 def _line_key(vec: Sequence[int]) -> Vector:
@@ -273,7 +261,7 @@ def improper_witnesses(left: Sequence[object]) -> Tuple[Witness, ...]:
     forms = integer_forms(left)
     if not entries_distinct(forms.left):
         return tuple(
-            Witness("identical-squares", pos1, pos2, relation, MultiPoly.zero(RIGHT_VARS))
+            Witness("identical-squares", pos1, pos2, relation, vec)
             for pos1, pos2, relation, vec in _pair_vectors(forms.entries) if not any(vec))
 
     lines = _linear_factors(forms.gram_a)
@@ -283,8 +271,7 @@ def improper_witnesses(left: Sequence[object]) -> Tuple[Witness, ...]:
     for pos1, pos2, relation, vec in _pair_vectors(forms.entries):
         key = _line_key(vec)
         if key in lines and key not in first:
-            first[key] = Witness("factor-of-A", pos1, pos2, relation,
-                                 _linear_poly(vec, forms.scale))
+            first[key] = Witness("factor-of-A", pos1, pos2, relation, vec)
     return tuple(first.values()) if len(first) == 2 else ()
 
 
@@ -371,25 +358,30 @@ def enumerate_w1(a_max: int) -> _W1Tuples:
 # elimination and the solve chain
 # ----------------------------------------------------------------------
 
-def eliminate_w(forms: DiagForms) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """F = yA - xB where x, y are the w-coefficients of A and B.
+def eliminate_w(tables: Sequence[Table]) -> Tuple[Table, Table, Table]:
+    """(F, x, y) for F = yA - xB, x and y the w-coefficients of A and B, from
+    tables = (A, B), whose last exponent is w's; all three keep that arity.
 
-    Requires w-degree <= 1 in both forms; F is then a cubic in p..v with
-    p-degree <= 2 (asserted).  The w^2 coefficients of A and B are 8(h^2 - a^2)
-    and 6a^2 + 6h^2 - 2(b^2 + ... + g^2), so passing forms come from the
-    restriction, where the p^3 coefficient vanishes, or from left = 0, where F = 0.
+    Requires w-degree <= 1 in both forms, so F has no w-term; F is then a
+    cubic with p-degree (the first exponent) <= 2 (asserted).  The w^2
+    coefficients of A and B are 8(h^2 - a^2) and 6a^2 + 6h^2 - 2(b^2 + ... + g^2),
+    so passing forms come from the restriction, where the p^3 coefficient
+    vanishes, or from left = 0, where F = 0.
     """
-    a_form, b_form = forms.A, forms.B
-    if a_form.degree_in("w") > 1 or b_form.degree_in("w") > 1:
+    if any(term[-2] > 1 for table in tables for term in table):
         raise ValueError("w-degree exceeds 1; elimination needs the degree-one restriction")
-    x = a_form.coefficient_of("w", 1)
-    y = b_form.coefficient_of("w", 1)
-    f = y * a_form - x * b_form
-    if f.degree_in("w") > 0:
-        raise RuntimeError("internal error: elimination left a w term")
-    if f.degree_in("p") > 2:
+    # each form's w^0 and w^1 parts: exponents without w -> c
+    (a0, x), (b0, y) = ([{term[:-2]: term[-1] for term in table if term[-2] == k} for k in (0, 1)]
+                        for table in tables)
+    f: Dict[Vector, int] = {}
+    for coeff, form, sign in ((y, a0, 1), (x, b0, -1)):  # the w-terms cancel
+        for e1, c1 in coeff.items():
+            for e2, c2 in form.items():
+                exps = tuple(map(operator.add, e1, e2))
+                f[exps] = f.get(exps, 0) + sign * c1 * c2
+    if any(c and exps[0] > 2 for exps, c in f.items()):
         raise RuntimeError("internal error: p^3 coefficient did not vanish under the restriction")
-    return f, x, y
+    return tuple(tuple((*exps, 0, c) for exps, c in part.items() if c) for part in (f, x, y))
 
 
 _SOLVABLE = ("q", "r", "s", "t", "u", "v")
@@ -416,9 +408,10 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
     Each q..v part of the p^2 coefficient of F is (16 (N - 8a^2) - 128 h^2)
     times its _P2_PATTERN pivot, N = a^2 + ... + h^2, an identity
     certificates.w1_factorisation_line proves; N = 8a^2 under the restriction, so step 1 reads the
-    pivots.  Steps 2 and 3 run on _specialised_terms of integer_forms(left)
-    with p and w free; every step reads its checked ints, forms.left, as the
-    restriction, the pivot ratio and the primitive matrix are unchanged by scaling.
+    pivots.  Step 2 reads p off eliminate_w of _specialised_terms of
+    integer_forms(left) with p and w free, and step 3 reads w off A with only
+    w free; every step reads its checked ints, forms.left, as the restriction,
+    the pivot ratio and the primitive matrix are unchanged by scaling.
     """
     forms = integer_forms(left)
     values = dict(zip(free, map(Fraction, exact_rationals(free.values(), "free values"))))
@@ -446,26 +439,18 @@ def solve_chain(left: Sequence[object], free: Mapping[str, object]) -> SolveChai
     values[solve_var] = -sum(pivots[name] * values[name] for name in _SOLVABLE
                              if name != solve_var) / pivots[solve_var]
     fixed = tuple(values[name] for name in _SOLVABLE)
-    # A = a(p) + x(p) w and B = b(p) + y(p) w, as coefficient lists in p
-    (a, x), (b, y) = parts = ([[0] * 3, [0] * 3], [[0] * 3, [0] * 3])
-    for part, terms in zip(parts, _specialised_terms(forms, (None, *fixed, None))):
-        for i, k, c in terms:
-            if k > 1:
-                raise RuntimeError("internal error: w^2 term under the restriction")
-            part[k][i] = c
-    f = [0] * 5  # F = y a - x b
-    for i in range(3):
-        for j in range(3):
-            f[i + j] += y[i] * a[j] - x[i] * b[j]
-    if any(f[2:]):
+    f = [0] * 3  # F = f0 + f1 p + f2 p^2, over the terms (p, 0, c)
+    for i, _, c in eliminate_w(_specialised_terms(forms, (None, *fixed, None)))[0]:
+        f[i] = c
+    if f[2]:
         raise RuntimeError("internal error: step 2 is not linear in p")
     if f[1] == 0:
         return failure("step 2: p-coefficient zero")
     p = Fraction(-f[0], f[1])
-    lead = x[0] + x[1] * p  # A is quadratic, so x(p) is at most linear
-    if lead == 0:
+    a = dict(_specialised_terms(forms, (p, *fixed, None))[0])  # A = a0 + a1 w
+    if not a.get(1):
         return failure("step 3: w-coefficient zero")
-    right = (p, *fixed, -(a[0] + a[1] * p + a[2] * p * p) / lead)
+    right = (p, *fixed, Fraction(-a.get(0, 0), a[1]))
     if any(_specialised_terms(forms, right)):
         raise RuntimeError("internal error: back-check of A = B = 0 failed")
 

@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from eulermagic.cayley import _skew_rows, cayley_integer
+from eulermagic.certificates import DiagForms
+from eulermagic.family8 import diag_forms
 from eulermagic.matrices import Matrix, mat_mul, parse_matrix_text
 from eulermagic.octonion import LEFT_VARS, RIGHT_VARS, left_matrix, right_matrix
 from eulermagic.poly import MultiPoly
@@ -43,6 +46,24 @@ def multipoly_product(left=None) -> Matrix:
     else:
         symbols = MultiPoly.variables_of(RIGHT_VARS)
     return mat_mul(left_matrix(left), right_matrix(symbols[-8:]))
+
+
+def table_poly(table, divisor=1) -> MultiPoly:
+    """A term table over p..w, terms (*exponents, c) meaning c times that
+    monomial, as the MultiPoly it holds, divided by divisor."""
+    return MultiPoly(RIGHT_VARS, {term[:-1]: Fraction(term[-1], divisor) for term in table})
+
+
+def left_scale(left) -> int:
+    """The lcm of the denominators of a left tuple: family8 scales by it."""
+    return lcm(*(Fraction(x).denominator for x in left))
+
+
+def diag_form_polys(left) -> DiagForms:
+    """A and B themselves as MultiPolys over p..w: the tables of
+    diag_forms(left) hold them times left_scale(left)^2, so each is divided
+    by that square."""
+    return DiagForms(*(table_poly(table, left_scale(left) ** 2) for table in diag_forms(left)))
 
 
 def quadratic_coeff_table(poly: MultiPoly):

@@ -13,12 +13,7 @@ import pytest
 from eulermagic.cayley import cayley, inverse_cayley, sign_diagonal, skew_from_upper
 from eulermagic.certificates import nonexistence_certificate
 from eulermagic.cli import _candidate_json, _canonical_json, _summary_json
-from eulermagic.family8 import (
-    diag_forms,
-    enumerate_w1,
-    four_parameter_family,
-    w1_coefficient_checker,
-)
+from eulermagic.family8 import enumerate_w1, four_parameter_family, w1_coefficient_checker
 from eulermagic.matrices import (
     determinant,
     identity,
@@ -38,7 +33,7 @@ from eulermagic.search import (
 )
 from eulermagic.verify import magic_square_of_squares, verify
 
-from conftest import load_fixture, quadratic_coeff_table, quadratic_form_coeffs
+from conftest import diag_form_polys, load_fixture, quadratic_coeff_table, quadratic_form_coeffs
 
 
 def test_criterion_01_four_by_four_showcase():
@@ -120,7 +115,7 @@ def test_criterion_06_diag_forms_match_blackbox_oracle():
     rng = Xorshift64Star(606)
     for _ in range(50):
         left = tuple(rng.uniform_int(-9, 9) for _ in range(8))
-        forms = diag_forms(left)
+        forms = diag_form_polys(left)
         for poly in (forms.A, forms.B):
             def blackbox(values, poly=poly):
                 return poly.eval(dict(zip(RIGHT_VARS, values)))

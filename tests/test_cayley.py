@@ -1,6 +1,7 @@
 """Unit tests for the Cayley parametrization and the 3x3 nonexistence certificate."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,45 @@ def test_sign_diagonal_fixes_excluded_orthogonals():
         assert all(d.entry(i, i) in (1, -1) for i in range(3))
         assert all(d.entry(i, j) == 0 for i in range(3) for j in range(3) if i != j)
         assert determinant(mat_add(m, d)) != 0
+
+
+def test_sign_diagonal_of_minus_identity_is_the_last_candidate():
+    # -I + D is invertible only for D = -I, which the scan reaches last
+    for n in range(1, 7):
+        minus = mat_scale(-1, identity(n))
+        assert sign_diagonal(minus) == minus
+
+
+def _is_sign_diagonal(d, n):
+    return all(d.entry(i, j) in ((1, -1) if i == j else (0,))
+               for i in range(n) for j in range(n))
+
+
+def test_sign_diagonal_exists_for_every_square_matrix():
+    """det(M + D) = det D * det(I + DM), and det(I + DM) sums to 2^n over the
+    2^n sign diagonals D, so the scan finds a D for any square M; here 300
+    random integer matrices with n = 1..6, half of them singular."""
+    rng = random.Random(1313)
+    singular = 0
+    for k in range(300):
+        n = k % 6 + 1
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if k % 2:  # the last row a multiple of the first (zero when n = 1)
+            factor = rng.randint(-2, 2) if n > 1 else 0
+            rows[-1] = [factor * x for x in rows[0]]
+        m = Matrix.from_rows(rows)
+        singular += determinant(m) == 0
+        d = sign_diagonal(m)
+        assert _is_sign_diagonal(d, n), rows
+        assert determinant(mat_add(m, d)) != 0, rows
+    assert singular >= 150
+
+
+def test_sign_diagonal_exhausted_is_an_internal_error(monkeypatch):
+    # unreachable by the lemma, so not a bad-input ValueError
+    monkeypatch.setattr(sys.modules["eulermagic.cayley"], "determinant", lambda m: 0)
+    with pytest.raises(RuntimeError, match="internal error"):
+        sign_diagonal(identity(3))
 
 
 def test_cayley3_forms_shape():

@@ -202,11 +202,13 @@ def _imported_modules(tree):
 
 def test_proofs_have_one_home():
     # certificates.py alone builds the symbolic forms and proves identities
-    # about them, and it imports none of the modules that call it
+    # about them, and it imports none of the modules that call it; among the
+    # library modules only it imports poly (the numeric layers run on
+    # integers), while cli imports it to render and __init__ to republish it
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(eulermagic.__file__).parent.glob("*.py"))}
-    assert [stem for stem in ("cayley", "search", "octonion")
-            if "poly" in _imported_modules(trees[stem])] == []
+    assert {stem for stem, tree in trees.items() if "poly" in _imported_modules(tree)} <= {
+        "__init__", "certificates", "cli"}
     defined = []
     for stem, tree in trees.items():
         for node in tree.body:

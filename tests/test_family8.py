@@ -39,15 +39,18 @@ from eulermagic.family8 import (
     w1_coefficient_checker,
 )
 from eulermagic.matrices import Matrix, determinant, mat_mul, rescale_primitive
-from eulermagic.octonion import left_matrix, right_matrix
+from eulermagic.octonion import LEFT_VARS, left_matrix, right_matrix
 from eulermagic.poly import MultiPoly, parse_poly
 from eulermagic.search import SearchConfig, Xorshift64Star
 from eulermagic.verify import verify
 
 from conftest import (
+    diag_form_polys,
+    left_scale,
     multipoly_product,
     quadratic_coeff_table,
     quadratic_form_coeffs,
+    table_poly,
 )
 
 RIGHT_VARS = ("p", "q", "r", "s", "t", "u", "v", "w")
@@ -86,21 +89,22 @@ def test_diag_forms_cross_check():
     lefts = (FAMILY_LEFT, (1,) * 8, (1, 2, 3, 4, 5, 6, 7, 8), (0, 1, 1, 1, 1, 1, -1, 5),
              (Fraction(1, 2), -3, 0, Fraction(5, 3), 1, 2, -1, Fraction(-7, 4)))
     for left in lefts:
-        forms = diag_forms(left)
+        forms = diag_form_polys(left)
         table_a, table_b, products = _blackbox_tables(left)
         assert quadratic_coeff_table(forms.A) == table_a
         assert quadratic_coeff_table(forms.B) == table_b
         # 4 homogeneity pairs, 8 unit vectors and 28 pairs of unit vectors
         assert products == 44
-    forms = diag_forms(FAMILY_LEFT)
-    assert forms.A.degree_in("w") == 1
-    assert forms.B.degree_in("w") == 1
-    assert all(sum(exps) == 2 for exps in forms.A.terms)
-    assert all(sum(exps) == 2 for exps in forms.B.terms)
+    # the tables themselves: w's exponent comes last, before the coefficient
+    a_table, b_table = diag_forms(FAMILY_LEFT)
+    assert max(term[-2] for term in a_table) == 1
+    assert max(term[-2] for term in b_table) == 1
+    assert all(sum(term[:-1]) == 2 for term in a_table)
+    assert all(sum(term[:-1]) == 2 for term in b_table)
 
 
 def test_diag_forms_vanish_exactly_on_magic_points():
-    forms = diag_forms(FAMILY_LEFT)
+    forms = diag_form_polys(FAMILY_LEFT)
     point = dict(zip(RIGHT_VARS, FAMILY_RIGHT))
     assert forms.A.eval(point) == 0
     assert forms.B.eval(point) == 0
@@ -113,7 +117,7 @@ def test_w_coefficient_identities():
     # for any integer left tuple: [w^2] A = 8(h-a)(h+a) and [w p] A = 16 a h
     for left in ((1, 2, 3, 4, 5, 6, 7, 8), (0, 1, 1, 1, 1, 1, -1, 5), FAMILY_LEFT):
         a, h = left[0], left[7]
-        forms = diag_forms(left)
+        forms = diag_form_polys(left)
         w2 = forms.A.coefficient_of("w", 2)
         assert w2 == MultiPoly.constant(RIGHT_VARS, 8 * (h - a) * (h + a))
         wp = forms.A.coefficient_of("w", 1).coefficient_of("p", 1)
@@ -122,7 +126,7 @@ def test_w_coefficient_identities():
 
 def test_symbolic_diag_forms_specialize():
     sym = symbolic_diag_forms()
-    num = diag_forms(FAMILY_LEFT)
+    num = diag_form_polys(FAMILY_LEFT)
     subs = dict(zip(("a", "b", "c", "d", "e", "f", "g", "h"), FAMILY_LEFT))
     spec_a = sym.A
     spec_b = sym.B
@@ -136,7 +140,7 @@ def test_symbolic_diag_forms_specialize():
 
 
 def test_all_ones_A_factors():
-    forms = diag_forms((1,) * 8)
+    forms = diag_form_polys((1,) * 8)
     expect = parse_poly(
         "16*p*r + 16*p*s + 16*p*v + 16*p*w + 16*q*r + 16*q*s + 16*q*v + 16*q*w"
         " + 16*r*t + 16*r*u + 16*s*t + 16*s*u + 16*t*v + 16*t*w + 16*u*v + 16*u*w",
@@ -157,7 +161,7 @@ def test_all_ones_witnesses():
 def test_zero_entries_force_identical_squares():
     witnesses = improper_witnesses((1, 0, 0, 1, 1, 1, 1, 1))
     assert witnesses[0].kind == "identical-squares"
-    assert not witnesses[0].form.terms
+    assert witnesses[0].form == (0,) * 8
 
 
 def test_family_left_unobstructed():
@@ -264,21 +268,62 @@ def test_eliminate_w_requires_restriction():
 
 def test_eliminate_w_checks_p_cubed_without_testing_the_tuple():
     # the zero tuple passes the w-degree check with A = B = F = 0; the
-    # symbolic forms have w^2 terms, so they fail it before any p^3 test
-    zero = MultiPoly.zero(RIGHT_VARS)
-    assert eliminate_w(diag_forms((0,) * 8)) == (zero, zero, zero)
+    # symbolic forms, as tables over (a..h, p..w), have w^2 terms, so they
+    # fail it before any p^3 test
+    assert eliminate_w(diag_forms((0,) * 8)) == ((), (), ())
     with pytest.raises(ValueError) as info:
-        eliminate_w(symbolic_diag_forms())
+        eliminate_w([tuple((*exps, c) for exps, c in form.terms.items())
+                     for form in symbolic_diag_forms()])
     assert str(info.value) == "w-degree exceeds 1; elimination needs the degree-one restriction"
+    # A = p*w and B = p^2 + w over (p, w) pass the w-degree check, but
+    # F = 1 * 0 - p * p^2 keeps a p^3 term
+    with pytest.raises(RuntimeError, match="internal error: p\\^3"):
+        eliminate_w([((1, 1, 1),), ((2, 0, 1), (0, 1, 1))])
 
 
 def test_eliminate_w_degree_drop():
-    forms = diag_forms(FAMILY_LEFT)
-    f, x, y = eliminate_w(forms)
-    assert f.degree_in("w") <= 0
-    assert f.degree_in("p") == 2
-    assert x == forms.A.coefficient_of("w", 1)
-    assert y == forms.B.coefficient_of("w", 1)
+    a_table, b_table = tables = diag_forms(FAMILY_LEFT)
+    f, x, y = eliminate_w(tables)
+    assert all(term[-2] == 0 for term in f + x + y)
+    assert max(term[0] for term in f) == 2
+    assert table_poly(x) == table_poly(a_table).coefficient_of("w", 1)
+    assert table_poly(y) == table_poly(b_table).coefficient_of("w", 1)
+
+
+def _reference_forms(left):
+    """A and B over p..w: the left tuple substituted into
+    symbolic_diag_forms() by MultiPoly.substitute."""
+    forms = []
+    for form in symbolic_diag_forms():
+        for name, value in zip(LEFT_VARS, left):
+            form = form.substitute(name, value)
+        forms.append(MultiPoly(RIGHT_VARS, {exps[8:]: c for exps, c in form.terms.items()}))
+    return forms
+
+
+def _reference_elimination(a_form, b_form):
+    """(F, x, y) for F = yA - xB, multiplied out in MultiPoly."""
+    x, y = a_form.coefficient_of("w", 1), b_form.coefficient_of("w", 1)
+    return y * a_form - x * b_form, x, y
+
+
+def test_eliminate_w_matches_multipoly_elimination():
+    """The table elimination of diag_forms against F, x and y multiplied out
+    in MultiPoly from the substituted symbolic forms.  For a rational left the
+    tables hold A and B times scale^2, so x and y times scale^2 and F times
+    scale^4, with scale = left_scale(left)."""
+    w1_tuples = list(enumerate_w1(2))
+    lefts = w1_tuples[::131] + [FAMILY_LEFT, (0,) * 8, tuple(Fraction(x, 3) for x in FAMILY_LEFT),
+                              tuple(Fraction(x, 4) for x in w1_tuples[5000])]
+    scales = set()
+    for left in lefts:
+        scale = left_scale(left)
+        scales.add(scale)
+        f, x, y = eliminate_w(diag_forms(left))
+        ref_f, ref_x, ref_y = _reference_elimination(*_reference_forms(left))
+        assert table_poly(f, scale ** 4) == ref_f, left
+        assert (table_poly(x, scale ** 2), table_poly(y, scale ** 2)) == (ref_x, ref_y), left
+    assert len(lefts) == 130 and scales == {1, 3, 4}
 
 
 def test_solve_chain_reproduces_worked_solution():
@@ -494,7 +539,7 @@ def test_verified_product_builds_no_fraction(monkeypatch, left, right):
     assert all(type(w) is family8.Witness for w in witnesses)
     assert SearchConfig.__slots__ == (
         "seed", "numerator_bound", "denominator_bound", "max_iterations")
-    assert family8.DiagForms._fields == ("A", "B")
+    assert certificates.DiagForms._fields == ("A", "B")
     assert family8.integer_forms((Fraction(1, 2), 1, 1, 1, 1, 1, -1, 5)).left == (
         1, 2, 2, 2, 2, 2, -2, 10)
 
@@ -728,20 +773,21 @@ def _constant(poly):
 
 
 def _reference_chain(left, free):
-    """The solve chain on MultiPoly, from diag_forms and eliminate_w: each step
-    substitutes the values known so far into the p^2 coefficient of F, into F,
-    then into A, and solves the linear remainder; A and B are back-checked by
-    eval.  The solved variable is q when the p^2 coefficient has a q-term,
-    else v.  Returns (failure reason, solved variable, right tuple)."""
-    forms = diag_forms(left)
-    f = eliminate_w(forms)[0]
+    """The solve chain on MultiPoly, from _reference_forms and
+    _reference_elimination: each step substitutes the values known so far
+    into the p^2 coefficient of F, into F, then into A, and solves the linear
+    remainder; A and B are back-checked by eval.  The solved variable is q
+    when the p^2 coefficient has a q-term, else v.  Returns (failure reason,
+    solved variable, right tuple)."""
+    a_form, b_form = _reference_forms(left)
+    f = _reference_elimination(a_form, b_form)[0]
     p2 = f.coefficient_of("p", 2)
     solve_var = next((name for name in ("q", "v")
                       if p2.coefficient_of(name, 1).terms), None)
     if solve_var is None:
         return "step 1: both q and v coefficients vanish (b = g = 0)", None, None
     values = {"s": Fraction(1), **{name: Fraction(x) for name, x in free.items()}}
-    for step, (poly, var) in enumerate(((p2, solve_var), (f, "p"), (forms.A, "w")), 1):
+    for step, (poly, var) in enumerate(((p2, solve_var), (f, "p"), (a_form, "w")), 1):
         for name, value in values.items():
             poly = poly.substitute(name, value)
         assert poly.degree_in(var) <= 1
@@ -749,7 +795,7 @@ def _reference_chain(left, free):
         if not lead.terms:
             return f"step {step}: {var}-coefficient zero", solve_var, None
         values[var] = -Fraction(_constant(poly.coefficient_of(var, 0)), _constant(lead))
-    assert forms.A.eval(values) == 0 and forms.B.eval(values) == 0
+    assert a_form.eval(values) == 0 and b_form.eval(values) == 0
     return None, solve_var, tuple(values[name] for name in RIGHT_VARS)
 
 

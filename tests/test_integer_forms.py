@@ -22,7 +22,6 @@ from eulermagic.family8 import (
     FAMILY_LEFT,
     _linear_factors,
     _specialised_terms,
-    diag_forms,
     entries_distinct,
     improper_witnesses,
     integer_forms,
@@ -50,7 +49,7 @@ from eulermagic.search import (
     search8_seeded,
 )
 
-from conftest import multipoly_product
+from conftest import diag_form_polys, left_scale, multipoly_product
 
 RIGHT_VARS = ("p", "q", "r", "s", "t", "u", "v", "w")
 WORKED_LEFT = (0, 1, 1, 1, 1, 1, -1, 5)
@@ -89,16 +88,21 @@ _PINNED = {
 }
 
 
-def _summary(witnesses):
-    """The scan's witnesses, whether the symbolic matrix is proper (no entry
-    pair vanishes identically) and whether properness is obstructed."""
-    return ([(w.kind, w.first, w.second, w.relation, str(w.form)) for w in witnesses],
+def _summary(witnesses, scale=1):
+    """The scan's witnesses, each form divided by scale, whether the symbolic
+    matrix is proper (no entry pair vanishes identically) and whether
+    properness is obstructed."""
+    return ([(w.kind, w.first, w.second, w.relation, str(_linear(w.form, scale)))
+             for w in witnesses],
             all(w.kind != "identical-squares" for w in witnesses), bool(witnesses))
 
 
 @pytest.mark.parametrize("left", list(_PINNED))
 def test_witness_scan_pinned(left):
     assert _summary(improper_witnesses(left)) == _PINNED[left]
+    # a witness form is the integer vector over p..w, scale times the pair's form
+    assert all(type(w.form) is tuple and len(w.form) == 8 and set(map(type, w.form)) == {int}
+               for w in improper_witnesses(left))
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +219,7 @@ _unit_left = st.tuples(*[st.sampled_from((-1, 1))] * 8)
 @example((Fraction(1, 3), 1, 0, 0, 1, 1, 1, Fraction(-2, 5)))
 @example((0,) * 8)
 def test_witness_scan_matches_multipoly_reference(left):
-    assert _summary(improper_witnesses(left)) == _reference_scan(left)
+    assert _summary(improper_witnesses(left), left_scale(left)) == _reference_scan(left)
 
 
 def _pad(*xs):
@@ -687,7 +691,7 @@ def _to_sympy(poly: MultiPoly, ring=_QQ_RING):
 @example((0,) * 8)
 @example((Fraction(1, 3), 1, 0, 0, 1, 1, 1, Fraction(-2, 5)))
 def test_diag_forms_match_sympy(left):
-    forms = diag_forms(left)
+    forms = diag_form_polys(left)
     lq = [sympy.QQ(x.numerator, x.denominator) for x in map(Fraction, left)]
     assert (_to_sympy(forms.A), _to_sympy(forms.B)) == _sympy_forms(_QQ_RING, lq, _QQ_RIGHT)
 
