@@ -2,11 +2,12 @@
 
 The Cayley transform S -> (I - S)(I + S)^(-1) maps skew-symmetric rational
 matrices bijectively onto orthogonal matrices without eigenvalue -1; I + S is
-always invertible for skew S over the rationals.  A sign diagonal D with
-det(M + D) != 0 extends the parametrization to all orthogonal matrices, and
-for odd n any M with M * M^t = gamma * I is a scalar multiple of an
-orthogonal matrix (ortho_reduce).  Both inverse_cayley and ortho_reduce
-decide M * M^t = gamma * I with verify's _row_condition.
+always invertible for skew S over the rationals.  For odd n every M with
+M * M^t = gamma * I is lambda * D * cayley(S).  ortho_reduce gives lambda,
+as (det M)^2 = gamma^n makes det(M) / gamma^((n-1)/2) square to gamma, and
+the orthogonal Q = M / lambda; sign_diagonal gives, by leading minors, a
+sign diagonal D with det(Q + D) != 0, so S = inverse_cayley(DQ) exists.
+inverse_cayley and ortho_reduce decide M * M^t = gamma * I with _row_condition.
 
 cayley_integer is the one exact kernel of the map: integer P = det * cayley(S)
 from one Bareiss adjugate.  For 5x5 skew S, cayley5_diagonals reads the main
@@ -17,7 +18,6 @@ which is all the two diagonal conditions need.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import List, Sequence, Tuple
 
 # not in __all__: perfbench/child.py and perfbench/tracer.py read it here
@@ -29,7 +29,6 @@ from .matrices import (
     clear_denominators,
     determinant,
     exact_rationals,
-    mat_add,
     mat_scale,
 )
 from .verify import _row_condition
@@ -176,30 +175,30 @@ def inverse_cayley(m: Matrix) -> Matrix:
 
 
 def sign_diagonal(m: Matrix) -> Matrix:
-    """A diagonal +-1 matrix D with M + D invertible.
+    """A diagonal D of int +-1 entries with every leading principal minor of
+    M + D nonzero, det(M + D) included; inexact entries are a TypeError.
 
-    Candidates are scanned in a fixed, reproducible order: all +1 first, then
-    graded by the number of -1 entries, lexicographically by the positions of
-    the -1 entries within each grade.  Every square M has such a D, as
-    det(M + D) = det D * det(I + DM), and det(I + DM) = sum over index sets T
-    of prod_{i in T} d_i * det M[T, T] sums to 2^n over all 2^n sign diagonals
-    (every T but the empty one cancels).  The scan may still need every
-    candidate (for -I it ends at D = -I), hence the cap on n.
+    d_k = +1 unless that zeroes the k-th leading minor of M + D, and then
+    d_k = -1: one determinant per k.  The k-th minor is affine in d_k with
+    slope the (k-1)-th minor, nonzero by induction (the 0-th minor is 1), so
+    if +1 zeroes it, -1 gives -2 times the (k-1)-th minor.
+
+    For orthogonal Q the rule gives D = I exactly when Q has no eigenvalue
+    -1, as inverse_cayley asks.  det(Q + I) = 0 rules out D = I; and if the
+    first -1 falls at step k, the leading block has Q_k x = -x for a unit x,
+    and Q [x; 0] = [-x; y] with |x|^2 + |y|^2 = 1 makes y = 0 and -1 an
+    eigenvalue of Q.
     """
     if not m.is_square():
         raise ValueError("input must be square")
+    exact_rationals((x for row in m.entries for x in row), "matrix entries")
     n = m.rows
-    if n > 16:
-        raise ValueError("sign diagonal scan is limited to n <= 16")
-    for k in range(n + 1):
-        for neg_positions in combinations(range(n), k):
-            diag = [Fraction(-1) if i in neg_positions else Fraction(1) for i in range(n)]
-            d = Matrix(n, n, tuple(
-                tuple(diag[i] if i == j else Fraction(0) for j in range(n)) for i in range(n)
-            ))
-            if determinant(mat_add(m, d)) != 0:
-                return d
-    raise RuntimeError("internal error: no sign diagonal found, against the sign-sum lemma")
+    signs: List[int] = []
+    for k in range(1, n + 1):
+        block = [[x + s if i == j else x for j, x in enumerate(row[:k])]
+                 for i, (row, s) in enumerate(zip(m.entries, signs + [1]))]
+        signs.append(1 if determinant(Matrix(k, k, block)) != 0 else -1)
+    return Matrix(n, n, [[s if i == j else 0 for j in range(n)] for i, s in enumerate(signs)])
 
 
 def ortho_reduce(m: Matrix):

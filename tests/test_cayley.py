@@ -120,9 +120,9 @@ def test_sign_diagonal_fixes_excluded_orthogonals():
         assert determinant(mat_add(m, d)) != 0
 
 
-def test_sign_diagonal_of_minus_identity_is_the_last_candidate():
-    # -I + D is invertible only for D = -I, which the scan reaches last
-    for n in range(1, 7):
+def test_sign_diagonal_of_minus_identity_is_minus_identity():
+    # -I + D is invertible only for D = -I
+    for n in range(1, 41):
         minus = mat_scale(-1, identity(n))
         assert sign_diagonal(minus) == minus
 
@@ -133,9 +133,8 @@ def _is_sign_diagonal(d, n):
 
 
 def test_sign_diagonal_exists_for_every_square_matrix():
-    """det(M + D) = det D * det(I + DM), and det(I + DM) sums to 2^n over the
-    2^n sign diagonals D, so the scan finds a D for any square M; here 300
-    random integer matrices with n = 1..6, half of them singular."""
+    """The leading-minor rule finds a D for any square M; here 300 random
+    integer matrices with n = 1..6, half of them singular."""
     rng = random.Random(1313)
     singular = 0
     for k in range(300):
@@ -152,11 +151,79 @@ def test_sign_diagonal_exists_for_every_square_matrix():
     assert singular >= 150
 
 
-def test_sign_diagonal_exhausted_is_an_internal_error(monkeypatch):
-    # unreachable by the lemma, so not a bad-input ValueError
-    monkeypatch.setattr(sys.modules["eulermagic.cayley"], "determinant", lambda m: 0)
-    with pytest.raises(RuntimeError, match="internal error"):
-        sign_diagonal(identity(3))
+def test_sign_diagonal_takes_one_determinant_per_size(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m.rows)
+        return determinant(m)
+
+    monkeypatch.setattr(sys.modules["eulermagic.cayley"], "determinant", counting)
+    rng = random.Random(37)
+    samples = [mat_scale(-1, identity(n)) for n in range(1, 21)]
+    samples += [Matrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+                for n in range(1, 13)]
+    for m in samples:
+        calls.clear()
+        sign_diagonal(m)
+        assert calls == list(range(1, m.rows + 1))
+
+
+def _sign_diagonal_oracle_samples(rng):
+    """Random rational matrices with n = 1..7, every second one singular
+    (its last row a multiple of its first), and sparse 0/+-1 matrices."""
+    for k in range(140):
+        n = k % 7 + 1
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)]
+        if k % 2:
+            rows[-1] = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) * x for x in rows[0]]
+        yield rows
+        yield [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(n)]
+
+
+def test_sign_diagonal_against_sympy_minors():
+    """Every leading minor of M + D is nonzero, and d_k = -1 exactly where
+    d_k = +1 (after d_1..d_(k-1)) would zero the k-th minor, all by
+    sympy.Matrix.det."""
+    rng = random.Random(2718)
+    negatives = singular = 0
+    for rows in _sign_diagonal_oracle_samples(rng):
+        n = len(rows)
+        d = sign_diagonal(Matrix.from_rows(rows))
+        assert _is_sign_diagonal(d, n), rows
+        signs = [d.entry(i, i) for i in range(n)]
+        m = sympy.Matrix(rows)
+        singular += m.det() == 0
+        for k in range(1, n + 1):
+            block = m[:k, :k]
+            plus = (block + sympy.diag(*signs[:k - 1], 1)).det()
+            assert (signs[k - 1] == -1) == (plus == 0), (rows, k)
+            assert (block + sympy.diag(*signs[:k])).det() != 0, (rows, k)
+        negatives += signs.count(-1)
+    assert singular >= 70 and negatives >= 50
+
+
+def test_sign_diagonal_puts_row_signed_cayley_matrices_in_the_chart():
+    rng = random.Random(2024)
+    for n in range(2, 8):
+        for _ in range(6):
+            signs = Matrix.from_rows([[rng.choice((1, -1)) if i == j else 0 for j in range(n)]
+                                      for i in range(n)])
+            q = mat_mul(signs, cayley(_random_skew(rng, n)))
+            d = sign_diagonal(q)
+            dq = mat_mul(d, q)
+            assert cayley(inverse_cayley(dq)) == dq
+            try:
+                inverse_cayley(q)
+                in_chart = True
+            except ValueError:
+                in_chart = False
+            assert (d == identity(n)) == in_chart
+    for k in range(1, 6):
+        for sign in (1, -1):
+            _, q = ortho_reduce(mat_scale(sign, load_fixture(f"five5_{k}.txt")))
+            assert sign_diagonal(q) == identity(5)
 
 
 def test_cayley3_forms_shape():

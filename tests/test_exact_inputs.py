@@ -17,10 +17,13 @@ from eulermagic import (
     cayley,
     determinant,
     family8,
+    inverse_cayley,
     mat_inverse,
     matrices,
+    ortho_reduce,
     rescale_primitive,
     search,
+    sign_diagonal,
     verify,
 )
 from eulermagic.family8 import (
@@ -41,6 +44,7 @@ from eulermagic.poly import parse_poly
 from eulermagic.search import SearchConfig, Xorshift64Star, search5_cayley, search8_seeded
 
 SKEW = (0, 1, 2, -1, 0, 3, -2, -3, 0)
+IDENTITY = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 WORKED = (0, 1, 1, 1, 1, 1, -1, 5,  # left
           3, -2, -4, 5, 6,  # partial
           Fraction(13, 15), Fraction(-14, 15), Fraction(-23, 5),  # supplied
@@ -73,6 +77,9 @@ def _eval(values):
 ENTRY_POINTS = {
     "verify": (lambda xs: verify(_square(xs)), SKEW),
     "cayley": (lambda xs: cayley(_square(xs)), SKEW),
+    "sign_diagonal": (lambda xs: sign_diagonal(_square(xs)), IDENTITY),
+    "ortho_reduce": (lambda xs: ortho_reduce(_square(xs)), IDENTITY),
+    "inverse_cayley": (lambda xs: inverse_cayley(_square(xs)), IDENTITY),
     "rescale_primitive": (lambda xs: rescale_primitive(_square(xs)), SKEW),
     "determinant": (lambda xs: determinant(_square(xs)), SKEW),
     "four_parameter_family": (lambda xs: four_parameter_family(*xs), (1, 2, 3, 4)),
@@ -123,7 +130,8 @@ def test_float_skew_matrix_is_a_type_error():
     # Fraction arithmetic used to meet the float in clear_denominators and
     # fail with AttributeError: 'float' object has no attribute 'denominator'
     m = _square([float(x) for x in SKEW])
-    for call in (verify, cayley, rescale_primitive, determinant, mat_inverse):
+    for call in (verify, cayley, rescale_primitive, determinant, mat_inverse, sign_diagonal,
+                 ortho_reduce, inverse_cayley):
         with pytest.raises(TypeError, match="matrix entries|values must be exact rationals"):
             call(m)
 

@@ -85,6 +85,7 @@ UNREFERENCED_PUBLIC_API = {
     "family8.w1_coefficient_checker": "the certify benchmark calls it; role in ROADMAP 3",
     "family8.solve_chain": "role in ROADMAP 7",
     "matrices.identity": "basic API",
+    "matrices.mat_add": "basic API; the sign_diagonal tests check with it",
     "matrices.transpose": "basic API",
     "matrices.mat_inverse": "tracer-pinned until ROADMAP 1",
     "permutations.two_by_two_family": "acceptance criterion 10",

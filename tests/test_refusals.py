@@ -20,7 +20,6 @@ from eulermagic.search import search8_seeded
 
 XY = ("x", "y")
 WIDE = Matrix.from_rows([[1, 0, 0], [0, 1, 0]])
-IDENTITY17 = Matrix.from_rows([[int(i == j) for j in range(17)] for i in range(17)])
 WORKED_LEFT = (0, 1, 1, 1, 1, 1, -1, 5)
 WORKED_PARTIAL = (3, -2, -4, 5, 6)
 X = MultiPoly.variable(XY, "x")
@@ -71,8 +70,6 @@ REFUSALS = {
                                   "input must be square"),
     "sign_diagonal non-square": (lambda: sign_diagonal(WIDE), ValueError, "input must be square"),
     "ortho_reduce non-square": (lambda: ortho_reduce(WIDE), ValueError, "input must be square"),
-    "sign_diagonal n = 17": (lambda: sign_diagonal(IDENTITY17), ValueError,
-                             "sign diagonal scan is limited to n <= 16"),
     "Permutation(())": (lambda: Permutation(()), ValueError,
                         "permutation must act on a nonempty set"),
     "sigma(0)": (lambda: Permutation((2, 1))(0), ValueError, "argument 0 outside 1..2"),
